@@ -1,8 +1,9 @@
 package core
 
 import (
+	"slices"
+
 	"pipesched/internal/dag"
-	"pipesched/internal/machine"
 )
 
 // The register-pressure modes (machine.SchedMinRegLex, SchedMinRegK)
@@ -73,17 +74,7 @@ func newLiveTracker(g *dag.Graph) *liveTracker {
 		refs := g.Block.Tuples[u].Refs()
 		for _, id := range refs {
 			d := g.Block.Pos(id)
-			if d < 0 || !lt.produces[d] {
-				continue
-			}
-			dup := false
-			for _, seen := range lt.operands[u] {
-				if seen == int32(d) {
-					dup = true
-					break
-				}
-			}
-			if dup {
+			if d < 0 || !lt.produces[d] || slices.Contains(lt.operands[u], int32(d)) {
 				continue
 			}
 			lt.operands[u] = append(lt.operands[u], int32(d))
@@ -143,11 +134,10 @@ func peakOf(g *dag.Graph, order []int) int {
 	return int(lt.peak)
 }
 
-// modeCosts describes how the searcher prices and compares schedules
-// under its mode: lex packs (NOPs, MAXLIVE), the other modes order by
-// NOPs alone.
-func (s *searcher) packCost(nops, peak int) int64 {
-	if s.lex {
+// packCost is the mode's packed cost order: minreg-lex packs (NOPs,
+// MAXLIVE), the other modes order by the cost alone.
+func (p *problem) packCost(nops, peak int) int64 {
+	if p.lex {
 		return packLex(nops, peak)
 	}
 	return int64(nops)
@@ -160,10 +150,4 @@ func (s *searcher) livePeak() int {
 		return 0
 	}
 	return int(s.lt.peak)
-}
-
-// feasiblePeak reports whether a schedule with the given MAXLIVE
-// satisfies the mode's pressure constraint.
-func feasiblePeak(sched machine.SchedMode, peak int) bool {
-	return sched.Kind != machine.SchedMinRegK || peak <= sched.K
 }

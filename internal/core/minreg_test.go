@@ -11,6 +11,7 @@ import (
 	"pipesched/internal/exhaustive"
 	"pipesched/internal/machine"
 	"pipesched/internal/regalloc"
+	"pipesched/internal/sim"
 	"pipesched/internal/synth"
 )
 
@@ -234,18 +235,20 @@ func TestMinRegKMatchesExhaustive(t *testing.T) {
 }
 
 // TestMinRegParallelAgrees: FindParallel must land on the same packed
-// cost as Find in both pressure modes (the schedule may differ when
-// several optima exist).
+// cost and optimality verdict as Find in every non-paper mode (the
+// schedule may differ when several optima exist), and each parallel
+// scoreboard schedule must replay through the forward simulator.
 func TestMinRegParallelAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	checked := 0
+	modes := []machine.SchedMode{machine.MinRegLex(), machine.MinRegK(2), machine.Scoreboard(4, 2), machine.Scoreboard(1, 1)}
 	for i := 0; checked < 40 && i < 400; i++ {
 		g := randomGraph(t, rng, 7, 20000)
 		if g == nil {
 			continue
 		}
 		m := machine.Random(rng, machine.Params{SingleAssignment: true})
-		for _, mode := range []machine.SchedMode{machine.MinRegLex(), machine.MinRegK(2)} {
+		for _, mode := range modes {
 			seq, seqErr := Find(g, m, Options{Sched: mode})
 			par, parErr := FindParallel(g, m, Options{Sched: mode}, 4)
 			if (seqErr == nil) != (parErr == nil) {
@@ -257,9 +260,18 @@ func TestMinRegParallelAgrees(t *testing.T) {
 				}
 				continue
 			}
-			if seq.TotalNOPs != par.TotalNOPs || seq.MaxLive != par.MaxLive {
-				t.Fatalf("block %d mode %s: sequential (nops=%d live=%d), parallel (nops=%d live=%d)",
-					i, mode, seq.TotalNOPs, seq.MaxLive, par.TotalNOPs, par.MaxLive)
+			if seq.TotalNOPs != par.TotalNOPs || seq.MaxLive != par.MaxLive || seq.Optimal != par.Optimal {
+				t.Fatalf("block %d mode %s: sequential (nops=%d live=%d optimal=%v), parallel (nops=%d live=%d optimal=%v)",
+					i, mode, seq.TotalNOPs, seq.MaxLive, seq.Optimal, par.TotalNOPs, par.MaxLive, par.Optimal)
+			}
+			if mode.Kind == machine.SchedScoreboard {
+				if err := sim.VerifyScoreboard(sim.ScoreboardInput{
+					Input:  sim.Input{Graph: g, M: m, Order: par.Order, Pipes: par.Pipes},
+					Window: mode.Window,
+					Width:  mode.Width,
+				}, par.IssueTicks, par.TotalNOPs); err != nil {
+					t.Fatalf("block %d mode %s: parallel schedule fails verification: %v", i, mode, err)
+				}
 			}
 		}
 		checked++

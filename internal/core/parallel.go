@@ -1,18 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"pipesched/internal/bound"
 	"pipesched/internal/dag"
-	"pipesched/internal/gross"
-	"pipesched/internal/listsched"
 	"pipesched/internal/machine"
-	"pipesched/internal/memo"
-	"pipesched/internal/nopins"
 )
 
 // FindParallel runs the branch-and-bound search with the first-level
@@ -29,301 +22,93 @@ import (
 // events interleave (in nondeterministic order) but never race.
 // workers <= 0 selects GOMAXPROCS.
 //
-// All scheduler modes are supported; the incumbent comparisons use the
-// mode's packed cost (NOPs, or lexicographic (NOPs, MAXLIVE)), and the
-// scoreboard mode — whose search core is separate — delegates to the
-// sequential findScoreboard.
-//
-// The lower-bound engine and dominance table are private per worker:
-// each worker owns one bound.Engine per subtree and ONE memo.Table for
-// its lifetime, so no counter or table access crosses goroutines.
-// Cross-subtree dominance within a worker is sound because the shared
-// incumbent only tightens over time. Per-worker Stats are folded into
-// the aggregate exactly once, after the WaitGroup barrier.
+// Setup and result assembly are Find's (InitialNOPs and RootLB agree
+// with it exactly), and every sched mode runs here through its
+// evaluator. Each worker owns one searcher for its lifetime — its own
+// evaluator, bound engine and dominance table — so no counter or table
+// access crosses goroutines. Cross-subtree dominance within a worker is
+// sound because the shared incumbent only tightens over time. Per-worker
+// Stats are folded into the aggregate once, after the WaitGroup barrier.
 func FindParallel(g *dag.Graph, m *machine.Machine, opts Options, workers int) (*Schedule, error) {
-	if err := opts.Sched.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Sched.Kind == machine.SchedScoreboard {
-		return findScoreboard(g, m, opts)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if g.N == 0 {
-		return &Schedule{Optimal: true, Order: []int{}, Eta: []int{}, Pipes: []int{}}, nil
-	}
+	return find(g, m, opts, workers)
+}
 
-	seed := opts.InitialOrder
-	if seed == nil {
-		seed = listsched.Schedule(g, opts.SeedPriority)
-	}
-	if !g.IsLegalOrder(seed) {
-		return nil, errIllegalSeed
-	}
-
-	lex := opts.Sched.Kind == machine.SchedMinRegLex
-	kBound := 0
-	if opts.Sched.Kind == machine.SchedMinRegK {
-		kBound = opts.Sched.K
-	}
-	pressure := opts.Sched.NeedsPressure()
-	packFor := func(nops, peak int) int64 {
-		if lex {
-			return packLex(nops, peak)
-		}
-		return int64(nops)
-	}
-	peakFloor := 0
-	if pressure {
-		peakFloor = bound.PressureFloor(g)
-		if kBound > 0 && peakFloor > kBound {
-			return nil, fmt.Errorf("%w: every legal order of block %q needs MAXLIVE ≥ %d, bound is %d",
-				ErrInfeasible, g.Block.Label, peakFloor, kBound)
+// fanOut searches the depth-0 subtrees of s on parallel workers and
+// folds their incumbents and stats back into s. The depth-0 candidates
+// are exactly those dfs(0) would place: the same admit filter, counted
+// in s's own stats.
+func (s *searcher) fanOut(workers int) {
+	var cands []int
+	for k := 0; k < s.g.N; k++ {
+		if s.admit(0, k) {
+			cands = append(cands, k)
 		}
 	}
+	shared := &sharedBound{lambda: s.opts.Lambda}
+	shared.best.Store(s.bestCost)
 
-	start := time.Now()
-
-	// Price the incumbent exactly as Find does (list seed, optionally
-	// improved by the greedy baseline), counting only Ω work that was
-	// actually performed: the greedy order is priced — and charged —
-	// only when the seed is not already free and no caller-fixed order
-	// suppresses it. In minreg-k a seed over the pressure bound leaves
-	// the search with no incumbent.
-	incumbentEval := nopins.NewEvaluator(g, m, opts.Assign)
-	if opts.Entry != nil {
-		incumbentEval.SetEntryState(opts.Entry)
-	}
-	seedRes, err := incumbentEval.EvaluateOrder(seed)
-	if err != nil {
-		return nil, err
-	}
-	agg := Stats{
-		SeedOmegaCalls:    int64(g.N),
-		SchedulesExamined: 1,
-	}
-	var best nopins.Result
-	bestCost, bestPeak := noIncumbent, 0
-	seedPeak := 0
-	if pressure {
-		seedPeak = peakOf(g, seed)
-	}
-	if feasiblePeak(opts.Sched, seedPeak) {
-		best = seedRes
-		bestPeak = seedPeak
-		bestCost = packFor(seedRes.TotalNOPs, seedPeak)
-	}
-	if opts.InitialOrder == nil && !opts.DisableGreedySeed && bestCost > 0 {
-		greedyOrder := gross.Schedule(g, m, opts.Assign).Order
-		if greedyRes, err := incumbentEval.EvaluateOrder(greedyOrder); err == nil {
-			agg.SeedOmegaCalls += int64(g.N)
-			agg.SchedulesExamined++
-			greedyPeak := 0
-			if pressure {
-				greedyPeak = peakOf(g, greedyOrder)
-			}
-			if c := packFor(greedyRes.TotalNOPs, greedyPeak); feasiblePeak(opts.Sched, greedyPeak) && c < bestCost {
-				best = greedyRes
-				bestPeak = greedyPeak
-				bestCost = c
-			}
-		}
-	}
-
-	// Root lower bound: shared by every worker (the empty schedule is the
-	// same everywhere) and the basis of the seed-optimality certificate
-	// and the Gap of a curtailed result.
-	rootLB := 0
-	haveEngine := !opts.DisableLowerBound || !opts.DisableMemo
-	if haveEngine {
-		rootLB = bound.New(g, m, boundConfig(opts)).Root()
-	}
-	rootCost := packFor(rootLB, peakFloor)
-	if bestCost == 0 || (haveEngine && bestCost != noIncumbent && bestCost <= rootCost) {
-		agg.Elapsed = time.Since(start)
-		return &Schedule{
-			Order: best.Order, Eta: best.Eta, Pipes: best.Pipes,
-			TotalNOPs: best.TotalNOPs, Ticks: best.Ticks,
-			InitialNOPs: seedRes.TotalNOPs, Optimal: true,
-			RootLB: rootLB, Stats: agg, MaxLive: bestPeak,
-		}, nil
-	}
-
-	// Depth-0 candidates: source nodes, in seed order, with the paper's
-	// [5c] filter applied among themselves: two no-pipe candidates are
-	// interchangeable only when they also share identical successor
-	// structure (see equivalentSwap for why the bare no-pipe/no-pred
-	// condition over-prunes) — keep the first of each such group.
-	// (Identical successor structure also preserves the MAXLIVE of the
-	// exchanged completion, so the filter stays exact in the pressure
-	// modes.)
-	var candidates []int
-	for _, u := range seed {
-		if len(g.Preds[u]) > 0 {
-			continue
-		}
-		if len(m.PipelinesFor(g.Block.Tuples[u].Op)) == 0 && !opts.DisableEquivalence {
-			dup := false
-			for _, v := range candidates {
-				if len(m.PipelinesFor(g.Block.Tuples[v].Op)) == 0 && sameSuccs(g, v, u) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-		}
-		candidates = append(candidates, u)
-	}
-
-	shared := &sharedBound{lambda: opts.Lambda}
-	shared.best.Store(bestCost)
-
-	type result struct {
-		idx     int
-		best    nopins.Result
-		peak    int
-		cost    int64
-		found   bool
-		curtail bool
-		stopErr error
-		stats   Stats
-	}
-	results := make([]result, len(candidates))
+	ws := make([]*searcher, workers)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := range ws {
+		ev, _ := s.newEvaluator() // the options were validated by find
+		w := s.newSearcher(ev, s.perm)
+		w.best, w.bestCost = s.best, s.bestCost
+		w.shared, w.worker = shared, i
+		ws[i] = w
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			// One dominance table per worker, reused across this worker's
-			// subtrees: states recur between subtrees, and reuse is sound
-			// because the shared incumbent is monotone.
-			var table *memo.Table
-			if !opts.DisableMemo {
-				table = memo.NewTable(opts.MemoEntries)
-			}
-			for idx := range jobs {
-				if haveEngine && shared.best.Load() <= rootCost {
-					// A sibling already proved the incumbent optimal;
-					// remaining subtrees cannot improve on it.
+			for k := range jobs {
+				if w.curtail || (w.certify && shared.best.Load() <= w.rootCost) {
+					// Out of budget, or a sibling already proved the
+					// incumbent optimal: the remaining subtrees cannot
+					// improve on it.
 					continue
 				}
-				cand := candidates[idx]
-				s := &searcher{
-					g:    g,
-					m:    m,
-					opts: opts,
-					eval: nopins.NewEvaluator(g, m, opts.Assign),
-					perm: append([]int(nil), seed...),
-					// Local incumbent cost only; the schedule itself
-					// stays empty until this subtree improves on it.
-					bestTotal: 1 << 30,
-					bestCost:  noIncumbent,
-					shared:    shared,
-					table:     table,
-					rootLB:    rootLB,
-					rootCost:  rootCost,
-					lex:       lex,
-					kBound:    kBound,
-					peakFloor: peakFloor,
-					worker:    worker,
-				}
-				if pressure {
-					s.lt = newLiveTracker(g)
-				}
-				if haveEngine {
-					s.bnd = bound.New(g, m, boundConfig(opts))
-				}
-				if opts.Entry != nil {
-					s.eval.SetEntryState(opts.Entry)
-					s.startTick = opts.Entry.StartTick
-				}
-				if opts.StrongEquivalence {
-					s.equivClass = equivalenceClasses(g, m)
-				}
-				// Move the candidate to the front of Π and search its
-				// subtree.
-				for k, u := range s.perm {
-					if u == cand {
-						s.perm[0], s.perm[k] = s.perm[k], s.perm[0]
-						break
-					}
-				}
-				s.place(0, cand)
-				results[idx] = result{
-					idx:     idx,
-					best:    s.best,
-					peak:    s.bestPeak,
-					cost:    s.bestCost,
-					found:   len(s.best.Order) == g.N,
-					curtail: s.curtail,
-					stopErr: s.stopErr,
-					stats:   s.stats,
-				}
+				// Move the candidate to the front of Π, as dfs(0) does.
+				xi := w.perm[k]
+				w.perm[0], w.perm[k] = w.perm[k], w.perm[0]
+				w.place(0, xi)
+				w.perm[0], w.perm[k] = w.perm[k], w.perm[0]
 			}
-		}(w)
+		}()
 	}
-	for idx := range candidates {
-		jobs <- idx
+	for _, k := range cands {
+		jobs <- k
 	}
 	close(jobs)
 	wg.Wait()
 
-	curtailed := false
-	var stopped error
-	for _, r := range results {
+	for _, w := range ws {
 		// Prefer a context stop reason over the λ budget: a deadline or
 		// cancellation in any worker is the caller-visible cause.
-		if r.stopErr != nil && (stopped == nil || stopped == ErrBudget) {
-			stopped = r.stopErr
+		if w.stopErr != nil && (s.stopErr == nil || s.stopErr == ErrBudget) {
+			s.stopErr = w.stopErr
 		}
-		agg.OmegaCalls += r.stats.OmegaCalls
-		agg.SchedulesExamined += r.stats.SchedulesExamined
-		agg.Improvements += r.stats.Improvements
-		agg.PrunedBounds += r.stats.PrunedBounds
-		agg.PrunedIllegal += r.stats.PrunedIllegal
-		agg.PrunedEquivalence += r.stats.PrunedEquivalence
-		agg.PrunedStrongEquiv += r.stats.PrunedStrongEquiv
-		agg.PrunedAlphaBeta += r.stats.PrunedAlphaBeta
-		agg.PrunedLowerBound += r.stats.PrunedLowerBound
-		agg.PrunedResource += r.stats.PrunedResource
-		agg.PrunedPressure += r.stats.PrunedPressure
-		agg.MemoHits += r.stats.MemoHits
-		curtailed = curtailed || r.curtail
-		if r.found && r.cost < bestCost {
-			best = r.best
-			bestCost = r.cost
-			bestPeak = r.peak
+		s.stats.add(w.stats)
+		s.curtail = s.curtail || w.curtail
+		if w.bestCost < s.bestCost {
+			s.best, s.bestCost = w.best, w.bestCost
 		}
 	}
-	agg.Curtailed = curtailed
-	agg.Elapsed = time.Since(start)
+}
 
-	if len(best.Order) != g.N {
-		// minreg-k only: no feasible schedule was ever found anywhere.
-		if curtailed {
-			return nil, fmt.Errorf("core: no schedule with MAXLIVE ≤ %d found before the search stopped: %w",
-				kBound, stopped)
-		}
-		return nil, fmt.Errorf("%w: exhausted search found no order of block %q with MAXLIVE ≤ %d",
-			ErrInfeasible, g.Block.Label, kBound)
-	}
-
-	return &Schedule{
-		Order:       best.Order,
-		Eta:         best.Eta,
-		Pipes:       best.Pipes,
-		TotalNOPs:   best.TotalNOPs,
-		Ticks:       best.Ticks,
-		InitialNOPs: seedRes.TotalNOPs,
-		Optimal:     !curtailed,
-		RootLB:      rootLB,
-		Gap:         certifiedGap(curtailed, best.TotalNOPs, rootLB),
-		Stopped:     stopped,
-		Stats:       agg,
-		MaxLive:     bestPeak,
-	}, nil
+// add folds a worker's search counters into the aggregate.
+func (a *Stats) add(b Stats) {
+	a.OmegaCalls += b.OmegaCalls
+	a.SchedulesExamined += b.SchedulesExamined
+	a.Improvements += b.Improvements
+	a.PrunedBounds += b.PrunedBounds
+	a.PrunedIllegal += b.PrunedIllegal
+	a.PrunedEquivalence += b.PrunedEquivalence
+	a.PrunedStrongEquiv += b.PrunedStrongEquiv
+	a.PrunedAlphaBeta += b.PrunedAlphaBeta
+	a.PrunedLowerBound += b.PrunedLowerBound
+	a.PrunedResource += b.PrunedResource
+	a.PrunedPressure += b.PrunedPressure
+	a.MemoHits += b.MemoHits
 }

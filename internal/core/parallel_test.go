@@ -6,9 +6,45 @@ import (
 	"testing/quick"
 
 	"pipesched/internal/dag"
+	"pipesched/internal/listsched"
 	"pipesched/internal/machine"
 	"pipesched/internal/nopins"
 )
+
+// TestFindParallelSetupMatchesFind: Find and FindParallel share one setup
+// path, so besides the optimal cost they must report the same seed cost
+// (InitialNOPs, which the greedy seed may have improved) and the same
+// root bound on every block, in every mode.
+func TestFindParallelSetupMatchesFind(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var graphs []*dag.Graph
+	for len(graphs) < 60 {
+		if g := randomGraph(t, rng, 6, 0); g != nil {
+			graphs = append(graphs, g)
+		}
+	}
+	modes := []machine.SchedMode{{}, machine.MinRegLex(), machine.Scoreboard(4, 2)}
+	for _, m := range []*machine.Machine{machine.ExampleMachine(), machine.SimulationMachine()} {
+		for _, mode := range modes {
+			for i, g := range graphs {
+				opts := Options{Sched: mode, SeedPriority: listsched.ByHeight, Lambda: 200000}
+				seq, err := Find(g, m, opts)
+				if err != nil {
+					t.Fatalf("block %d mode %s: Find: %v", i, mode, err)
+				}
+				par, err := FindParallel(g, m, opts, 2)
+				if err != nil {
+					t.Fatalf("block %d mode %s: FindParallel: %v", i, mode, err)
+				}
+				if par.InitialNOPs != seq.InitialNOPs || par.RootLB != seq.RootLB ||
+					(seq.Optimal && par.TotalNOPs != seq.TotalNOPs) {
+					t.Fatalf("block %d mode %s: Find (initial=%d rootLB=%d nops=%d), FindParallel (initial=%d rootLB=%d nops=%d)",
+						i, mode, seq.InitialNOPs, seq.RootLB, seq.TotalNOPs, par.InitialNOPs, par.RootLB, par.TotalNOPs)
+				}
+			}
+		}
+	}
+}
 
 func TestFindParallelMatchesFindProperty(t *testing.T) {
 	m := machine.SimulationMachine()

@@ -30,16 +30,16 @@ func TestScoreboardIncrementalMatchesSimulator(t *testing.T) {
 		m := machine.Random(rng, machine.Params{SingleAssignment: true})
 		geo := sbGeometries[rng.Intn(len(sbGeometries))]
 		opts := Options{Sched: machine.Scoreboard(geo[0], geo[1])}
-		s := newSBSearcher(g, m, opts)
+		ev, err := newScoreboardEval(newProblem(g, m, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := 0; j < 4; j++ {
 			order := randomLegalOrder(g, rng)
-			ticks, maxTick := s.priceOrder(order)
-			pipes := make([]int, g.N)
-			for p, u := range order {
-				pipes[p] = s.pipeOf[u]
-			}
+			priced, _ := ev.price(order)
+			ticks, maxTick := priced.IssueTicks, priced.Ticks
 			tr, err := sim.RunScoreboard(sim.ScoreboardInput{
-				Input:  sim.Input{Graph: g, M: m, Order: order, Pipes: pipes},
+				Input:  sim.Input{Graph: g, M: m, Order: order, Pipes: priced.Pipes},
 				Window: geo[0],
 				Width:  geo[1],
 			})
@@ -105,7 +105,7 @@ func TestScoreboardMatchesExhaustive(t *testing.T) {
 				t.Fatalf("block %d: scoreboard mode emitted NOP padding %v", i, sched.Eta)
 			}
 		}
-		// FindParallel delegates; it must agree exactly.
+		// FindParallel runs the same search fanned out; its cost must agree.
 		par, err := FindParallel(g, m, Options{Sched: mode}, 4)
 		if err != nil || par.TotalNOPs != sched.TotalNOPs {
 			t.Fatalf("block %d: parallel scoreboard (stalls=%d, err=%v) vs sequential %d",

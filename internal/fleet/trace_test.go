@@ -48,6 +48,21 @@ func (c *spanCollector) named(name string) []telemetry.SpanRecord {
 	return out
 }
 
+// danglingParents returns the spans whose parent is not among spans.
+func danglingParents(spans []telemetry.SpanRecord) []telemetry.SpanRecord {
+	ids := map[uint64]bool{}
+	for _, s := range spans {
+		ids[s.SpanID] = true
+	}
+	var out []telemetry.SpanRecord
+	for _, s := range spans {
+		if s.Parent != 0 && !ids[s.Parent] {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestFleetRequestTraceEndToEnd is the tentpole acceptance test: one
 // batch request through a 4-node in-process fleet — with a dead primary
 // (failover) and a slowed search (hedged retry) — must produce a single
@@ -116,8 +131,10 @@ func TestFleetRequestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("response trace header %q unparseable", header)
 	}
 
-	// The hedge loser's span lands asynchronously after its attempt
-	// drains; poll for it.
+	// The hedge loser's spans land asynchronously after its attempt
+	// drains — children end (and are emitted) before their parents — so
+	// poll until its attempt span is in and no collected span still
+	// waits for its parent.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		lost := 0
@@ -126,7 +143,7 @@ func TestFleetRequestTraceEndToEnd(t *testing.T) {
 				lost++
 			}
 		}
-		if lost > 0 || time.Now().After(deadline) {
+		if (lost > 0 && len(danglingParents(col.snapshot())) == 0) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -204,14 +221,8 @@ func TestFleetRequestTraceEndToEnd(t *testing.T) {
 
 	// Parent linkage: every span's parent is in the collected set (roots
 	// excepted), so the tree reconstructs without dangling references.
-	ids := map[uint64]bool{}
-	for _, s := range spans {
-		ids[s.SpanID] = true
-	}
-	for _, s := range spans {
-		if s.Parent != 0 && !ids[s.Parent] {
-			t.Errorf("span %q parent %x missing from trace", s.Name, s.Parent)
-		}
+	for _, s := range danglingParents(spans) {
+		t.Errorf("span %q parent %x missing from trace", s.Name, s.Parent)
 	}
 
 	// Node attribution: server-side spans name their node, and the

@@ -43,7 +43,7 @@ func CheckPairMode(g *dag.Graph, m *machine.Machine, mode machine.SchedMode, cfg
 
 // modeCandidates is the differential set for a non-paper mode: the same
 // ablation grid as DefaultCandidates, each running with Sched set. The
-// scoreboard searcher has no bound engine or memo table, so its grid
+// scoreboard evaluator has no bound engine or memo table, so its grid
 // drops the ablations that would be no-ops there.
 func modeCandidates(mode machine.SchedMode, cfg Config) []Candidate {
 	opts := func(mut func(*core.Options)) core.Options {
