@@ -4,29 +4,17 @@
 // retries and graceful membership drain (see internal/fleet).
 //
 //	pipesched fleet -addr :8080 -nodes 3 -cache-dir /var/cache/pipesched
-//	pipesched fleet -bench -out BENCH_fleet.json    # routing-scaling + warm-restart baseline
-//	pipesched fleet -check BENCH_fleet.json         # CI smoke: validate the committed baseline
 //
-// Serve mode exposes the same JSON API as `pipesched serve` (POST
+// The fleet exposes the same JSON API as `pipesched serve` (POST
 // /compile single or batch, GET /healthz, GET /metrics) plus GET /fleet
 // for the membership/health snapshot. SIGTERM drains every node.
 //
-// Bench mode measures two things a single number cannot fake:
-//
-//   - routing scaling: end-to-end throughput over a fixed corpus of
-//     distinct blocks on 1-, 2- and 4-node fleets with one worker per
-//     node, so added nodes are the only added capacity;
-//   - the warm-restart contract: after killing and restarting every
-//     node, the durable tier must recover its entries (>= 90%, in
-//     practice all) and serve repeats as cache hits without recompiling.
-//
-// Exit status: 0 clean, 1 on check failure, measurement error, or I/O
-// failure.
+// Exit status: 0 after a clean or budget-expired drain, 1 on a listen,
+// serve or I/O failure.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,8 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -49,61 +35,9 @@ import (
 // listener is up (test hook).
 var fleetReady func(addr string)
 
-// fleetBenchCorpus pins the bench input set.
-type fleetBenchCorpus struct {
-	Blocks  int `json:"blocks"`
-	Clients int `json:"clients"`
-}
-
-// fleetBenchScaling is one fleet-size throughput measurement.
-type fleetBenchScaling struct {
-	Nodes     int     `json:"nodes"`
-	Requests  int     `json:"requests"`
-	ReqPerSec float64 `json:"req_per_sec"` // wall time, informational
-}
-
-// fleetBenchWarm is the warm-restart measurement: kill every node,
-// restart, and account for the durable tier's recovery.
-type fleetBenchWarm struct {
-	EntriesWritten int     `json:"entries_written"`
-	Recovered      int     `json:"recovered"`
-	Quarantined    int     `json:"quarantined"`
-	RecoveredRatio float64 `json:"recovered_ratio"`
-	WarmHitRate    float64 `json:"warm_hit_rate"`
-}
-
-// fleetBenchReport is the BENCH_fleet.json document.
-type fleetBenchReport struct {
-	Description string              `json:"description"`
-	Corpus      fleetBenchCorpus    `json:"corpus"`
-	Scaling     []fleetBenchScaling `json:"scaling"`
-	WarmRestart fleetBenchWarm      `json:"warm_restart"`
-}
-
-// fleetBenchRequest builds the nth distinct corpus request: two
-// independent (Load, Load, Mul, Add, Store) units — enough search work
-// per block that node workers, not routing overhead, are the bottleneck
-// — and a clean optimal result, so every answer is durable-cacheable.
-func fleetBenchRequest(n int) *server.Request {
-	return &server.Request{
-		ID: fmt.Sprintf("bench-%d", n),
-		Tuples: fmt.Sprintf(`b%d:
-  1: Load #a%d
-  2: Load #b%d
-  3: Mul @1, @2
-  4: Add @3, @1
-  5: Store #y%d, @4
-  6: Load #c%d
-  7: Load #d%d
-  8: Mul @6, @7
-  9: Add @8, @6
-  10: Store #z%d, @9`, n, n, n+1, n, n+2, n+3, n),
-		Machine: server.MachineSpec{Preset: "simulation"},
-	}
-}
-
-// fleetNodeConfig is the per-node server configuration used by bench
-// mode: one worker per node so the fleet's node count is its capacity.
+// fleetNodeConfig is the per-node server configuration: workers per
+// node (0 = GOMAXPROCS), a deep queue and a 4096-entry memory cache in
+// front of each node's durable tier.
 func fleetNodeConfig(workers int) server.Config {
 	return server.Config{
 		Workers:        workers,
@@ -113,192 +47,20 @@ func fleetNodeConfig(workers int) server.Config {
 	}
 }
 
-// buildBenchFleet assembles an n-node fleet with durable caches under
-// base.
-func buildBenchFleet(n int, base string, workers int) *fleet.Fleet {
-	f := fleet.New(fleet.Config{Replicas: 2})
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("node-%d", i)
-		f.AddNode(fleet.NewNode(id, filepath.Join(base, id), fleetNodeConfig(workers)))
-	}
-	return f
-}
-
-// fleetSubmitAll drives the corpus through the fleet from `clients`
-// goroutines and returns how many responses were cache hits; any
-// routing or compile error aborts the measurement.
-func fleetSubmitAll(f *fleet.Fleet, reqs []*server.Request, clients int) (cached int, err error) {
-	var wg sync.WaitGroup
-	var hits atomic.Int64
-	var firstErr atomic.Value
-	next := atomic.Int64{}
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				resp, err := f.Submit(context.Background(), reqs[i])
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				if resp.Cached {
-					hits.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if e := firstErr.Load(); e != nil {
-		return 0, e.(error)
-	}
-	return int(hits.Load()), nil
-}
-
-// measureFleetBench produces the BENCH_fleet.json report.
-func measureFleetBench(corpus fleetBenchCorpus, stderr io.Writer) (*fleetBenchReport, error) {
-	report := &fleetBenchReport{
-		Description: "Fleet routing-scaling and warm-restart baselines (pipesched fleet -bench). " +
-			"Scaling runs the same distinct-block corpus on 1-, 2- and 4-node in-process fleets " +
-			"with one worker per node, so added nodes are the only added capacity; req_per_sec " +
-			"is wall-clock and informational (-check gates only structural and recovery " +
-			"invariants, not timing). warm_restart kills and restarts every node and requires " +
-			"the durable cache tier to recover its entries and serve repeats without recompiling.",
-		Corpus: corpus,
-	}
-	reqs := make([]*server.Request, corpus.Blocks)
-	for i := range reqs {
-		reqs[i] = fleetBenchRequest(i)
-	}
-
-	for _, n := range []int{1, 2, 4} {
-		base, err := os.MkdirTemp("", "pipesched-fleet-bench-")
-		if err != nil {
-			return nil, err
-		}
-		f := buildBenchFleet(n, base, 1)
-		start := time.Now()
-		if _, err := fleetSubmitAll(f, reqs, corpus.Clients); err != nil {
-			f.Close()
-			os.RemoveAll(base)
-			return nil, fmt.Errorf("%d-node scaling run: %w", n, err)
-		}
-		elapsed := time.Since(start)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err = f.Shutdown(ctx)
-		cancel()
-		os.RemoveAll(base)
-		if err != nil {
-			return nil, fmt.Errorf("%d-node drain: %w", n, err)
-		}
-		report.Scaling = append(report.Scaling, fleetBenchScaling{
-			Nodes:     n,
-			Requests:  len(reqs),
-			ReqPerSec: float64(len(reqs)) / elapsed.Seconds(),
-		})
-		fmt.Fprintf(stderr, "pipesched fleet: %d node(s): %d requests in %v\n", n, len(reqs), elapsed.Round(time.Millisecond))
-	}
-
-	// Warm restart: fill a 2-node fleet, crash everything, restart, and
-	// replay the corpus against the recovered durable tier.
-	base, err := os.MkdirTemp("", "pipesched-fleet-bench-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(base)
-	f := buildBenchFleet(2, base, 0)
-	defer f.Close()
-	if _, err := fleetSubmitAll(f, reqs, corpus.Clients); err != nil {
-		return nil, fmt.Errorf("warm-restart fill: %w", err)
-	}
-	warm := fleetBenchWarm{}
-	for _, id := range f.Members() {
-		if st := f.Node(id).DiskStore(); st != nil {
-			warm.EntriesWritten += st.Len()
-		}
-		f.Node(id).Kill()
-	}
-	for _, id := range f.Members() {
-		f.RestartNode(id)
-		rep := f.Node(id).DiskRecovery()
-		warm.Recovered += rep.Recovered
-		warm.Quarantined += rep.Quarantined
-	}
-	if warm.EntriesWritten > 0 {
-		warm.RecoveredRatio = float64(warm.Recovered) / float64(warm.EntriesWritten)
-	}
-	hits, err := fleetSubmitAll(f, reqs, corpus.Clients)
-	if err != nil {
-		return nil, fmt.Errorf("warm-restart replay: %w", err)
-	}
-	warm.WarmHitRate = float64(hits) / float64(len(reqs))
-	report.WarmRestart = warm
-	fmt.Fprintf(stderr, "pipesched fleet: warm restart recovered %d/%d entries, hit rate %.3f\n",
-		warm.Recovered, warm.EntriesWritten, warm.WarmHitRate)
-	return report, nil
-}
-
-// checkFleetBench validates a BENCH_fleet.json document's structural
-// and recovery invariants. Timing fields are informational and not
-// gated (wall-clock throughput on shared CI hardware is noise).
-func checkFleetBench(r *fleetBenchReport) []string {
-	var fails []string
-	want := map[int]bool{1: false, 2: false, 4: false}
-	for _, s := range r.Scaling {
-		if _, ok := want[s.Nodes]; ok {
-			want[s.Nodes] = true
-		}
-		if s.Requests <= 0 {
-			fails = append(fails, fmt.Sprintf("scaling[%d nodes]: requests = %d", s.Nodes, s.Requests))
-		}
-		if s.ReqPerSec <= 0 {
-			fails = append(fails, fmt.Sprintf("scaling[%d nodes]: req_per_sec = %g", s.Nodes, s.ReqPerSec))
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			fails = append(fails, fmt.Sprintf("scaling: no %d-node measurement", n))
-		}
-	}
-	w := r.WarmRestart
-	if w.EntriesWritten <= 0 {
-		fails = append(fails, "warm_restart: no durable entries written")
-	}
-	if w.RecoveredRatio < 0.9 {
-		fails = append(fails, fmt.Sprintf("warm_restart: recovered_ratio %.3f < 0.9", w.RecoveredRatio))
-	}
-	if w.WarmHitRate < 0.9 {
-		fails = append(fails, fmt.Sprintf("warm_restart: warm_hit_rate %.3f < 0.9", w.WarmHitRate))
-	}
-	if w.Quarantined != 0 {
-		fails = append(fails, fmt.Sprintf("warm_restart: %d entries quarantined with no corruption injected", w.Quarantined))
-	}
-	return fails
-}
-
 // runFleet is the testable body of `pipesched fleet`; ctx cancellation
-// acts like SIGTERM in serve mode.
+// acts like SIGTERM.
 func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pipesched fleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr         = fs.String("addr", ":8080", "HTTP listen address (serve mode)")
-		nodes        = fs.Int("nodes", 3, "backend nodes (serve mode)")
+		addr         = fs.String("addr", ":8080", "HTTP listen address")
+		nodes        = fs.Int("nodes", 3, "backend nodes")
 		replicas     = fs.Int("replicas", 2, "replica-set size per key: failover chain length")
 		cacheDir     = fs.String("cache-dir", "", "durable cache root, one subdirectory per node (default: a temp dir)")
 		workers      = fs.Int("workers", 0, "worker pool size per node (0 = GOMAXPROCS)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
 		statsJSON    = fs.String("stats-json", "", "write telemetry events (including trace spans) as JSON lines to this file")
 		flightDir    = fs.String("flight-dir", "", "write flight-recorder dumps (panic, typed 5xx, SIGQUIT) to this directory")
-		bench        = fs.Bool("bench", false, "run the scaling + warm-restart benchmark instead of serving")
-		out          = fs.String("out", "", "bench mode: write the baseline JSON here (default stdout)")
-		check        = fs.String("check", "", "validate this baseline file's invariants and exit")
-		blocks       = fs.Int("blocks", 48, "bench mode: distinct corpus blocks")
-		clients      = fs.Int("clients", 8, "bench mode: concurrent client goroutines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -308,53 +70,6 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 1
 	}
 
-	if *check != "" {
-		data, err := os.ReadFile(*check)
-		if err != nil {
-			fmt.Fprintf(stderr, "pipesched fleet: %v\n", err)
-			return 1
-		}
-		r := &fleetBenchReport{}
-		if err := json.Unmarshal(data, r); err != nil {
-			fmt.Fprintf(stderr, "pipesched fleet: parse %s: %v\n", *check, err)
-			return 1
-		}
-		fails := checkFleetBench(r)
-		for _, f := range fails {
-			fmt.Fprintf(stderr, "pipesched fleet: FAIL %s\n", f)
-		}
-		if len(fails) > 0 {
-			return 1
-		}
-		fmt.Fprintln(stdout, "fleet bench baseline: ok")
-		return 0
-	}
-
-	if *bench {
-		report, err := measureFleetBench(fleetBenchCorpus{Blocks: *blocks, Clients: *clients}, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "pipesched fleet: %v\n", err)
-			return 1
-		}
-		enc := json.NewEncoder(stdout)
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintf(stderr, "pipesched fleet: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			enc = json.NewEncoder(f)
-		}
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(stderr, "pipesched fleet: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	// Serve mode.
 	base := *cacheDir
 	if base == "" {
 		var err error

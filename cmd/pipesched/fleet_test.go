@@ -1,60 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestRunFleetBenchAndCheck regenerates a small bench baseline and
-// validates it with -check, exercising both halves of the CI smoke.
-func TestRunFleetBenchAndCheck(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	var stdout, stderr bytes.Buffer
-	if code := runFleet(context.Background(), []string{"-bench", "-blocks", "12", "-clients", "4", "-out", out}, &stdout, &stderr); code != 0 {
-		t.Fatalf("bench exit = %d\nstderr: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report fleetBenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bench output is not valid JSON: %v", err)
-	}
-	if len(report.Scaling) != 3 {
-		t.Fatalf("scaling entries = %d, want 3", len(report.Scaling))
-	}
-	if report.WarmRestart.WarmHitRate < 0.9 {
-		t.Fatalf("warm hit rate = %.3f", report.WarmRestart.WarmHitRate)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := runFleet(context.Background(), []string{"-check", out}, &stdout, &stderr); code != 0 {
-		t.Fatalf("check exit = %d\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "ok") {
-		t.Fatalf("check stdout = %q", stdout.String())
-	}
-
-	// A baseline violating the recovery contract must fail the check.
-	report.WarmRestart.RecoveredRatio = 0.5
-	bad, _ := json.Marshal(&report)
-	badPath := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := runFleet(context.Background(), []string{"-check", badPath}, &stdout, &stderr); code != 1 {
-		t.Fatalf("check of bad baseline exit = %d, want 1", code)
-	}
-}
 
 // TestRunFleetServeEndToEnd boots the fleet front door on an ephemeral
 // port, compiles over HTTP, inspects membership, then cancels the

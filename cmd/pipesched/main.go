@@ -7,18 +7,17 @@
 //	pipesched [flags] [file]           # default input: stdin
 //	pipesched serve [flags]            # long-running compile service (see serve.go)
 //	pipesched verify [flags]           # differential-oracle soak (see verify.go)
-//	pipesched bench-search [flags]     # search-effort benchmark (see benchsearch.go)
 //	pipesched fleet [flags]            # multi-node fault-tolerant fleet (see fleet.go)
 //	pipesched worker [flags]           # one out-of-process fleet backend (see worker.go)
 //	pipesched trace [flags] file.jsonl # render recorded distributed traces (see trace.go)
 //	pipesched campaign [flags]         # whole-program campaign over *.psrc programs (see campaign.go)
-//	pipesched bench-campaign [flags]   # campaign benchmark baseline/check (see benchcampaign.go)
 //
-//	-preset name     machine preset: simulation | example | unpipelined | deep
+//	-preset name     machine preset: simulation | example | unpipelined | deep |
+//	                 r3000 | m88k | carp
 //	-machine file    machine description file (overrides -preset)
 //	-tuples          input is tuple code, not source
 //	-O               run the traditional optimizations before scheduling
-//	-mode m          delay mechanism: nop | explicit | implicit
+//	-mode m          delay mechanism: nop | explicit | implicit | tera
 //	-sched m         scheduler mode: paper | minreg-lex | minreg-k=<k> |
 //	                 scoreboard[=<window>x<width>]
 //	-lambda n        curtail point (0 = library default, <0 = unlimited)
@@ -72,9 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) > 0 && args[0] == "verify" {
 		return runVerify(args[1:], stdout, stderr)
 	}
-	if len(args) > 0 && args[0] == "bench-search" {
-		return runBenchSearch(args[1:], stdout, stderr)
-	}
 	if len(args) > 0 && args[0] == "fleet" {
 		return runFleet(context.Background(), args[1:], stdout, stderr)
 	}
@@ -86,9 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(args) > 0 && args[0] == "campaign" {
 		return runCampaign(context.Background(), args[1:], stdout, stderr)
-	}
-	if len(args) > 0 && args[0] == "bench-campaign" {
-		return runBenchCampaign(args[1:], stdout, stderr)
 	}
 	fs := flag.NewFlagSet("pipesched", flag.ContinueOnError)
 	fs.SetOutput(stderr)

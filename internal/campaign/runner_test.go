@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -43,33 +44,86 @@ func newTestRunner(t *testing.T, mf *Manifest) *Runner {
 	return r
 }
 
+// pinnedCorpus is the campaign corpus whose runs
+// TestRunnerColdThenFullyIncremental pins exactly: seed 7, twelve
+// programs of 2–6 blocks, each block 4 statements over 6 variables and
+// 4 constants, 30% of blocks branching.
+func pinnedCorpus(t *testing.T) []Input {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	var inputs []Input
+	for i := 0; i < 12; i++ {
+		p, err := synth.GenerateProgram(rng, synth.ProgramParams{
+			Blocks: 2 + rng.Intn(5), BlockStatements: 4,
+			Variables: 6, Constants: 4, BranchPercent: 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, Input{Name: fmt.Sprintf("p%02d.psrc", i), Source: p.Source})
+	}
+	return inputs
+}
+
+// runnerPin is the exact outcome of a corpus's cold run, its warm re-run
+// and a run after a one-line edit to its first program.
+type runnerPin struct {
+	traces, baselineNOPs, deliveredNOPs int
+	editHits, editRecompiled            int
+}
+
 func TestRunnerColdThenFullyIncremental(t *testing.T) {
-	mf := openTestManifest(t, machine.SchedMode{})
-	inputs := synthInputs(t, 21, 4)
+	for _, c := range []struct {
+		name   string
+		inputs []Input
+		pin    runnerPin
+	}{
+		{"synth-21", synthInputs(t, 21, 4), runnerPin{traces: 7, baselineNOPs: 14, deliveredNOPs: 4, editHits: 6, editRecompiled: 1}},
+		{"pinned-7", pinnedCorpus(t), runnerPin{traces: 19, baselineNOPs: 46, deliveredNOPs: 9, editHits: 18, editRecompiled: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mf := openTestManifest(t, machine.SchedMode{})
+			cold, err := newTestRunner(t, mf).Run(context.Background(), c.inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Failed > 0 {
+				t.Fatalf("cold run failed traces: %+v", cold.Programs)
+			}
+			if cold.ManifestHits != 0 || cold.Recompiled != cold.TotalTraces {
+				t.Fatalf("cold run: %d hits / %d recompiled of %d traces", cold.ManifestHits, cold.Recompiled, cold.TotalTraces)
+			}
+			if cold.TotalTraces != c.pin.traces || cold.BaselineNOPs != c.pin.baselineNOPs || cold.DeliveredNOPs != c.pin.deliveredNOPs {
+				t.Errorf("cold run: %d traces, %d baseline → %d delivered NOPs; want %d traces, %d → %d",
+					cold.TotalTraces, cold.BaselineNOPs, cold.DeliveredNOPs, c.pin.traces, c.pin.baselineNOPs, c.pin.deliveredNOPs)
+			}
 
-	cold, err := newTestRunner(t, mf).Run(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Failed > 0 {
-		t.Fatalf("cold run failed traces: %+v", cold.Programs)
-	}
-	if cold.ManifestHits != 0 || cold.Recompiled != cold.TotalTraces {
-		t.Fatalf("cold run: %d hits / %d recompiled of %d traces", cold.ManifestHits, cold.Recompiled, cold.TotalTraces)
-	}
+			// Second run, untouched sources: everything is a manifest hit. A
+			// fresh runner proves the state is durable, not in-memory.
+			warm, err := newTestRunner(t, mf).Run(context.Background(), c.inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.ManifestHits != c.pin.traces || warm.IncrementalRate != 1.0 {
+				t.Errorf("warm run: %d hits / %d recompiled, want all %d traces to hit",
+					warm.ManifestHits, warm.Recompiled, c.pin.traces)
+			}
+			if warm.DeliveredNOPs != cold.DeliveredNOPs {
+				t.Errorf("warm delivered %d NOPs, cold %d — manifest changed the answer", warm.DeliveredNOPs, cold.DeliveredNOPs)
+			}
 
-	// Second run, untouched sources: everything is a manifest hit. A
-	// fresh runner proves the state is durable, not in-memory.
-	warm, err := newTestRunner(t, mf).Run(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.IncrementalRate != 1.0 {
-		t.Errorf("warm run incremental rate %.2f, want 1.0 (%d hits / %d recompiled)",
-			warm.IncrementalRate, warm.ManifestHits, warm.Recompiled)
-	}
-	if warm.DeliveredNOPs != cold.DeliveredNOPs {
-		t.Errorf("warm delivered %d NOPs, cold %d — manifest changed the answer", warm.DeliveredNOPs, cold.DeliveredNOPs)
+			// A one-line edit to the first program dirties only its traces.
+			edited := append([]Input(nil), c.inputs...)
+			edited[0].Source = strings.Replace(edited[0].Source, "= ", "= 98765 + ", 1)
+			incr, err := newTestRunner(t, mf).Run(context.Background(), edited)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if incr.ManifestHits != c.pin.editHits || incr.Recompiled != c.pin.editRecompiled {
+				t.Errorf("edited run: %d hits / %d recompiled, want %d / %d",
+					incr.ManifestHits, incr.Recompiled, c.pin.editHits, c.pin.editRecompiled)
+			}
+		})
 	}
 }
 

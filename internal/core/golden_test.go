@@ -50,15 +50,17 @@ func (e *effort) add(s *Schedule) {
 
 // goldenCase is one row of the search-effort pin.
 type goldenCase struct {
-	name   string
-	sched  string
-	lambda int64
-	strong bool
+	name    string
+	sched   string
+	lambda  int64
+	strong  bool
+	ablated bool // DisableLowerBound + DisableMemo: the paper's prune set alone
 }
 
 var goldenCases = []goldenCase{
 	{name: "paper", sched: "paper"},
 	{name: "paper-strong", sched: "paper", strong: true},
+	{name: "paper-ablated", sched: "paper", lambda: -1, ablated: true},
 	{name: "minreg-lex", sched: "minreg-lex"},
 	{name: "minreg-k=3", sched: "minreg-k=3"},
 	{name: "scoreboard=8x2", sched: "scoreboard=8x2"},
@@ -80,6 +82,8 @@ var goldenEffort = map[string]effort{
 	"paper/simulation":                   {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2886, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1536, PrunedIllegal: 3257, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 904, PrunedLowerBound: 444, PrunedResource: 6, PrunedPressure: 0, MemoHits: 500},
 	"paper-strong/example":               {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3369, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 2263, PrunedIllegal: 3213, PrunedEquivalence: 0, PrunedStrongEq: 21, PrunedAlphaBeta: 963, PrunedLowerBound: 605, PrunedResource: 56, PrunedPressure: 0, MemoHits: 492},
 	"paper-strong/simulation":            {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2883, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1534, PrunedIllegal: 3257, PrunedEquivalence: 0, PrunedStrongEq: 2, PrunedAlphaBeta: 903, PrunedLowerBound: 443, PrunedResource: 6, PrunedPressure: 0, MemoHits: 500},
+	"paper-ablated/example":              {TotalNOPs: 136, InitialNOPs: 161, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 108136, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 16156, PrunedIllegal: 133402, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 68175, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
+	"paper-ablated/simulation":           {TotalNOPs: 75, InitialNOPs: 92, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 118259, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 9706, PrunedIllegal: 140041, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 73238, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
 	"minreg-lex/example":                 {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 12349, SeedOmegaCalls: 1014, SchedulesExamined: 178, Improvements: 58, PrunedBounds: 7456, PrunedIllegal: 11948, PrunedEquivalence: 30, PrunedStrongEq: 0, PrunedAlphaBeta: 4734, PrunedLowerBound: 1524, PrunedResource: 190, PrunedPressure: 0, MemoHits: 2011},
 	"minreg-lex/simulation":              {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 9363, SeedOmegaCalls: 1014, SchedulesExamined: 181, Improvements: 61, PrunedBounds: 5841, PrunedIllegal: 8856, PrunedEquivalence: 26, PrunedStrongEq: 0, PrunedAlphaBeta: 4107, PrunedLowerBound: 935, PrunedResource: 14, PrunedPressure: 0, MemoHits: 1295},
 	"minreg-k=3/example":                 {TotalNOPs: 160, InitialNOPs: 185, RootLB: 91, Optimal: 59, Curtailed: 0, Infeasible: 1, OmegaCalls: 10199, SeedOmegaCalls: 973, SchedulesExamined: 204, Improvements: 92, PrunedBounds: 5604, PrunedIllegal: 10276, PrunedEquivalence: 71, PrunedStrongEq: 0, PrunedAlphaBeta: 886, PrunedLowerBound: 1000, PrunedResource: 118, PrunedPressure: 3035, MemoHits: 1722},
@@ -122,6 +126,7 @@ func TestSearchEffortGolden(t *testing.T) {
 
 	var got strings.Builder
 	mismatch := false
+	measured := map[string]effort{}
 	for _, c := range goldenCases {
 		mode, err := machine.ParseSchedMode(c.sched)
 		if err != nil {
@@ -140,6 +145,8 @@ func TestSearchEffortGolden(t *testing.T) {
 					Lambda:            lambda,
 					SeedPriority:      listsched.ByHeight,
 					StrongEquivalence: c.strong,
+					DisableLowerBound: c.ablated,
+					DisableMemo:       c.ablated,
 				})
 				if errors.Is(err, ErrInfeasible) {
 					e.Infeasible++
@@ -150,6 +157,7 @@ func TestSearchEffortGolden(t *testing.T) {
 				}
 				e.add(s)
 			}
+			measured[key] = e
 			fmt.Fprintf(&got, "\t%q: %#v,\n", key, e)
 			if e != goldenEffort[key] {
 				mismatch = true
@@ -159,5 +167,18 @@ func TestSearchEffortGolden(t *testing.T) {
 	}
 	if mismatch {
 		t.Logf("current table:\n%s", strings.ReplaceAll(got.String(), "core.effort", ""))
+	}
+	// The bound engine and the memo only prune: without them every block
+	// still proves optimal at the same cost, so a regenerated table can
+	// never pin an ablated row that disagrees with the paper row.
+	for _, mc := range machines {
+		ablated, paper := measured["paper-ablated/"+mc.name], measured["paper/"+mc.name]
+		if ablated.Optimal != len(graphs) {
+			t.Errorf("paper-ablated/%s: %d of %d blocks proved optimal", mc.name, ablated.Optimal, len(graphs))
+		}
+		if ablated.TotalNOPs != paper.TotalNOPs {
+			t.Errorf("paper-ablated/%s: %d NOPs, paper %d: the bound engine or the memo changed an optimum",
+				mc.name, ablated.TotalNOPs, paper.TotalNOPs)
+		}
 	}
 }

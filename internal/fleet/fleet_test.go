@@ -131,12 +131,56 @@ func TestFleetNoReplicasWhenChainDead(t *testing.T) {
 	}
 }
 
+// TestFleetRestartRecoversKilledNode holds the durable tier's recovery
+// contract: after the whole fleet crashes and restarts, at least 90% of
+// the written entries come back, none is quarantined, and at least 90%
+// of a replay is served from cache without recompiling. A single
+// restarted node then serves its key from disk.
 func TestFleetRestartRecoversKilledNode(t *testing.T) {
 	f := newTestFleet(t, 2, Config{})
-	req := tupleRequest(4)
-	if _, err := f.Submit(context.Background(), req); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	reqs := make([]*server.Request, 24)
+	for i := range reqs {
+		reqs[i] = tupleRequest(4 + i)
+		if _, err := f.Submit(ctx, reqs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
+
+	written, recovered, quarantined := 0, 0, 0
+	for _, id := range f.Members() {
+		if st := f.Node(id).DiskStore(); st != nil {
+			written += st.Len()
+		}
+		f.Node(id).Kill()
+	}
+	for _, id := range f.Members() {
+		f.RestartNode(id)
+		rep := f.Node(id).DiskRecovery()
+		recovered += rep.Recovered
+		quarantined += rep.Quarantined
+	}
+	if written == 0 || recovered*10 < written*9 {
+		t.Errorf("full restart recovered %d of %d durable entries, want >= 90%%", recovered, written)
+	}
+	if quarantined != 0 {
+		t.Errorf("full restart quarantined %d entries with no corruption injected", quarantined)
+	}
+	hits := 0
+	for _, req := range reqs {
+		resp, err := f.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("replay %s: %v", req.ID, err)
+		}
+		if resp.Cached {
+			hits++
+		}
+	}
+	if hits*10 < len(reqs)*9 {
+		t.Errorf("replay after full restart: %d of %d cache hits, want >= 90%%", hits, len(reqs))
+	}
+
+	req := reqs[0]
 	key, _ := server.Fingerprint(req)
 	primary := f.ring.primary(key)
 	f.Node(primary).Kill()
@@ -149,7 +193,7 @@ func TestFleetRestartRecoversKilledNode(t *testing.T) {
 	}
 	// The durable entry survived the crash: the restarted node serves it
 	// from disk even though its memory cache died.
-	resp, err := f.Submit(context.Background(), req)
+	resp, err := f.Submit(ctx, req)
 	if err != nil || resp == nil {
 		t.Fatalf("post-restart submit: %v", err)
 	}

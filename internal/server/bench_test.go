@@ -18,7 +18,7 @@ func benchRequests(n int) []*Request {
 
 // BenchmarkServerThroughput measures end-to-end Submit throughput with
 // caching off: every request pays admission, queueing and a full
-// compile. This is the number BENCH_server.json tracks.
+// compile.
 func BenchmarkServerThroughput(b *testing.B) {
 	s := New(Config{
 		QueueDepth:       1024,
