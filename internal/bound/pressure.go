@@ -31,7 +31,8 @@ func PressureFloor(g *dag.Graph) int {
 	// consumers[d]: distinct nodes referencing d's value.
 	consumers := make([][]int, n)
 	for y := 0; y < n; y++ {
-		for _, id := range g.Block.Tuples[y].Refs() {
+		refs, nr := g.Block.Tuples[y].Refs()
+		for _, id := range refs[:nr] {
 			d := g.Block.Pos(id)
 			if d < 0 || !produces[d] {
 				continue

@@ -1,0 +1,62 @@
+package core
+
+import (
+	"testing"
+
+	"pipesched/internal/listsched"
+	"pipesched/internal/machine"
+)
+
+// heavyBlock is a synthetic 19-tuple block whose optimality proof on the
+// example machine takes over 100k Ω-calls, about half of them answered
+// by the dominance memo.
+const heavyBlock = `block:
+  1: Load #v6
+  2: Load #v1
+  3: Add @1, @2
+  4: Store #v1, @3
+  5: Load #v4
+  6: Add @5, @5
+  8: Load #v3
+  9: Add @8, @1
+  10: Store #v6, @9
+  11: Store #v2, @6
+  12: Load #v5
+  13: Const 27
+  14: Sub @12, @13
+  15: Store #v4, @14
+  16: Const 74
+  17: Add @6, @16
+  18: Store #v3, @17
+  22: Sub @12, @6
+  23: Store #v7, @22
+`
+
+// maxFindAllocs bounds the allocations of one Find however many nodes it
+// expands: setup, seeding and the dominance table's amortized growth.
+const maxFindAllocs = 256
+
+// TestFindAllocsFlat pins the search hot path as allocation-free: a Find
+// that expands over 100k nodes may allocate no more than a fixed setup
+// budget.
+func TestFindAllocsFlat(t *testing.T) {
+	g := mustGraph(t, heavyBlock)
+	m := machine.ExampleMachine()
+	opts := Options{Lambda: 1_000_000, SeedPriority: listsched.ByHeight}
+	var s *Schedule
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if s, err = Find(g, m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !s.Optimal || s.Stats.OmegaCalls < 100_000 || s.Stats.MemoHits == 0 {
+		t.Fatalf("block no longer exercises the search: optimal=%v Ω=%d memo hits=%d",
+			s.Optimal, s.Stats.OmegaCalls, s.Stats.MemoHits)
+	}
+	if allocs > maxFindAllocs {
+		t.Fatalf("Find allocated %.0f times over %d Ω-calls, want ≤ %d",
+			allocs, s.Stats.OmegaCalls, maxFindAllocs)
+	}
+	t.Logf("%.0f allocations, %d Ω-calls, %d memo hits", allocs, s.Stats.OmegaCalls, s.Stats.MemoHits)
+}

@@ -7,6 +7,7 @@ import (
 	"pipesched/internal/dag"
 	"pipesched/internal/exhaustive"
 	"pipesched/internal/machine"
+	"pipesched/internal/nopins"
 )
 
 // TestBoundsMemoNeverChangeOptimum is the safety property behind the
@@ -210,5 +211,51 @@ func TestCurtailedGapPositive(t *testing.T) {
 	}
 	if want := sched.TotalNOPs - sched.RootLB; sched.Gap != want || sched.Gap <= 0 {
 		t.Errorf("gap = %d, want positive incumbent-RootLB = %d", sched.Gap, want)
+	}
+}
+
+// TestMemoKeysFitRandomEntryStates drives the dominance memo over random
+// machines with cross-block entry states — pipelines still busy from the
+// previous block and operands arriving late — where residuals are widest.
+// The key encoder panics on any residual its layout cannot hold, so a
+// pass shows the layout's bound covers every state the search reaches;
+// the result must also match the search without the memo.
+func TestMemoKeysFitRandomEntryStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var hits int64
+	for trial := 0; trial < 150; trial++ {
+		m := machine.Random(rng, machine.Params{MaxLatency: 4 + rng.Intn(30)})
+		g, err := dag.Build(randomBlock(rng, 4+rng.Intn(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := rng.Intn(40)
+		entry := &nopins.EntryState{StartTick: start, PipeLast: map[int]int{}, ReadyTick: make([]int, g.N)}
+		for _, p := range m.Pipelines {
+			if rng.Intn(2) == 0 {
+				entry.PipeLast[p.ID] = start - rng.Intn(p.Enqueue+2)
+			}
+		}
+		for v := range entry.ReadyTick {
+			entry.ReadyTick[v] = start + rng.Intn(3*m.MaxLatency()) - 5
+		}
+		opts := Options{Entry: entry, Assign: nopins.AssignMode(trial % 2), AssignSearch: trial%3 == 0}
+		memo, err := Find(g, m, opts)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		opts.DisableMemo = true
+		plain, err := Find(g, m, opts)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if memo.TotalNOPs != plain.TotalNOPs || !memo.Optimal {
+			t.Fatalf("trial %d: memo %d NOPs (optimal %v), without memo %d\nmachine: %v\nblock: %s",
+				trial, memo.TotalNOPs, memo.Optimal, plain.TotalNOPs, m, g.Block)
+		}
+		hits += memo.Stats.MemoHits
+	}
+	if hits < 100 {
+		t.Fatalf("only %d memo hits over all trials: the memo is barely exercised", hits)
 	}
 }

@@ -255,8 +255,13 @@ type evaluator interface {
 // same completions at the same incremental costs. Scoreboard mode has no
 // such key yet, so its searches run without a memo.
 type stateKeyer interface {
-	key() string
+	key(dst []uint64) []uint64 // the current state's key, written into dst
+	keyWords() int             // the longest key, in words
 }
+
+// newTable builds each searcher's dominance table; a test swaps in a
+// constant hash to force every key into one probe chain.
+var newTable = memo.NewTable
 
 // anyPipe asks evaluator.push for the mode's own pipeline choice.
 const anyPipe = -1
@@ -324,8 +329,10 @@ func (p *problem) newEvaluator() (evaluator, error) {
 type searcher struct {
 	*problem
 	ev    evaluator
-	keyer stateKeyer   // ev's state key, when the dominance table is on
-	table *memo.Table  // dominance table (nil when disabled or keyless)
+	keyer stateKeyer  // ev's state key, when the dominance table is on
+	table *memo.Table // dominance table (nil when disabled or keyless)
+	keys  []uint64    // per-depth lookup keys, kw words apart (made on first use)
+	kw    int
 	lt    *liveTracker // non-nil in the register-pressure modes
 
 	perm     []int    // the paper's Π: current complete ordering
@@ -343,7 +350,7 @@ type searcher struct {
 func (p *problem) newSearcher(ev evaluator, perm []int) *searcher {
 	s := &searcher{problem: p, ev: ev, perm: append([]int(nil), perm...), bestCost: noIncumbent}
 	if k, ok := ev.(stateKeyer); ok && !p.opts.DisableMemo {
-		s.keyer, s.table = k, memo.NewTable(p.opts.MemoEntries)
+		s.keyer, s.table, s.kw = k, newTable(p.opts.MemoEntries), k.keyWords()
 	}
 	if p.opts.Sched.NeedsPressure() {
 		s.lt = newLiveTracker(p.g)
@@ -734,9 +741,12 @@ func (s *searcher) expand(i, xi, eta int) bool {
 	// fully explored at a component-wise equal-or-lower (cost-so-far,
 	// peak-so-far), this visit cannot improve on what that one saw (or
 	// pruned against a then-no-tighter incumbent).
-	var key string
+	var key []uint64
 	if s.table != nil {
-		key = s.keyer.key()
+		if s.keys == nil {
+			s.keys = make([]uint64, s.g.N*s.kw)
+		}
+		key = s.keyer.key(s.keys[i*s.kw : i*s.kw : (i+1)*s.kw])
 		if s.table.Dominated(key, cost, peak) {
 			s.stats.MemoHits++
 			s.trace(TraceMemo, i, xi, 0)

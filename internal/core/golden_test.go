@@ -10,6 +10,7 @@ import (
 	"pipesched/internal/dag"
 	"pipesched/internal/listsched"
 	"pipesched/internal/machine"
+	"pipesched/internal/memo"
 )
 
 // effort is the summed search effort of one (mode, machine) cell of the
@@ -98,11 +99,8 @@ var goldenEffort = map[string]effort{
 	"scoreboard=1x1/simulation":          {TotalNOPs: 76, InitialNOPs: 92, RootLB: 58, Optimal: 58, Curtailed: 2, Infeasible: 0, OmegaCalls: 47520, SeedOmegaCalls: 912, SchedulesExamined: 121, Improvements: 16, PrunedBounds: 3288, PrunedIllegal: 33453, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 12102, PrunedLowerBound: 14183, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
 }
 
-// TestSearchEffortGolden pins the sequential search's node counts, prune
-// attribution and result costs in every sched mode over a seeded synth
-// corpus on the paper's two machines. A refactor of the search must
-// leave every number unchanged.
-func TestSearchEffortGolden(t *testing.T) {
+// goldenCorpus is the seeded block corpus of the golden pin.
+func goldenCorpus(t *testing.T) []*dag.Graph {
 	rng := rand.New(rand.NewSource(2024))
 	var graphs []*dag.Graph
 	for len(graphs) < 40 {
@@ -119,44 +117,59 @@ func TestSearchEffortGolden(t *testing.T) {
 		}
 		graphs = append(graphs, g)
 	}
-	machines := []struct {
-		name string
-		m    *machine.Machine
-	}{{"example", machine.ExampleMachine()}, {"simulation", machine.SimulationMachine()}}
+	return graphs
+}
 
+var goldenMachines = []struct {
+	name string
+	m    *machine.Machine
+}{{"example", machine.ExampleMachine()}, {"simulation", machine.SimulationMachine()}}
+
+// measureEffort sums one golden case's search effort over the corpus.
+func measureEffort(t *testing.T, c goldenCase, m *machine.Machine, graphs []*dag.Graph) effort {
+	mode, err := machine.ParseSchedMode(c.sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda := c.lambda
+	if lambda == 0 {
+		lambda = goldenLambda
+	}
+	var e effort
+	for i, g := range graphs {
+		s, err := Find(g, m, Options{
+			Sched:             mode,
+			Lambda:            lambda,
+			SeedPriority:      listsched.ByHeight,
+			StrongEquivalence: c.strong,
+			DisableLowerBound: c.ablated,
+			DisableMemo:       c.ablated,
+		})
+		if errors.Is(err, ErrInfeasible) {
+			e.Infeasible++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s block %d: %v", c.name, i, err)
+		}
+		e.add(s)
+	}
+	return e
+}
+
+// TestSearchEffortGolden pins the sequential search's node counts, prune
+// attribution and result costs in every sched mode over a seeded synth
+// corpus on the paper's two machines. A refactor of the search must
+// leave every number unchanged.
+func TestSearchEffortGolden(t *testing.T) {
+	graphs := goldenCorpus(t)
 	var got strings.Builder
 	mismatch := false
 	measured := map[string]effort{}
 	for _, c := range goldenCases {
-		mode, err := machine.ParseSchedMode(c.sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mc := range machines {
+		for _, mc := range goldenMachines {
 			key := c.name + "/" + mc.name
-			lambda := c.lambda
-			if lambda == 0 {
-				lambda = goldenLambda
-			}
-			var e effort
-			for i, g := range graphs {
-				s, err := Find(g, mc.m, Options{
-					Sched:             mode,
-					Lambda:            lambda,
-					SeedPriority:      listsched.ByHeight,
-					StrongEquivalence: c.strong,
-					DisableLowerBound: c.ablated,
-					DisableMemo:       c.ablated,
-				})
-				if errors.Is(err, ErrInfeasible) {
-					e.Infeasible++
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s block %d: %v", key, i, err)
-				}
-				e.add(s)
-			}
+			e := measureEffort(t, c, mc.m, graphs)
 			measured[key] = e
 			fmt.Fprintf(&got, "\t%q: %#v,\n", key, e)
 			if e != goldenEffort[key] {
@@ -171,7 +184,7 @@ func TestSearchEffortGolden(t *testing.T) {
 	// The bound engine and the memo only prune: without them every block
 	// still proves optimal at the same cost, so a regenerated table can
 	// never pin an ablated row that disagrees with the paper row.
-	for _, mc := range machines {
+	for _, mc := range goldenMachines {
 		ablated, paper := measured["paper-ablated/"+mc.name], measured["paper/"+mc.name]
 		if ablated.Optimal != len(graphs) {
 			t.Errorf("paper-ablated/%s: %d of %d blocks proved optimal", mc.name, ablated.Optimal, len(graphs))
@@ -179,6 +192,29 @@ func TestSearchEffortGolden(t *testing.T) {
 		if ablated.TotalNOPs != paper.TotalNOPs {
 			t.Errorf("paper-ablated/%s: %d NOPs, paper %d: the bound engine or the memo changed an optimum",
 				mc.name, ablated.TotalNOPs, paper.TotalNOPs)
+		}
+	}
+}
+
+// TestSearchEffortGoldenCollidingHash reruns the golden rows that use the
+// dominance memo with every key hashed to one value: each lookup then
+// walks one probe chain holding every stored state, and the full-key
+// compare alone must keep every count exactly as pinned.
+func TestSearchEffortGoldenCollidingHash(t *testing.T) {
+	defer func(orig func(int) *memo.Table) { newTable = orig }(newTable)
+	newTable = func(capEntries int) *memo.Table {
+		return memo.NewTableHash(capEntries, func([]uint64) uint64 { return 0 })
+	}
+	graphs := goldenCorpus(t)
+	for _, c := range goldenCases {
+		if c.ablated || strings.HasPrefix(c.sched, "scoreboard") {
+			continue // no memo
+		}
+		for _, mc := range goldenMachines {
+			key := c.name + "/" + mc.name
+			if e := measureEffort(t, c, mc.m, graphs); e != goldenEffort[key] {
+				t.Errorf("%s: effort with colliding hashes\n got %+v\nwant %+v", key, e, goldenEffort[key])
+			}
 		}
 	}
 }

@@ -16,8 +16,10 @@ type inOrderEval struct {
 	eval *nopins.Evaluator
 	bnd  *bound.Engine // lower-bound engine (nil when fully disabled)
 
-	canon   memo.Canon // reusable key builder for table lookups
-	pipeRes []int      // scratch for per-pipeline residuals
+	enc     *memo.Encoder // key builder (nil when the memo is off)
+	sched   []uint64      // the scheduled set, one bit per node
+	maxLat  int           // the machine's largest pipeline latency
+	pipeRes []int         // scratch for per-pipeline residuals
 }
 
 // newInOrderEval builds the evaluator and the lower-bound engine the
@@ -26,9 +28,17 @@ type inOrderEval struct {
 // enqueue state), so it is built unless both are disabled — the pure
 // paper-faithful configuration.
 func newInOrderEval(p *problem) *inOrderEval {
-	e := &inOrderEval{problem: p, eval: nopins.NewEvaluator(p.g, p.m, p.opts.Assign)}
+	e := &inOrderEval{
+		problem: p,
+		eval:    nopins.NewEvaluator(p.g, p.m, p.opts.Assign),
+		sched:   make([]uint64, memo.SchedWords(p.g.N)),
+		maxLat:  p.m.MaxLatency(),
+	}
 	if p.opts.Entry != nil {
 		e.eval.SetEntryState(p.opts.Entry)
+	}
+	if !p.opts.DisableMemo {
+		e.enc = memo.NewEncoder(p.g.N, len(p.m.Pipelines), e.maxResidual())
 	}
 	if p.opts.DisableLowerBound && p.opts.DisableMemo {
 		return e
@@ -52,6 +62,7 @@ func (e *inOrderEval) push(x, pipe int) int {
 		pos := e.eval.Len() - 1
 		e.bnd.Push(x, e.eval.PipeAt(pos), e.eval.IssueAt(pos))
 	}
+	e.sched[x>>6] |= 1 << (x & 63)
 	return eta
 }
 
@@ -60,6 +71,7 @@ func (e *inOrderEval) pop(x int) {
 		e.bnd.Pop(x)
 	}
 	e.eval.Pop()
+	e.sched[x>>6] &^= 1 << (x & 63)
 }
 
 func (e *inOrderEval) ready(x int) bool        { return e.eval.Ready(x) }
@@ -88,6 +100,7 @@ func (e *inOrderEval) snapshot() Schedule { return scheduleOf(e.eval.Snapshot())
 func (e *inOrderEval) price(order []int) (Schedule, error) {
 	r, err := e.eval.EvaluateOrder(order)
 	e.eval.Reset()
+	clear(e.sched)
 	return scheduleOf(r), err
 }
 
@@ -95,28 +108,49 @@ func scheduleOf(r nopins.Result) Schedule {
 	return Schedule{Order: r.Order, Eta: r.Eta, Pipes: r.Pipes, TotalNOPs: r.TotalNOPs, Ticks: r.Ticks}
 }
 
-// key builds the canonical dominance key of the CURRENT evaluator
-// state: scheduled set, per-pipeline enqueue residuals, in-flight flow
-// producers (issue + latency still binding a future consumer), and
+// maxResidual bounds every residual a key can hold, which fixes the
+// encoder's residual width: an in-flight producer binds for less than
+// its latency and a pipeline for less than its enqueue time, and an
+// entry constraint for less than its distance past StartTick (keys are
+// built after the first issue, at StartTick+1 or later).
+func (e *inOrderEval) maxResidual() int {
+	r := 0
+	for _, p := range e.m.Pipelines {
+		r = max(r, p.Latency, p.Enqueue)
+	}
+	if entry := e.opts.Entry; entry != nil {
+		for id, last := range entry.PipeLast {
+			r = max(r, last-entry.StartTick+e.m.EnqueueTime(id))
+		}
+		for _, t := range entry.ReadyTick {
+			r = max(r, t-entry.StartTick)
+		}
+	}
+	return r
+}
+
+func (e *inOrderEval) keyWords() int { return e.enc.Words() }
+
+// key writes the canonical dominance key of the CURRENT evaluator state
+// into dst: scheduled set, per-pipeline enqueue residuals, in-flight
+// flow producers (issue + latency still binding a future consumer), and
 // unsatisfied external ready times — everything Ω consults when pricing
 // any completion, encoded relative to the last issue tick so revisits at
 // different absolute times collide (internal/memo has the full argument).
-func (e *inOrderEval) key() string {
-	c := &e.canon
-	c.Begin(e.g.N)
+func (e *inOrderEval) key(dst []uint64) []uint64 {
+	c := e.enc
+	c.Begin(dst, e.sched)
 	n := e.eval.Len()
 	last := e.eval.IssueAt(n - 1)
-	for pos := 0; pos < n; pos++ {
-		c.MarkScheduled(e.eval.NodeAt(pos))
-	}
 	e.pipeRes = e.bnd.PipeResiduals(last, e.pipeRes)
 	c.Pipes(e.pipeRes)
-	for pos := 0; pos < n; pos++ {
+	// Issue ticks fall going back, so once even the slowest pipeline's
+	// result would have landed, every earlier producer's residual is 0.
+	for pos := n - 1; pos >= 0 && e.eval.IssueAt(pos)+e.maxLat > last+1; pos-- {
 		u := e.eval.NodeAt(pos)
 		for _, d := range e.g.Succs[u] {
 			if d.Kind.CarriesLatency() && !e.eval.Scheduled(d.Node) {
-				lat := e.m.Latency(e.eval.PipeAt(pos))
-				c.Pair(u, memo.Residual(e.eval.IssueAt(pos)+lat, last))
+				c.Pair(u, memo.Residual(e.eval.IssueAt(pos)+e.eval.LatencyAt(pos), last))
 				break
 			}
 		}

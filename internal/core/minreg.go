@@ -71,8 +71,8 @@ func newLiveTracker(g *dag.Graph) *liveTracker {
 		lt.produces[u] = g.Block.Tuples[u].Op.ProducesValue()
 	}
 	for u := 0; u < n; u++ {
-		refs := g.Block.Tuples[u].Refs()
-		for _, id := range refs {
+		refs, nr := g.Block.Tuples[u].Refs()
+		for _, id := range refs[:nr] {
 			d := g.Block.Pos(id)
 			if d < 0 || !lt.produces[d] || slices.Contains(lt.operands[u], int32(d)) {
 				continue

@@ -122,7 +122,8 @@ func Build(b *ir.Block) (*Graph, error) {
 	lastStore := map[string]int{} // variable -> node of most recent Store
 	readers := map[string][]int{} // variable -> Loads since last Store
 	for i, t := range b.Tuples {
-		for _, ref := range t.Refs() {
+		refs, nr := t.Refs()
+		for _, ref := range refs[:nr] {
 			addEdge(idToNode[ref], i, Flow)
 		}
 		switch t.Op {
@@ -493,7 +494,8 @@ func BuildWithRegisterConstraints(b *ir.Block, regOf map[int]int) (*Graph, error
 	}
 	for i, t := range b.Tuples {
 		// Reads: operands living in registers.
-		for _, ref := range t.Refs() {
+		refs, nr := t.Refs()
+		for _, ref := range refs[:nr] {
 			if r, ok := regOf[ref]; ok {
 				if st := state[r]; st != nil {
 					st.readers = append(st.readers, i)

@@ -106,27 +106,23 @@ func (t Tuple) String() string {
 	return sb.String()
 }
 
-// Operands returns the tuple's used operand slots (0, 1 or 2 entries).
-func (t Tuple) Operands() []Operand {
-	switch t.Op.NumOperands() {
-	case 1:
-		return []Operand{t.A}
-	case 2:
-		return []Operand{t.A, t.B}
-	}
-	return nil
+// Operands returns the tuple's used operand slots, ops[:n] with n = 0, 1
+// or 2. It does not allocate.
+func (t Tuple) Operands() (ops [2]Operand, n int) {
+	return [2]Operand{t.A, t.B}, t.Op.NumOperands()
 }
 
 // Refs returns the tuple reference numbers this tuple's operands read,
-// in operand order.
-func (t Tuple) Refs() []int {
-	var refs []int
-	for _, op := range t.Operands() {
+// refs[:n] in operand order. It does not allocate.
+func (t Tuple) Refs() (refs [2]int, n int) {
+	ops, k := t.Operands()
+	for _, op := range ops[:k] {
 		if op.Kind == RefOperand {
-			refs = append(refs, op.Ref)
+			refs[n] = op.Ref
+			n++
 		}
 	}
-	return refs
+	return refs, n
 }
 
 // ReadsVar reports whether the tuple reads the value of variable v from
@@ -235,7 +231,8 @@ func (b *Block) Clone() *Block {
 func (b *Block) Vars() []string {
 	set := map[string]bool{}
 	for _, t := range b.Tuples {
-		for _, op := range t.Operands() {
+		ops, n := t.Operands()
+		for _, op := range ops[:n] {
 			if op.Kind == VarOperand {
 				set[op.Var] = true
 			}
@@ -286,7 +283,8 @@ func (b *Block) Validate() error {
 		if err := validateShape(t); err != nil {
 			return err
 		}
-		for _, ref := range t.Refs() {
+		refs, nr := t.Refs()
+		for _, ref := range refs[:nr] {
 			j, ok := seen[ref]
 			if !ok {
 				return fmt.Errorf("%w: tuple %d references %d which does not precede it", ErrInvalidBlock, t.ID, ref)

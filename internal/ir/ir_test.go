@@ -373,8 +373,25 @@ func TestOperandParseRoundTripProperty(t *testing.T) {
 
 func TestRefsAndMemVar(t *testing.T) {
 	b := figure3Block(t)
-	if refs := b.ByID(4).Refs(); len(refs) != 2 || refs[0] != 1 || refs[1] != 3 {
-		t.Errorf("tuple 4 Refs = %v, want [1 3]", refs)
+	if refs, n := b.ByID(4).Refs(); n != 2 || refs[0] != 1 || refs[1] != 3 {
+		t.Errorf("tuple 4 Refs = %v, want [1 3]", refs[:n])
+	}
+	if _, n := b.ByID(1).Refs(); n != 0 {
+		t.Errorf("tuple 1 has %d refs, want none", n)
+	}
+	// Refs and Operands sit on the DAG-build, allocation and codegen
+	// paths, once per tuple: they must not allocate.
+	sum := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, tu := range b.Tuples {
+			refs, n := tu.Refs()
+			for _, r := range refs[:n] {
+				sum += r
+			}
+		}
+	})
+	if allocs != 0 || sum == 0 {
+		t.Errorf("Refs allocated %.0f times per block, want 0", allocs)
 	}
 	if mv := b.ByID(3).MemVar(); mv != "a" {
 		t.Errorf("tuple 3 MemVar = %q, want a", mv)

@@ -1,23 +1,26 @@
 package memo
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// FuzzCanonKey drives the canonicalizer with arbitrary states decoded
+// FuzzCanonKey drives the key encoder with arbitrary states decoded
 // from raw bytes and checks its two defining guarantees:
 //
 //   - renumbered isomorphic states collide: shifting every absolute tick
 //     (deadlines AND lastIssue) by the same delta, or permuting the pair
-//     insertion order, must not change the key;
+//     insertion order, must not change the key words;
 //   - distinct residual pipeline states do not collide: bumping any LIVE
-//     pipe residual, in-flight residual, or the scheduled set must
-//     change the key.
+//     pipe residual, in-flight residual, ready residual, or the
+//     scheduled set must change the key words.
 func FuzzCanonKey(f *testing.F) {
 	f.Add([]byte{8, 3, 0b10100101, 2, 12, 9, 2, 1, 14, 4, 11, 1, 6, 13})
 	f.Add([]byte{1, 0, 0, 1, 5, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := byteReader{data: data}
-		n := int(r.next())%62 + 2 // 2..63 nodes
+		n := int(r.next())%130 + 2 // 2..131 nodes: scheduled sets of one to three words
 		lastIssue := int(r.next()) % 100
 		shift := int(r.next())%50 + 1
 
@@ -46,22 +49,36 @@ func FuzzCanonKey(f *testing.F) {
 		dedupeNodes(inflight)
 		dedupeNodes(ready)
 
-		var c Canon
-		base := buildKey(&c, n, scheduled, lastIssue, pipeDeadline, inflight, ready)
+		base := buildKey(n, scheduled, lastIssue, pipeDeadline, inflight, ready)
+
+		// The key decodes back to exactly the normalized state.
+		want := decodedKey{sched: scheduled, inflight: livePairs(inflight, lastIssue), ready: livePairs(ready, lastIssue)}
+		for _, d := range pipeDeadline {
+			want.pipes = append(want.pipes, Residual(d, lastIssue))
+		}
+		if got := decodeKey(NewEncoder(n, numPipes, testMaxResidual), numPipes, base); !got.equal(want) {
+			t.Fatalf("key decodes to %+v, want %+v", got, want)
+		}
 
 		// Isomorphism 1: time translation.
-		shifted := buildKey(&c, n, scheduled, lastIssue+shift,
+		shifted := buildKey(n, scheduled, lastIssue+shift,
 			shiftAll(pipeDeadline, shift), shiftPairs(inflight, shift), shiftPairs(ready, shift))
-		if base != shifted {
+		if !slices.Equal(base, shifted) {
 			t.Fatalf("time-shifted state got a different key\nstate: n=%d sched=%v last=%d pipes=%v in=%v rdy=%v shift=%d",
 				n, scheduled, lastIssue, pipeDeadline, inflight, ready, shift)
 		}
 
-		// Isomorphism 2: pair insertion order.
+		// Isomorphism 2: pair insertion order, in both sections.
 		if len(inflight) > 1 {
 			perm := append([][2]int{inflight[len(inflight)-1]}, inflight[:len(inflight)-1]...)
-			if buildKey(&c, n, scheduled, lastIssue, pipeDeadline, perm, ready) != base {
+			if !slices.Equal(buildKey(n, scheduled, lastIssue, pipeDeadline, perm, ready), base) {
 				t.Fatalf("pair order changed the key: %v", inflight)
+			}
+		}
+		if len(ready) > 1 {
+			perm := append([][2]int{ready[len(ready)-1]}, ready[:len(ready)-1]...)
+			if !slices.Equal(buildKey(n, scheduled, lastIssue, pipeDeadline, inflight, perm), base) {
+				t.Fatalf("pair order changed the key: %v", ready)
 			}
 		}
 
@@ -73,7 +90,7 @@ func FuzzCanonKey(f *testing.F) {
 			} else {
 				mut[i]++
 			}
-			if buildKey(&c, n, scheduled, lastIssue, mut, inflight, ready) == base {
+			if slices.Equal(buildKey(n, scheduled, lastIssue, mut, inflight, ready), base) {
 				t.Fatalf("pipe %d residual change did not change the key (pipes %v -> %v, last=%d)",
 					i, pipeDeadline, mut, lastIssue)
 			}
@@ -84,8 +101,18 @@ func FuzzCanonKey(f *testing.F) {
 			}
 			mut := append([][2]int(nil), inflight...)
 			mut[i][1]++
-			if buildKey(&c, n, scheduled, lastIssue, pipeDeadline, mut, ready) == base {
+			if slices.Equal(buildKey(n, scheduled, lastIssue, pipeDeadline, mut, ready), base) {
 				t.Fatalf("in-flight %v residual change did not change the key", inflight[i])
+			}
+		}
+		for i := range ready {
+			if Residual(ready[i][1], lastIssue) == 0 {
+				continue
+			}
+			mut := append([][2]int(nil), ready...)
+			mut[i][1]++
+			if slices.Equal(buildKey(n, scheduled, lastIssue, pipeDeadline, inflight, mut), base) {
+				t.Fatalf("ready %v residual change did not change the key", ready[i])
 			}
 		}
 		if len(scheduled) < n {
@@ -96,7 +123,7 @@ func FuzzCanonKey(f *testing.F) {
 					break
 				}
 			}
-			if buildKey(&c, n, grown, lastIssue, pipeDeadline, inflight, ready) == base {
+			if slices.Equal(buildKey(n, grown, lastIssue, pipeDeadline, inflight, ready), base) {
 				t.Fatalf("scheduled-set change did not change the key (%v -> %v)", scheduled, grown)
 			}
 		}

@@ -7,9 +7,8 @@
 // once one branch has fully explored it, any later branch arriving with
 // an equal-or-worse cost-so-far is dominated and can be pruned.
 //
-// The table is keyed by a canonical encoding of the state (package-level
-// Canon builder) designed so that two states with identical completion
-// spaces collide:
+// The table is keyed by a canonical encoding of the state (Encoder),
+// designed so that two states with identical completion spaces collide:
 //
 //   - All timing is RELATIVE to the last issue tick. Two occurrences of
 //     the same residual problem at different absolute ticks — "renumbered"
@@ -22,9 +21,17 @@
 //     history collide.
 //   - Live constraints are encoded exactly. Distinct residual pipeline
 //     states, in-flight latencies, or external ready times produce
-//     distinct keys (the encoding is section-length-prefixed and
-//     prefix-unambiguous), so dominance is never claimed across states
-//     with different futures.
+//     distinct keys (every field has a fixed width and both pair
+//     sections are count-prefixed, so a key decodes to exactly one
+//     state), so dominance is never claimed across states with
+//     different futures.
+//
+// A key is a run of uint64 words, bit-packed with field widths fixed
+// once per search: N bits of scheduled set, one residual per pipeline,
+// then the in-flight and the external-ready sections, each a count and
+// its (node, residual) pairs sorted by node. The table is open
+// addressing over a flat key arena and compares every key word on a
+// hash match, so a hash collision can never claim dominance.
 //
 // Soundness of the prune (DESIGN.md §11): entries are stored only after
 // a state's subtree has been fully explored (never on a curtailed
@@ -39,7 +46,11 @@
 // an eviction policy that could break reproducibility.
 package memo
 
-import "encoding/binary"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Residual converts an absolute tick constraint to the canonical
 // relative form: the number of ticks after lastIssue+1 (the earliest
@@ -52,108 +63,138 @@ func Residual(deadline, lastIssue int) int {
 	return 0
 }
 
-// Canon accumulates one state's canonical key. The caller contributes
-// sections in a fixed order — scheduled set, per-pipeline residuals,
-// in-flight producers, external ready times — and each section is
-// length- or width-delimited, so no two distinct section sequences can
-// encode to the same bytes. Reuse one Canon per searcher; Begin resets.
-type Canon struct {
-	buf    []byte
-	mask   []byte
-	sealed bool
-	n      int
+// Encoder writes one state's key into caller-owned words. The caller
+// contributes sections in a fixed order — Begin with the scheduled set,
+// Pipes, in-flight Pairs then SealPairs, external-ready Pairs then
+// SealPairs — and reads the result with Key. Reuse one Encoder per
+// searcher.
+type Encoder struct {
+	n        int
+	nodeBits uint // width of a node number and of a pair count
+	resBits  uint // width of a residual
+	maxRes   int
+	words    int // the longest key, in words
 
-	pairs   [][2]int // (node, residual) for the current section
-	scratch [binary.MaxVarintLen64]byte
+	dst   []uint64 // the finished words
+	cur   uint64   // the word being filled
+	off   uint     // bits of cur filled
+	pairs [][2]int // (node, residual) for the current section
 }
 
-// Begin starts a fresh key for an n-node block.
-func (c *Canon) Begin(n int) {
-	c.buf = c.buf[:0]
-	c.n = n
-	need := (n + 7) / 8
-	if cap(c.mask) < need {
-		c.mask = make([]byte, need)
+// NewEncoder fixes the field widths for keys of an n-node block on a
+// machine with the given number of pipelines, whose residuals never
+// exceed maxResidual. A residual above it panics rather than alias
+// another state.
+func NewEncoder(n, pipes, maxResidual int) *Encoder {
+	e := &Encoder{
+		n:        n,
+		nodeBits: uint(max(bits.Len(uint(n)), 1)),
+		resBits:  uint(max(bits.Len(uint(max(maxResidual, 0))), 1)),
+		maxRes:   maxResidual,
 	}
-	c.mask = c.mask[:need]
-	for i := range c.mask {
-		c.mask[i] = 0
-	}
-	c.sealed = false
-	c.pairs = c.pairs[:0]
-	c.putUvarint(uint64(n))
+	// A node is in at most one section: in-flight producers are
+	// scheduled, external-ready nodes are not.
+	total := uint(n) + uint(pipes)*e.resBits + 2*e.nodeBits + uint(n)*(e.nodeBits+e.resBits)
+	e.words = int((total + 63) / 64)
+	return e
 }
 
-// MarkScheduled records node u as part of the scheduled prefix. Order of
-// calls is irrelevant (the set is a bitmask).
-func (c *Canon) MarkScheduled(u int) { c.mask[u>>3] |= 1 << (u & 7) }
+// Words is the length of the longest key, so a caller can size dst.
+func (e *Encoder) Words() int { return e.words }
 
-func (c *Canon) putUvarint(v uint64) {
-	k := binary.PutUvarint(c.scratch[:], v)
-	c.buf = append(c.buf, c.scratch[:k]...)
+// SchedWords is the length of the scheduled-set bitset Begin takes.
+func SchedWords(n int) int { return (n + 63) / 64 }
+
+// Begin starts a key in dst (its contents are overwritten) from the
+// scheduled set: bit u of scheduled is set iff node u is scheduled, and
+// scheduled has SchedWords(n) words with no bit at or above n.
+func (e *Encoder) Begin(dst, scheduled []uint64) {
+	full := e.n / 64
+	e.dst = append(dst[:0], scheduled[:full]...)
+	e.cur, e.off = 0, uint(e.n%64)
+	if e.off > 0 {
+		e.cur = scheduled[full]
+	}
+	e.pairs = e.pairs[:0]
 }
 
-// sealMask appends the scheduled bitmask; called lazily by the first
-// post-mask section.
-func (c *Canon) sealMask() {
-	if !c.sealed {
-		c.buf = append(c.buf, c.mask...)
-		c.sealed = true
+// put appends the low w bits of v (1 ≤ w < 64, v < 2^w).
+func (e *Encoder) put(v uint64, w uint) {
+	e.cur |= v << e.off
+	e.off += w
+	if e.off >= 64 {
+		e.dst = append(e.dst, e.cur)
+		e.off -= 64
+		e.cur = v >> (w - e.off) // the bits that did not fit (none when off is 0)
 	}
+}
+
+func (e *Encoder) putResidual(r int) {
+	if r > e.maxRes {
+		e.overflow(r)
+	}
+	e.put(uint64(r), e.resBits)
+}
+
+// overflow panics: a residual above the layout's bound would alias
+// another state's key.
+func (e *Encoder) overflow(r int) {
+	panic(fmt.Sprintf("memo: residual %d exceeds the key layout's %d", r, e.maxRes))
 }
 
 // Pipes appends the per-pipeline enqueue residuals, one per pipeline in
-// machine table order (fixed arity ⇒ self-delimiting). Call exactly once,
-// after all MarkScheduled calls.
-func (c *Canon) Pipes(residuals []int) {
-	c.sealMask()
-	c.putUvarint(uint64(len(residuals)))
+// machine table order. Call exactly once, after Begin.
+func (e *Encoder) Pipes(residuals []int) {
 	for _, r := range residuals {
-		c.putUvarint(uint64(r))
+		e.putResidual(r)
 	}
-	c.pairs = c.pairs[:0]
 }
 
 // Pair records one (node, residual) constraint for the CURRENT section —
-// in-flight flow producers after Pipes, external ready times after
-// SealPairs. Zero residuals are dropped (expired constraints must not
-// perturb the key); nodes may arrive in any order (pairs are sorted at
-// seal time).
-func (c *Canon) Pair(node, residual int) {
-	if residual <= 0 {
-		return
+// in-flight flow producers after Pipes, external ready times after the
+// first SealPairs. Zero residuals are dropped (expired constraints must
+// not perturb the key); nodes may arrive in any order (pairs are sorted
+// at seal time).
+func (e *Encoder) Pair(node, residual int) {
+	if residual > 0 {
+		e.pairs = append(e.pairs, [2]int{node, residual})
 	}
-	c.pairs = append(c.pairs, [2]int{node, residual})
 }
 
-// SealPairs closes the current (node, residual) section, sorting and
-// length-prefixing it, and opens the next. Call once after the in-flight
-// pairs and once after the ready pairs.
-func (c *Canon) SealPairs() {
+// SealPairs closes the current (node, residual) section, writing its
+// count and its pairs sorted by node, and opens the next. Call once
+// after the in-flight pairs and once after the ready pairs.
+func (e *Encoder) SealPairs() {
 	// Insertion sort by node: sections are small (live constraints only)
 	// and a node appears at most once per section.
-	for i := 1; i < len(c.pairs); i++ {
-		for j := i; j > 0 && c.pairs[j][0] < c.pairs[j-1][0]; j-- {
-			c.pairs[j], c.pairs[j-1] = c.pairs[j-1], c.pairs[j]
+	ps := e.pairs
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j][0] < ps[j-1][0]; j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}
-	c.putUvarint(uint64(len(c.pairs)))
-	for _, p := range c.pairs {
-		c.putUvarint(uint64(p[0]))
-		c.putUvarint(uint64(p[1]))
+	e.put(uint64(len(ps)), e.nodeBits)
+	for _, p := range ps {
+		e.put(uint64(p[0]), e.nodeBits)
+		e.putResidual(p[1])
 	}
-	c.pairs = c.pairs[:0]
+	e.pairs = ps[:0]
 }
 
-// Key returns the accumulated canonical key. The returned string is
-// immutable and safe to use as a map key after the next Begin.
-func (c *Canon) Key() string {
-	c.sealMask()
-	return string(c.buf)
+// Key returns the finished key: dst as passed to Begin, resliced, or a
+// larger copy if dst was too short. Call it once per Begin.
+func (e *Encoder) Key() []uint64 {
+	if e.off > 0 {
+		e.dst = append(e.dst, e.cur)
+	}
+	return e.dst
 }
 
-// DefaultCap is the default bound on table entries: at ~40 bytes of key
-// plus map overhead per entry this keeps a table under ~50 MB.
+// DefaultCap is the default bound on table entries. An entry costs 16
+// bytes of entry, 8 per key word (one or two on 20-node blocks) and 8 to
+// 16 of slot index; with append slack that measured 40–46 bytes per entry
+// on the example machine's heaviest blocks, so a full table stays under
+// ~12 MB.
 const DefaultCap = 1 << 18
 
 // record is one stored visit: the (cost-so-far, peak-pressure-so-far)
@@ -174,13 +215,24 @@ func (r record) dominates(cost, live int32) bool {
 	return r.cost <= cost && r.live <= live
 }
 
-// Table is a bounded map from canonical state key to the best
-// (cost-so-far, peak-pressure-so-far) pair at which the state's subtree
-// has been fully explored. It is NOT safe for concurrent use; parallel
-// searches hold one per worker.
+// entry is one stored state. Its key occupies arena[off:] up to the next
+// entry's off (or the arena's end): entries are only ever appended.
+type entry struct {
+	hash uint32 // low half of the key's hash, checked before the words
+	off  uint32
+	rec  record
+}
+
+// Table is a bounded map from state key to the best (cost-so-far,
+// peak-pressure-so-far) pair at which the state's subtree has been fully
+// explored. It is NOT safe for concurrent use; parallel searches hold one
+// per worker. A table allocates nothing until its first Store.
 type Table struct {
-	m   map[string]record
-	cap int
+	slots []uint32 // open addressing, linear probing: entry index + 1, 0 = empty
+	ents  []entry
+	arena []uint64
+	cap   int
+	hash  func([]uint64) uint64
 
 	hits    int64
 	misses  int64
@@ -190,21 +242,62 @@ type Table struct {
 
 // NewTable creates a table bounded to capEntries keys (<= 0 selects
 // DefaultCap).
-func NewTable(capEntries int) *Table {
+func NewTable(capEntries int) *Table { return NewTableHash(capEntries, hashWords) }
+
+// NewTableHash is NewTable with a caller-chosen key hash. A degenerate
+// hash puts every key in one probe chain, which shows that the full-key
+// compare alone keeps the table exact.
+func NewTableHash(capEntries int, hash func(key []uint64) uint64) *Table {
 	if capEntries <= 0 {
 		capEntries = DefaultCap
 	}
-	return &Table{m: make(map[string]record), cap: capEntries}
+	return &Table{cap: capEntries, hash: hash}
+}
+
+// hashWords mixes the key's length and words.
+func hashWords(key []uint64) uint64 {
+	h := uint64(len(key))
+	for _, w := range key {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+func (t *Table) key(i int) []uint64 {
+	end := len(t.arena)
+	if i+1 < len(t.ents) {
+		end = int(t.ents[i+1].off)
+	}
+	return t.arena[t.ents[i].off:end]
+}
+
+// find returns the slot holding key, or the empty slot where it would go,
+// and the entry index (-1 when absent). The table must have slots.
+func (t *Table) find(key []uint64, h uint64) (slot, idx int) {
+	mask := len(t.slots) - 1
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return i, -1
+		}
+		if t.ents[s-1].hash == uint32(h) && slices.Equal(t.key(int(s-1)), key) {
+			return i, int(s - 1)
+		}
+	}
 }
 
 // Dominated reports whether a previous visit to key completed its
 // subtree at cost-so-far <= cost AND peak-pressure-so-far <= live —
 // i.e. whether the current visit is dominated on both axes and may be
 // pruned. Modes that do not track pressure pass live = 0.
-func (t *Table) Dominated(key string, cost, live int) bool {
-	if rec, ok := t.m[key]; ok && rec.dominates(int32(cost), int32(live)) {
-		t.hits++
-		return true
+func (t *Table) Dominated(key []uint64, cost, live int) bool {
+	if len(t.ents) > 0 {
+		if _, i := t.find(key, t.hash(key)); i >= 0 && t.ents[i].rec.dominates(int32(cost), int32(live)) {
+			t.hits++
+			return true
+		}
 	}
 	t.misses++
 	return false
@@ -216,24 +309,48 @@ func (t *Table) Dominated(key string, cost, live int) bool {
 // (any genuinely reached pair makes Dominated sound, so which pair is
 // kept is purely a hit-rate heuristic). New keys are dropped once the
 // table is full; dominating improvements to existing keys always land.
-func (t *Table) Store(key string, cost, live int) {
+// The table copies key.
+func (t *Table) Store(key []uint64, cost, live int) {
 	rec := record{cost: int32(cost), live: int32(live)}
-	if old, ok := t.m[key]; ok {
-		if rec.dominates(old.cost, old.live) && rec != old {
-			t.m[key] = rec
+	h := t.hash(key)
+	if len(t.slots) == 0 {
+		t.slots = make([]uint32, 64)
+	}
+	slot, i := t.find(key, h)
+	if i >= 0 {
+		if old := t.ents[i].rec; rec.dominates(old.cost, old.live) && rec != old {
+			t.ents[i].rec = rec
 		}
 		return
 	}
-	if len(t.m) >= t.cap {
+	if len(t.ents) >= t.cap {
 		t.dropped++
 		return
 	}
-	t.m[key] = rec
+	t.ents = append(t.ents, entry{hash: uint32(h), off: uint32(len(t.arena)), rec: rec})
+	t.arena = append(t.arena, key...)
 	t.stores++
+	t.slots[slot] = uint32(len(t.ents))
+	if 2*len(t.ents) > len(t.slots) {
+		t.grow()
+	}
+}
+
+// grow doubles the slot array, keeping the load at or below one half.
+func (t *Table) grow() {
+	t.slots = make([]uint32, 2*len(t.slots))
+	mask := len(t.slots) - 1
+	for i := range t.ents {
+		j := int(t.hash(t.key(i))>>32) & mask
+		for t.slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		t.slots[j] = uint32(i + 1)
+	}
 }
 
 // Len returns the number of stored states.
-func (t *Table) Len() int { return len(t.m) }
+func (t *Table) Len() int { return len(t.ents) }
 
 // Stats returns cumulative lookup/store counters: dominance hits, lookup
 // misses, stored states, and stores dropped at capacity.

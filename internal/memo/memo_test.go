@@ -1,18 +1,25 @@
 package memo
 
 import (
+	"slices"
 	"testing"
 )
+
+// testMaxResidual is the residual bound of the tests' key layouts.
+const testMaxResidual = 31
 
 // buildKey assembles a key from one state description: scheduled nodes,
 // per-pipe enqueue deadlines, in-flight (node, deadline) and ready
 // (node, deadline) constraints, all in ABSOLUTE ticks relative to
 // lastIssue — exercising exactly the translation the search performs.
-func buildKey(c *Canon, n int, scheduled []int, lastIssue int, pipeDeadline []int, inflight, ready [][2]int) string {
-	c.Begin(n)
+// Every call gets a fresh key, so results can be compared.
+func buildKey(n int, scheduled []int, lastIssue int, pipeDeadline []int, inflight, ready [][2]int) []uint64 {
+	c := NewEncoder(n, len(pipeDeadline), testMaxResidual)
+	sched := make([]uint64, SchedWords(n))
 	for _, u := range scheduled {
-		c.MarkScheduled(u)
+		sched[u/64] |= 1 << (u % 64)
 	}
+	c.Begin(make([]uint64, 0, c.Words()), sched)
 	res := make([]int, len(pipeDeadline))
 	for i, d := range pipeDeadline {
 		res[i] = Residual(d, lastIssue)
@@ -26,8 +33,15 @@ func buildKey(c *Canon, n int, scheduled []int, lastIssue int, pipeDeadline []in
 		c.Pair(p[0], Residual(p[1], lastIssue))
 	}
 	c.SealPairs()
-	return c.Key()
+	key := c.Key()
+	if len(key) > c.Words() {
+		panic("key longer than the layout's Words")
+	}
+	return key
 }
+
+// k is a literal key for table tests.
+func k(words ...uint64) []uint64 { return words }
 
 func TestResidual(t *testing.T) {
 	if r := Residual(10, 6); r != 3 {
@@ -44,15 +58,14 @@ func TestResidual(t *testing.T) {
 // TestKeyTranslationInvariance: the same residual problem occurring at
 // different absolute ticks must produce the same key.
 func TestKeyTranslationInvariance(t *testing.T) {
-	var c Canon
-	a := buildKey(&c, 12, []int{0, 2, 5}, 9,
+	a := buildKey(12, []int{0, 2, 5}, 9,
 		[]int{11, 9}, [][2]int{{2, 13}, {5, 11}}, [][2]int{{7, 12}})
 	for _, shift := range []int{1, 7, 100} {
-		b := buildKey(&c, 12, []int{0, 2, 5}, 9+shift,
+		b := buildKey(12, []int{0, 2, 5}, 9+shift,
 			[]int{11 + shift, 9 + shift},
 			[][2]int{{2, 13 + shift}, {5, 11 + shift}},
 			[][2]int{{7, 12 + shift}})
-		if a != b {
+		if !slices.Equal(a, b) {
 			t.Fatalf("shift %d: keys differ for time-translated states", shift)
 		}
 	}
@@ -61,12 +74,11 @@ func TestKeyTranslationInvariance(t *testing.T) {
 // TestKeyExpiredConstraintsVanish: dead history — drained pipes, landed
 // producers — must not perturb the key.
 func TestKeyExpiredConstraintsVanish(t *testing.T) {
-	var c Canon
-	a := buildKey(&c, 8, []int{1, 3}, 20,
+	a := buildKey(8, []int{1, 3}, 20,
 		[]int{5, 21}, [][2]int{{1, 9}, {3, 24}}, nil)
-	b := buildKey(&c, 8, []int{1, 3}, 20,
+	b := buildKey(8, []int{1, 3}, 20,
 		[]int{17, 21}, [][2]int{{3, 24}}, nil)
-	if a != b {
+	if !slices.Equal(a, b) {
 		t.Fatal("states differing only in expired constraints must collide")
 	}
 }
@@ -75,18 +87,17 @@ func TestKeyExpiredConstraintsVanish(t *testing.T) {
 // a pipe residual, an in-flight residual, or which section a pair sits
 // in — must produce distinct keys.
 func TestKeyDistinguishesLiveState(t *testing.T) {
-	var c Canon
-	base := buildKey(&c, 8, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 14}}, [][2]int{{5, 13}})
-	variants := []string{
-		buildKey(&c, 8, []int{1, 4}, 10, []int{12, 11}, [][2]int{{3, 14}}, [][2]int{{5, 13}}),
-		buildKey(&c, 8, []int{1, 3}, 10, []int{13, 11}, [][2]int{{3, 14}}, [][2]int{{5, 13}}),
-		buildKey(&c, 8, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 15}}, [][2]int{{5, 13}}),
-		buildKey(&c, 8, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 14}, {5, 13}}, nil),
-		buildKey(&c, 8, []int{1, 3}, 10, []int{12, 11}, nil, [][2]int{{3, 14}, {5, 13}}),
-		buildKey(&c, 9, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 14}}, [][2]int{{5, 13}}),
+	base := buildKey(8, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 14}}, [][2]int{{5, 13}})
+	variants := [][]uint64{
+		buildKey(8, []int{1, 4}, 10, []int{12, 11}, [][2]int{{3, 14}}, [][2]int{{5, 13}}),
+		buildKey(8, []int{1, 3}, 10, []int{13, 11}, [][2]int{{3, 14}}, [][2]int{{5, 13}}),
+		buildKey(8, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 15}}, [][2]int{{5, 13}}),
+		buildKey(8, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 14}, {5, 13}}, nil),
+		buildKey(8, []int{1, 3}, 10, []int{12, 11}, nil, [][2]int{{3, 14}, {5, 13}}),
+		buildKey(8, []int{1, 3}, 10, []int{12, 11}, [][2]int{{3, 14}}, [][2]int{{5, 14}}),
 	}
 	for i, v := range variants {
-		if v == base {
+		if slices.Equal(v, base) {
 			t.Fatalf("variant %d: live-state difference did not change the key", i)
 		}
 	}
@@ -95,40 +106,39 @@ func TestKeyDistinguishesLiveState(t *testing.T) {
 // TestKeyPairOrderIrrelevant: pairs arrive in search-dependent order but
 // the key must be canonical.
 func TestKeyPairOrderIrrelevant(t *testing.T) {
-	var c Canon
-	a := buildKey(&c, 8, []int{0}, 5, []int{7}, [][2]int{{1, 9}, {4, 8}, {2, 11}}, nil)
-	b := buildKey(&c, 8, []int{0}, 5, []int{7}, [][2]int{{2, 11}, {1, 9}, {4, 8}}, nil)
-	if a != b {
+	a := buildKey(8, []int{0}, 5, []int{7}, [][2]int{{1, 9}, {4, 8}, {2, 11}}, nil)
+	b := buildKey(8, []int{0}, 5, []int{7}, [][2]int{{2, 11}, {1, 9}, {4, 8}}, nil)
+	if !slices.Equal(a, b) {
 		t.Fatal("pair insertion order changed the key")
 	}
 }
 
 func TestTableDominance(t *testing.T) {
 	tb := NewTable(2)
-	if tb.Dominated("k1", 5, 0) {
+	if tb.Dominated(k(1), 5, 0) {
 		t.Fatal("empty table claimed dominance")
 	}
-	tb.Store("k1", 5, 0)
-	if !tb.Dominated("k1", 5, 0) || !tb.Dominated("k1", 7, 0) {
+	tb.Store(k(1), 5, 0)
+	if !tb.Dominated(k(1), 5, 0) || !tb.Dominated(k(1), 7, 0) {
 		t.Fatal("equal/worse revisit not dominated")
 	}
-	if tb.Dominated("k1", 4, 0) {
+	if tb.Dominated(k(1), 4, 0) {
 		t.Fatal("strictly better revisit wrongly dominated")
 	}
-	tb.Store("k1", 3, 0) // improvement lands
-	if !tb.Dominated("k1", 3, 0) {
+	tb.Store(k(1), 3, 0) // improvement lands
+	if !tb.Dominated(k(1), 3, 0) {
 		t.Fatal("improved entry not effective")
 	}
-	tb.Store("k2", 1, 0)
-	tb.Store("k3", 1, 0) // over capacity: dropped
+	tb.Store(k(2), 1, 0)
+	tb.Store(k(3), 1, 0) // over capacity: dropped
 	if tb.Len() != 2 {
 		t.Fatalf("table grew past its cap: %d entries", tb.Len())
 	}
-	if tb.Dominated("k3", 9, 9) {
+	if tb.Dominated(k(3), 9, 9) {
 		t.Fatal("dropped key claimed dominance")
 	}
-	tb.Store("k1", 2, 0) // improvements still land when full
-	if !tb.Dominated("k1", 2, 0) {
+	tb.Store(k(1), 2, 0) // improvements still land when full
+	if !tb.Dominated(k(1), 2, 0) {
 		t.Fatal("improvement at capacity did not land")
 	}
 	hits, misses, stores, dropped := tb.Stats()
@@ -142,26 +152,159 @@ func TestTableDominance(t *testing.T) {
 // dominate, and vice versa.
 func TestTablePairDominance(t *testing.T) {
 	tb := NewTable(0)
-	tb.Store("k", 5, 3)
-	if !tb.Dominated("k", 5, 3) || !tb.Dominated("k", 6, 3) || !tb.Dominated("k", 5, 4) {
+	tb.Store(k(7, 9), 5, 3)
+	if !tb.Dominated(k(7, 9), 5, 3) || !tb.Dominated(k(7, 9), 6, 3) || !tb.Dominated(k(7, 9), 5, 4) {
 		t.Fatal("component-wise worse revisit not dominated")
 	}
-	if tb.Dominated("k", 4, 9) {
+	if tb.Dominated(k(7, 9), 4, 9) {
 		t.Fatal("lower-cost/higher-live revisit wrongly dominated")
 	}
-	if tb.Dominated("k", 9, 2) {
+	if tb.Dominated(k(7, 9), 9, 2) {
 		t.Fatal("higher-cost/lower-live revisit wrongly dominated")
 	}
 	// An incomparable pair must not replace the stored one (either order
 	// of arrival keeps a sound table): after storing (4,9), (5,3) must
 	// still dominate revisits it dominated before.
-	tb.Store("k", 4, 9)
-	if !tb.Dominated("k", 6, 3) {
+	tb.Store(k(7, 9), 4, 9)
+	if !tb.Dominated(k(7, 9), 6, 3) {
 		t.Fatal("incomparable Store clobbered the existing record")
 	}
 	// A pair dominating on both axes replaces the record.
-	tb.Store("k", 4, 2)
-	if !tb.Dominated("k", 4, 2) {
+	tb.Store(k(7, 9), 4, 2)
+	if !tb.Dominated(k(7, 9), 4, 2) {
 		t.Fatal("dominating improvement did not land")
+	}
+}
+
+// decodedKey is the state a key encodes, read back field by field.
+type decodedKey struct {
+	sched           []int
+	pipes           []int
+	inflight, ready [][2]int
+}
+
+func (d decodedKey) equal(o decodedKey) bool {
+	return slices.Equal(d.sched, o.sched) && slices.Equal(d.pipes, o.pipes) &&
+		slices.Equal(d.inflight, o.inflight) && slices.Equal(d.ready, o.ready)
+}
+
+// livePairs is the section a key should hold for (node, deadline)
+// constraints: the live residuals, sorted by node.
+func livePairs(ps [][2]int, lastIssue int) [][2]int {
+	var out [][2]int
+	for _, p := range ps {
+		if r := Residual(p[1], lastIssue); r > 0 {
+			out = append(out, [2]int{p[0], r})
+		}
+	}
+	slices.SortFunc(out, func(a, b [2]int) int { return a[0] - b[0] })
+	return out
+}
+
+// decodeKey reads a key back with the encoder's field widths. Keys are
+// injective exactly when this recovers the normalized state.
+func decodeKey(c *Encoder, pipes int, key []uint64) decodedKey {
+	bit := uint(0)
+	get := func(w uint) int {
+		v := uint64(0)
+		for i := uint(0); i < w; i++ {
+			if key[(bit+i)/64]>>((bit+i)%64)&1 != 0 {
+				v |= 1 << i
+			}
+		}
+		bit += w
+		return int(v)
+	}
+	var d decodedKey
+	for u := 0; u < c.n; u++ {
+		if get(1) != 0 {
+			d.sched = append(d.sched, u)
+		}
+	}
+	for i := 0; i < pipes; i++ {
+		d.pipes = append(d.pipes, get(c.resBits))
+	}
+	section := func() [][2]int {
+		var ps [][2]int
+		for i := get(c.nodeBits); i > 0; i-- {
+			node := get(c.nodeBits)
+			ps = append(ps, [2]int{node, get(c.resBits)})
+		}
+		return ps
+	}
+	d.inflight, d.ready = section(), section()
+	if want := (bit + 63) / 64; uint(len(key)) != want {
+		panic("key has trailing words")
+	}
+	return d
+}
+
+// TestKeyRoundTrip: every key decodes to exactly the state it was built
+// from — scheduled set, residuals, and each section's live pairs sorted
+// by node — including sets and fields that straddle word boundaries.
+func TestKeyRoundTrip(t *testing.T) {
+	for _, n := range []int{4, 7, 63, 64, 65, 127, 128, 130} {
+		var sched []int
+		for u := n % 3; u < n; u += 3 {
+			sched = append(sched, u)
+		}
+		inflight := [][2]int{{n - 1, 20}, {0, 9}, {n / 2, 11}}
+		ready := [][2]int{{n / 3, 30}, {n - 2, 12}}
+		pipes := []int{10 + n%7, 3, 40}
+		key := buildKey(n, sched, 10, pipes, inflight, ready)
+		c := NewEncoder(n, len(pipes), testMaxResidual)
+		got := decodeKey(c, len(pipes), key)
+		want := decodedKey{sched: sched}
+		for _, d := range pipes {
+			want.pipes = append(want.pipes, Residual(d, 10))
+		}
+		want.inflight, want.ready = livePairs(inflight, 10), livePairs(ready, 10)
+		if !got.equal(want) {
+			t.Fatalf("n=%d: decoded %+v, want %+v", n, got, want)
+		}
+	}
+}
+
+// TestKeyResidualOverflowPanics: a residual the layout cannot hold must
+// never be truncated into another state's key.
+func TestKeyResidualOverflowPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a residual above the layout bound was encoded")
+		}
+	}()
+	buildKey(4, nil, 0, []int{testMaxResidual + 2}, nil, nil)
+}
+
+// TestTableConstantHash: with every key hashed to one value, every key
+// lands in one probe chain and only the full-word compare tells them
+// apart — so only a word-equal key may be dominated.
+func TestTableConstantHash(t *testing.T) {
+	tb := NewTableHash(0, func([]uint64) uint64 { return 0 })
+	var keys [][]uint64
+	for i := uint64(0); i < 300; i++ {
+		keys = append(keys, k(i), k(i, 0), k(i, 0, 0), k(i, i+1))
+	}
+	for i, key := range keys {
+		tb.Store(key, i, 0)
+	}
+	if tb.Len() != len(keys) {
+		t.Fatalf("%d distinct keys stored as %d entries", len(keys), tb.Len())
+	}
+	for i, key := range keys {
+		if !tb.Dominated(key, i, 0) {
+			t.Fatalf("stored key %v not found", key)
+		}
+		if tb.Dominated(key, -1, 0) {
+			t.Fatalf("key %v dominated a strictly better visit", key)
+		}
+		if tb.Dominated(append(slices.Clone(key), 1<<63), 1<<20, 0) {
+			t.Fatalf("key %v extended by a word claimed dominance", key)
+		}
+	}
+	for i := uint64(300); i < 310; i++ {
+		if tb.Dominated(k(i), 1<<20, 0) {
+			t.Fatalf("unstored key %d claimed dominance", i)
+		}
 	}
 }

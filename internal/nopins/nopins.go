@@ -24,6 +24,7 @@ package nopins
 
 import (
 	"fmt"
+	"slices"
 
 	"pipesched/internal/dag"
 	"pipesched/internal/machine"
@@ -51,11 +52,13 @@ type Evaluator struct {
 	M    *machine.Machine
 	Mode AssignMode
 
-	pipeSets [][]int // node -> allowed pipeline IDs (singleton under AssignFixed)
+	pipeSets [][]int        // node -> allowed pipeline IDs (singleton under AssignFixed)
+	timing   [][]pipeTiming // node -> the timing of each pipeSets entry
 
 	// Per-position state of the current partial schedule.
 	nodeAt []int // position -> node
 	pipeAt []int // position -> assigned pipeline ID
+	latAt  []int // position -> latency of its pipeline
 	etaAt  []int // position -> NOPs inserted immediately before it
 	issue  []int // position -> issue tick t(i)
 	posOf  []int // node -> position, or -1 if unscheduled
@@ -65,6 +68,10 @@ type Evaluator struct {
 	entry EntryState // cross-block initial conditions (zero = cold start)
 }
 
+// pipeTiming is one pipeline's latency and enqueue time (zero for
+// machine.NoPipeline), resolved once so Ω does no machine lookups.
+type pipeTiming struct{ lat, enq int }
+
 // NewEvaluator prepares an evaluator for graph g on machine m.
 func NewEvaluator(g *dag.Graph, m *machine.Machine, mode AssignMode) *Evaluator {
 	e := &Evaluator{
@@ -72,12 +79,17 @@ func NewEvaluator(g *dag.Graph, m *machine.Machine, mode AssignMode) *Evaluator 
 		M:        m,
 		Mode:     mode,
 		pipeSets: make([][]int, g.N),
+		timing:   make([][]pipeTiming, g.N),
 		nodeAt:   make([]int, g.N),
 		pipeAt:   make([]int, g.N),
+		latAt:    make([]int, g.N),
 		etaAt:    make([]int, g.N),
 		issue:    make([]int, g.N),
 		posOf:    make([]int, g.N),
 	}
+	// One backing array for every node's timing: sets are mostly
+	// singletons, and a subslice stays valid if append moves the rest.
+	timing := make([]pipeTiming, 0, g.N)
 	for u := 0; u < g.N; u++ {
 		op := g.Block.Tuples[u].Op
 		set := m.PipelinesFor(op)
@@ -88,6 +100,11 @@ func NewEvaluator(g *dag.Graph, m *machine.Machine, mode AssignMode) *Evaluator 
 			set = []int{machine.NoPipeline}
 		}
 		e.pipeSets[u] = set
+		start := len(timing)
+		for _, p := range set {
+			timing = append(timing, pipeTiming{lat: m.Latency(p), enq: m.EnqueueTime(p)})
+		}
+		e.timing[u] = timing[start:len(timing):len(timing)]
 		e.posOf[u] = -1
 	}
 	return e
@@ -121,6 +138,10 @@ func (e *Evaluator) EtaAt(i int) int { return e.etaAt[i] }
 // PipeAt returns the pipeline assigned to the instruction at position i.
 func (e *Evaluator) PipeAt(i int) int { return e.pipeAt[i] }
 
+// LatencyAt returns the latency of the pipeline at position i (0 when
+// the instruction uses none).
+func (e *Evaluator) LatencyAt(i int) int { return e.latAt[i] }
+
 // IssueAt returns the issue tick t(i) of position i (first tick is 1).
 func (e *Evaluator) IssueAt(i int) int { return e.issue[i] }
 
@@ -135,10 +156,12 @@ func (e *Evaluator) Ready(u int) bool {
 	return true
 }
 
-// EtaFor computes the NOPs that placing node u on pipeline pipe at the
-// next position would require, without modifying the schedule. It panics
-// if a predecessor of u is unscheduled (callers must check Ready first).
-func (e *Evaluator) EtaFor(u, pipe int) int {
+// etaFor computes the NOPs that placing node u on its k-th allowed
+// pipeline at the next position would require, without modifying the
+// schedule. It panics if a predecessor of u is unscheduled (callers must
+// check Ready first).
+func (e *Evaluator) etaFor(u, k int) int {
+	pipe, enq := e.pipeSets[u][k], e.timing[u][k].enq
 	i := e.n
 	need := 0
 	prevIssue := e.entry.StartTick
@@ -150,7 +173,6 @@ func (e *Evaluator) EtaFor(u, pipe int) int {
 	// widens the gap, so scanning can stop once base reaches the enqueue
 	// time — every earlier instruction is then transitively satisfied.
 	if pipe != machine.NoPipeline {
-		enq := e.M.EnqueueTime(pipe)
 		for j := i - 1; j >= 0; j-- {
 			base := prevIssue + 1 - e.issue[j]
 			if base >= enq {
@@ -175,31 +197,29 @@ func (e *Evaluator) EtaFor(u, pipe int) int {
 		if jp < 0 {
 			panic(fmt.Sprintf("nopins: predecessor %d of node %d not scheduled", d.Node, u))
 		}
-		lat := e.M.Latency(e.pipeAt[jp])
 		base := prevIssue + 1 - e.issue[jp]
-		if def := lat - base; def > need {
+		if def := e.latAt[jp] - base; def > need {
 			need = def
 		}
 	}
-	return e.entryEta(u, pipe, i, prevIssue, need)
+	return e.entryEta(u, pipe, enq, i, prevIssue, need)
 }
 
-// ChoosePipe returns the pipeline the evaluator would assign to node u at
-// the next position, along with the NOPs that choice costs. Under
-// AssignFixed the choice is the op's first pipeline; under AssignGreedy it
-// is the cheapest allowed pipeline.
-func (e *Evaluator) ChoosePipe(u int) (pipe, eta int) {
-	set := e.pipeSets[u]
-	pipe = set[0]
-	eta = e.EtaFor(u, pipe)
+// choosePipe returns the index into u's allowed set of the pipeline the
+// evaluator would assign to node u at the next position, along with the
+// NOPs that choice costs. Under AssignFixed the choice is the op's first
+// pipeline; under AssignGreedy it is the cheapest allowed pipeline
+// (ties to the earliest).
+func (e *Evaluator) choosePipe(u int) (k, eta int) {
+	eta = e.etaFor(u, 0)
 	if e.Mode == AssignGreedy {
-		for _, p := range set[1:] {
-			if c := e.EtaFor(u, p); c < eta {
-				pipe, eta = p, c
+		for j := 1; j < len(e.pipeSets[u]); j++ {
+			if c := e.etaFor(u, j); c < eta {
+				k, eta = j, c
 			}
 		}
 	}
-	return pipe, eta
+	return k, eta
 }
 
 // PipeChoices returns the allowed pipeline IDs for node u.
@@ -208,8 +228,8 @@ func (e *Evaluator) PipeChoices(u int) []int { return e.pipeSets[u] }
 // Push appends node u to the schedule, assigning its pipeline per the
 // evaluator's mode, and returns η for the new position.
 func (e *Evaluator) Push(u int) int {
-	pipe, eta := e.ChoosePipe(u)
-	e.pushWith(u, pipe, eta)
+	k, eta := e.choosePipe(u)
+	e.pushWith(u, k, eta)
 	return eta
 }
 
@@ -217,28 +237,24 @@ func (e *Evaluator) Push(u int) int {
 // be in the node's allowed set) and returns η for the new position. It is
 // used by the assignment-search extension.
 func (e *Evaluator) PushWithPipe(u, pipe int) int {
-	ok := false
-	for _, p := range e.pipeSets[u] {
-		if p == pipe {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	k := slices.Index(e.pipeSets[u], pipe)
+	if k < 0 {
 		panic(fmt.Sprintf("nopins: pipeline %d not allowed for node %d", pipe, u))
 	}
-	eta := e.EtaFor(u, pipe)
-	e.pushWith(u, pipe, eta)
+	eta := e.etaFor(u, k)
+	e.pushWith(u, k, eta)
 	return eta
 }
 
-func (e *Evaluator) pushWith(u, pipe, eta int) {
+// pushWith appends node u on its k-th allowed pipeline.
+func (e *Evaluator) pushWith(u, k, eta int) {
 	if e.posOf[u] >= 0 {
 		panic(fmt.Sprintf("nopins: node %d already scheduled", u))
 	}
 	i := e.n
 	e.nodeAt[i] = u
-	e.pipeAt[i] = pipe
+	e.pipeAt[i] = e.pipeSets[u][k]
+	e.latAt[i] = e.timing[u][k].lat
 	e.etaAt[i] = eta
 	if i == 0 {
 		e.issue[i] = e.entry.StartTick + eta + 1
@@ -337,11 +353,11 @@ func (e *Evaluator) SetEntryState(s *EntryState) {
 	e.entry = *s
 }
 
-// entryEta augments EtaFor's result with entry-state constraints for
-// placing node u on pipe at position i with the given previous issue
-// tick. It returns the extra delay demanded by external dependences and
-// cross-boundary pipeline reservations.
-func (e *Evaluator) entryEta(u, pipe, i, prevIssue, needSoFar int) int {
+// entryEta augments etaFor's result with entry-state constraints for
+// placing node u on pipe (enqueue time enq) at position i with the given
+// previous issue tick. It returns the extra delay demanded by external
+// dependences and cross-boundary pipeline reservations.
+func (e *Evaluator) entryEta(u, pipe, enq, i, prevIssue, needSoFar int) int {
 	need := needSoFar
 	if e.entry.ReadyTick != nil {
 		// issue = prevIssue + η + 1 >= ReadyTick[u]
@@ -352,11 +368,10 @@ func (e *Evaluator) entryEta(u, pipe, i, prevIssue, needSoFar int) int {
 	if pipe != machine.NoPipeline && len(e.entry.PipeLast) > 0 {
 		// Only binding if no in-window instruction of the same pipeline
 		// sits between the boundary and position i; the nearest-first
-		// conflict scan in EtaFor has already handled in-window spacing,
+		// conflict scan in etaFor has already handled in-window spacing,
 		// and if any in-window instruction used this pipeline its own
 		// spacing against the boundary was enforced when it was placed.
 		if last, ok := e.entry.PipeLast[pipe]; ok && !e.pipeSeen(pipe, i) {
-			enq := e.M.EnqueueTime(pipe)
 			if d := enq - (prevIssue + 1 - last); d > need {
 				need = d
 			}

@@ -295,7 +295,8 @@ func DeadStoreElim(b *ir.Block) bool {
 func DCE(b *ir.Block) bool {
 	used := map[int]bool{}
 	for _, t := range b.Tuples {
-		for _, r := range t.Refs() {
+		refs, n := t.Refs()
+		for _, r := range refs[:n] {
 			used[r] = true
 		}
 	}

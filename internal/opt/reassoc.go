@@ -32,7 +32,8 @@ import (
 func Reassociate(b *ir.Block) bool {
 	uses := map[int]int{}
 	for _, t := range b.Tuples {
-		for _, r := range t.Refs() {
+		refs, n := t.Refs()
+		for _, r := range refs[:n] {
 			uses[r]++
 		}
 	}
@@ -44,7 +45,8 @@ func Reassociate(b *ir.Block) bool {
 		if t.Op != ir.Add && t.Op != ir.Mul {
 			continue
 		}
-		for _, r := range t.Refs() {
+		refs, n := t.Refs()
+		for _, r := range refs[:n] {
 			if j := b.Pos(r); j >= 0 {
 				child := b.Tuples[j]
 				if child.Op == t.Op && uses[child.ID] == 1 {

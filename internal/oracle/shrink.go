@@ -42,7 +42,8 @@ func deleteTuple(b *ir.Block, i int) *ir.Block {
 		if j == i {
 			continue
 		}
-		for _, r := range t.Refs() {
+		refs, n := t.Refs()
+		for _, r := range refs[:n] {
 			if r == id {
 				return nil
 			}

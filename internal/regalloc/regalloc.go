@@ -52,7 +52,8 @@ func intervals(b *ir.Block) (map[int][2]int, int) {
 		if t.Op.ProducesValue() {
 			iv[t.ID] = [2]int{i, i}
 		}
-		for _, r := range t.Refs() {
+		refs, n := t.Refs()
+		for _, r := range refs[:n] {
 			if span, ok := iv[r]; ok {
 				span[1] = i
 				iv[r] = span
