@@ -5,6 +5,7 @@ import (
 
 	"pipesched/internal/listsched"
 	"pipesched/internal/machine"
+	"pipesched/internal/memo"
 )
 
 // heavyBlock is a synthetic 19-tuple block whose optimality proof on the
@@ -33,7 +34,7 @@ const heavyBlock = `block:
 `
 
 // maxFindAllocs bounds the allocations of one Find however many nodes it
-// expands: setup, seeding and the dominance table's amortized growth.
+// expands: setup, seeding and the dominance table's growth to its bound.
 const maxFindAllocs = 256
 
 // TestFindAllocsFlat pins the search hot path as allocation-free: a Find
@@ -59,4 +60,45 @@ func TestFindAllocsFlat(t *testing.T) {
 			allocs, s.Stats.OmegaCalls, maxFindAllocs)
 	}
 	t.Logf("%.0f allocations, %d Ω-calls, %d memo hits", allocs, s.Stats.OmegaCalls, s.Stats.MemoHits)
+}
+
+// TestFindAllocsFlatScoreboard is TestFindAllocsFlat in scoreboard mode:
+// a search that stores tens of thousands of states, and so flushes its
+// dominance table many times, still allocates within the same budget,
+// and the table never holds more storage than its byte bound.
+func TestFindAllocsFlatScoreboard(t *testing.T) {
+	defer func(orig func(int, int) *memo.Table) { newTable = orig }(newTable)
+	tables := make([]*memo.Table, 0, 4)
+	newTable = func(capEntries, capWords int) *memo.Table {
+		tb := memo.NewTable(capEntries, capWords)
+		tables = append(tables, tb)
+		return tb
+	}
+	g := mustGraph(t, heavyBlock)
+	m := machine.SimulationMachine()
+	opts := Options{Sched: machine.Scoreboard(8, 2), Lambda: 200_000, SeedPriority: listsched.ByHeight}
+	var s *Schedule
+	allocs := testing.AllocsPerRun(1, func() {
+		tables = tables[:0]
+		var err error
+		if s, err = Find(g, m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(tables) != 1 {
+		t.Fatalf("Find built %d dominance tables, want 1", len(tables))
+	}
+	_, _, stores, flushes := tables[0].Stats()
+	if s.Stats.OmegaCalls < 100_000 || s.Stats.MemoHits == 0 || flushes == 0 {
+		t.Fatalf("block no longer exercises the bounded table: Ω=%d memo hits=%d stores=%d flushes=%d",
+			s.Stats.OmegaCalls, s.Stats.MemoHits, stores, flushes)
+	}
+	if b := tables[0].Bytes(); b > scoreboardMemoBytes {
+		t.Fatalf("the dominance table holds %d bytes, bound %d", b, scoreboardMemoBytes)
+	}
+	if allocs > maxFindAllocs {
+		t.Fatalf("Find allocated %.0f times over %d Ω-calls, want ≤ %d", allocs, s.Stats.OmegaCalls, maxFindAllocs)
+	}
+	t.Logf("%.0f allocations, %d Ω-calls, %d memo hits, %d stores, %d flushes, %d table bytes",
+		allocs, s.Stats.OmegaCalls, s.Stats.MemoHits, stores, flushes, tables[0].Bytes())
 }

@@ -135,15 +135,10 @@ type Options struct {
 	DisableLowerBound bool
 
 	// DisableMemo turns off the dominance/transposition table
-	// (internal/memo): revisited search states whose recorded
-	// cost-so-far dominates are no longer pruned. Disable for a
+	// (internal/memo) in every mode: revisited search states whose
+	// recorded cost-so-far dominates are no longer pruned. Disable for a
 	// paper-faithful search (ablation).
 	DisableMemo bool
-
-	// MemoEntries bounds the dominance table (entries per searcher, one
-	// table per worker in a parallel search). Zero selects
-	// memo.DefaultCap.
-	MemoEntries int
 
 	// DisableGreedySeed stops the search from also pricing the
 	// Gross-style greedy schedule and seeding with the cheaper of the two
@@ -251,12 +246,17 @@ type evaluator interface {
 
 // stateKeyer is the optional part of the evaluator contract: a mode that
 // can name its residual scheduling problem gets the dominance table. The
-// key must be admissible — two prefixes with equal keys must have the
-// same completions at the same incremental costs. Scoreboard mode has no
-// such key yet, so its searches run without a memo.
+// key must be admissible: when two prefixes have equal keys, every
+// completion of the one whose returned cost is no higher must cost no
+// more than the same completion of the other. The in-order key is
+// relative to the last issue tick (internal/memo), the scoreboard key
+// to the window's base tick (scoreboard.go).
 type stateKeyer interface {
-	key(dst []uint64) []uint64 // the current state's key, written into dst
-	keyWords() int             // the longest key, in words
+	// key writes the current state's key into dst and returns it with the
+	// cost-so-far the table compares under it.
+	key(dst []uint64) ([]uint64, int)
+	keyWords() int                   // the longest key, in words
+	memoBound() (entries, words int) // the table's bound, per searcher
 }
 
 // newTable builds each searcher's dominance table; a test swaps in a
@@ -350,7 +350,7 @@ type searcher struct {
 func (p *problem) newSearcher(ev evaluator, perm []int) *searcher {
 	s := &searcher{problem: p, ev: ev, perm: append([]int(nil), perm...), bestCost: noIncumbent}
 	if k, ok := ev.(stateKeyer); ok && !p.opts.DisableMemo {
-		s.keyer, s.table, s.kw = k, newTable(p.opts.MemoEntries), k.keyWords()
+		s.keyer, s.table, s.kw = k, newTable(k.memoBound()), k.keyWords()
 	}
 	if p.opts.Sched.NeedsPressure() {
 		s.lt = newLiveTracker(p.g)
@@ -742,12 +742,13 @@ func (s *searcher) expand(i, xi, eta int) bool {
 	// peak-so-far), this visit cannot improve on what that one saw (or
 	// pruned against a then-no-tighter incumbent).
 	var key []uint64
+	var keyCost int
 	if s.table != nil {
 		if s.keys == nil {
 			s.keys = make([]uint64, s.g.N*s.kw)
 		}
-		key = s.keyer.key(s.keys[i*s.kw : i*s.kw : (i+1)*s.kw])
-		if s.table.Dominated(key, cost, peak) {
+		key, keyCost = s.keyer.key(s.keys[i*s.kw : i*s.kw : (i+1)*s.kw])
+		if s.table.Dominated(key, keyCost, peak) {
 			s.stats.MemoHits++
 			s.trace(TraceMemo, i, xi, 0)
 			return !s.curtail
@@ -760,7 +761,7 @@ func (s *searcher) expand(i, xi, eta int) bool {
 	// subtree returned false above): dominance from a partially searched
 	// state could prune the only optimum.
 	if s.table != nil {
-		s.table.Store(key, cost, peak)
+		s.table.Store(key, keyCost, peak)
 	}
 	return !s.curtail
 }

@@ -38,7 +38,7 @@ func newInOrderEval(p *problem) *inOrderEval {
 		e.eval.SetEntryState(p.opts.Entry)
 	}
 	if !p.opts.DisableMemo {
-		e.enc = memo.NewEncoder(p.g.N, len(p.m.Pipelines), e.maxResidual())
+		e.enc = memo.NewEncoder(p.g.N, len(p.m.Pipelines), 2, e.maxResidual())
 	}
 	if p.opts.DisableLowerBound && p.opts.DisableMemo {
 		return e
@@ -129,7 +129,8 @@ func (e *inOrderEval) maxResidual() int {
 	return r
 }
 
-func (e *inOrderEval) keyWords() int { return e.enc.Words() }
+func (e *inOrderEval) keyWords() int                   { return e.enc.Words() }
+func (e *inOrderEval) memoBound() (entries, words int) { return memo.DefaultCap, 0 }
 
 // key writes the canonical dominance key of the CURRENT evaluator state
 // into dst: scheduled set, per-pipeline enqueue residuals, in-flight
@@ -137,13 +138,14 @@ func (e *inOrderEval) keyWords() int { return e.enc.Words() }
 // unsatisfied external ready times — everything Ω consults when pricing
 // any completion, encoded relative to the last issue tick so revisits at
 // different absolute times collide (internal/memo has the full argument).
-func (e *inOrderEval) key(dst []uint64) []uint64 {
+// The table compares the NOPs so far.
+func (e *inOrderEval) key(dst []uint64) ([]uint64, int) {
 	c := e.enc
 	c.Begin(dst, e.sched)
 	n := e.eval.Len()
 	last := e.eval.IssueAt(n - 1)
 	e.pipeRes = e.bnd.PipeResiduals(last, e.pipeRes)
-	c.Pipes(e.pipeRes)
+	c.Values(e.pipeRes)
 	// Issue ticks fall going back, so once even the slowest pipeline's
 	// result would have landed, every earlier producer's residual is 0.
 	for pos := n - 1; pos >= 0 && e.eval.IssueAt(pos)+e.maxLat > last+1; pos-- {
@@ -164,5 +166,5 @@ func (e *inOrderEval) key(dst []uint64) []uint64 {
 		}
 	}
 	c.SealPairs()
-	return c.Key()
+	return c.Key(), e.eval.TotalNOPs()
 }

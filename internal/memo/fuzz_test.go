@@ -56,7 +56,7 @@ func FuzzCanonKey(f *testing.F) {
 		for _, d := range pipeDeadline {
 			want.pipes = append(want.pipes, Residual(d, lastIssue))
 		}
-		if got := decodeKey(NewEncoder(n, numPipes, testMaxResidual), numPipes, base); !got.equal(want) {
+		if got := decodeKey(NewEncoder(n, numPipes, 2, testMaxResidual), numPipes, base); !got.equal(want) {
 			t.Fatalf("key decodes to %+v, want %+v", got, want)
 		}
 

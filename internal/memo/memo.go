@@ -10,11 +10,12 @@
 // The table is keyed by a canonical encoding of the state (Encoder),
 // designed so that two states with identical completion spaces collide:
 //
-//   - All timing is RELATIVE to the last issue tick. Two occurrences of
-//     the same residual problem at different absolute ticks — "renumbered"
-//     states, the common case along permuted prefixes — produce the same
-//     key, because a completion's tick count beyond lastIssue is
-//     translation-invariant.
+//   - All timing is RELATIVE to a base tick before every future issue:
+//     the last issue tick on the in-order machine, the window's base on
+//     the scoreboard. Two occurrences of the same residual problem at
+//     different absolute ticks — "renumbered" states, the common case
+//     along permuted prefixes — produce the same key, because a
+//     completion's ticks beyond the base are translation-invariant.
 //   - Expired constraints vanish. A pipeline whose enqueue conflict has
 //     drained, or an in-flight producer whose result is already
 //     available, contributes nothing, so states differing only in dead
@@ -27,10 +28,14 @@
 //     different futures.
 //
 // A key is a run of uint64 words, bit-packed with field widths fixed
-// once per search: N bits of scheduled set, one residual per pipeline,
-// then the in-flight and the external-ready sections, each a count and
-// its (node, residual) pairs sorted by node. The table is open
-// addressing over a flat key arena and compares every key word on a
+// once per search: N bits of scheduled set, then the mode's fixed-width
+// residual fields and its (node, residual) pair sections, each a count
+// and its pairs sorted by node. The in-order modes write one residual
+// per pipeline, then the in-flight and the external-ready sections; the
+// scoreboard mode writes residual fields only: its top window ticks, one
+// per pipeline and one per frontier node (DESIGN.md §11 has both
+// layouts). The table is
+// open addressing over a flat key arena and compares every key word on a
 // hash match, so a hash collision can never claim dominance.
 //
 // Soundness of the prune (DESIGN.md §11): entries are stored only after
@@ -41,15 +46,18 @@
 // then-weaker-or-equal incumbent, so discarding it never changes the
 // search's returned cost — only the work done to find it.
 //
-// The table is bounded: once full it stops admitting NEW keys (lookups
-// and in-place improvements continue), so memory stays capped without
-// an eviction policy that could break reproducibility.
+// The table is bounded: once full, storing a new key flushes every entry
+// and starts over in the same storage. Forgetting an entry only forgoes
+// prunes, so a flush is always sound, and it is deterministic, so the
+// search stays reproducible.
 package memo
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Residual converts an absolute tick constraint to the canonical
@@ -64,10 +72,10 @@ func Residual(deadline, lastIssue int) int {
 }
 
 // Encoder writes one state's key into caller-owned words. The caller
-// contributes sections in a fixed order — Begin with the scheduled set,
-// Pipes, in-flight Pairs then SealPairs, external-ready Pairs then
-// SealPairs — and reads the result with Key. Reuse one Encoder per
-// searcher.
+// starts with Begin and the scheduled set, then writes its residual
+// fields (Value, Values) and pair sections (Pair, then SealPairs) in an
+// order of its own that is the same for every key, and reads the result
+// with Key. Reuse one Encoder per searcher.
 type Encoder struct {
 	n        int
 	nodeBits uint // width of a node number and of a pair count
@@ -75,26 +83,30 @@ type Encoder struct {
 	maxRes   int
 	words    int // the longest key, in words
 
-	dst   []uint64 // the finished words
+	dst   []uint64 // the key's words, at full capacity
+	w     int      // words of dst filled
 	cur   uint64   // the word being filled
+	peak  int      // the largest residual written since Begin
 	off   uint     // bits of cur filled
 	pairs [][2]int // (node, residual) for the current section
 }
 
-// NewEncoder fixes the field widths for keys of an n-node block on a
-// machine with the given number of pipelines, whose residuals never
-// exceed maxResidual. A residual above it panics rather than alias
-// another state.
-func NewEncoder(n, pipes, maxResidual int) *Encoder {
+// NewEncoder fixes the field widths for keys of an n-node block with at
+// most the given number of residual fields and exactly the given number
+// of pair sections, whose residuals never exceed maxResidual. A node may
+// appear in at most one section. A residual above maxResidual panics
+// rather than alias another state.
+func NewEncoder(n, fields, sections, maxResidual int) *Encoder {
 	e := &Encoder{
 		n:        n,
 		nodeBits: uint(max(bits.Len(uint(n)), 1)),
 		resBits:  uint(max(bits.Len(uint(max(maxResidual, 0))), 1)),
 		maxRes:   maxResidual,
 	}
-	// A node is in at most one section: in-flight producers are
-	// scheduled, external-ready nodes are not.
-	total := uint(n) + uint(pipes)*e.resBits + 2*e.nodeBits + uint(n)*(e.nodeBits+e.resBits)
+	total := uint(n) + uint(fields)*e.resBits + uint(sections)*e.nodeBits
+	if sections > 0 {
+		total += uint(n) * (e.nodeBits + e.resBits) // every node in some section
+	}
 	e.words = int((total + 63) / 64)
 	return e
 }
@@ -105,13 +117,15 @@ func (e *Encoder) Words() int { return e.words }
 // SchedWords is the length of the scheduled-set bitset Begin takes.
 func SchedWords(n int) int { return (n + 63) / 64 }
 
-// Begin starts a key in dst (its contents are overwritten) from the
-// scheduled set: bit u of scheduled is set iff node u is scheduled, and
-// scheduled has SchedWords(n) words with no bit at or above n.
+// Begin starts a key in dst, which must have capacity for Words words
+// (its contents are overwritten), from the scheduled set: bit u of
+// scheduled is set iff node u is scheduled, and scheduled has
+// SchedWords(n) words with no bit at or above n.
 func (e *Encoder) Begin(dst, scheduled []uint64) {
 	full := e.n / 64
-	e.dst = append(dst[:0], scheduled[:full]...)
-	e.cur, e.off = 0, uint(e.n%64)
+	e.dst = dst[:cap(dst)]
+	e.w = copy(e.dst, scheduled[:full])
+	e.cur, e.off, e.peak = 0, uint(e.n%64), 0
 	if e.off > 0 {
 		e.cur = scheduled[full]
 	}
@@ -123,38 +137,31 @@ func (e *Encoder) put(v uint64, w uint) {
 	e.cur |= v << e.off
 	e.off += w
 	if e.off >= 64 {
-		e.dst = append(e.dst, e.cur)
+		e.dst[e.w] = e.cur
+		e.w++
 		e.off -= 64
 		e.cur = v >> (w - e.off) // the bits that did not fit (none when off is 0)
 	}
 }
 
-func (e *Encoder) putResidual(r int) {
-	if r > e.maxRes {
-		e.overflow(r)
-	}
+// Value appends one residual-width field: 0 ≤ r ≤ the layout's
+// maxResidual. Key checks the bound once for the whole key, which keeps
+// Value small enough to inline.
+func (e *Encoder) Value(r int) {
+	e.peak = max(e.peak, r)
 	e.put(uint64(r), e.resBits)
 }
 
-// overflow panics: a residual above the layout's bound would alias
-// another state's key.
-func (e *Encoder) overflow(r int) {
-	panic(fmt.Sprintf("memo: residual %d exceeds the key layout's %d", r, e.maxRes))
-}
-
-// Pipes appends the per-pipeline enqueue residuals, one per pipeline in
-// machine table order. Call exactly once, after Begin.
-func (e *Encoder) Pipes(residuals []int) {
-	for _, r := range residuals {
-		e.putResidual(r)
+// Values appends one residual-width field per element of rs.
+func (e *Encoder) Values(rs []int) {
+	for _, r := range rs {
+		e.Value(r)
 	}
 }
 
-// Pair records one (node, residual) constraint for the CURRENT section —
-// in-flight flow producers after Pipes, external ready times after the
-// first SealPairs. Zero residuals are dropped (expired constraints must
-// not perturb the key); nodes may arrive in any order (pairs are sorted
-// at seal time).
+// Pair records one (node, residual) constraint for the CURRENT section.
+// Zero residuals are dropped (expired constraints must not perturb the
+// key); nodes may arrive in any order (pairs are sorted at seal time).
 func (e *Encoder) Pair(node, residual int) {
 	if residual > 0 {
 		e.pairs = append(e.pairs, [2]int{node, residual})
@@ -162,8 +169,8 @@ func (e *Encoder) Pair(node, residual int) {
 }
 
 // SealPairs closes the current (node, residual) section, writing its
-// count and its pairs sorted by node, and opens the next. Call once
-// after the in-flight pairs and once after the ready pairs.
+// count and its pairs sorted by node, and opens the next. Call it once
+// per section, also for an empty one.
 func (e *Encoder) SealPairs() {
 	// Insertion sort by node: sections are small (live constraints only)
 	// and a node appears at most once per section.
@@ -176,26 +183,51 @@ func (e *Encoder) SealPairs() {
 	e.put(uint64(len(ps)), e.nodeBits)
 	for _, p := range ps {
 		e.put(uint64(p[0]), e.nodeBits)
-		e.putResidual(p[1])
+		e.Value(p[1])
 	}
 	e.pairs = ps[:0]
 }
 
-// Key returns the finished key: dst as passed to Begin, resliced, or a
-// larger copy if dst was too short. Call it once per Begin.
+// Key returns the finished key: dst as passed to Begin, resliced. Call
+// it once per Begin. It panics when a residual exceeded the layout's
+// bound: the truncated field would alias another state's key.
 func (e *Encoder) Key() []uint64 {
-	if e.off > 0 {
-		e.dst = append(e.dst, e.cur)
+	if e.peak > e.maxRes {
+		panic(fmt.Sprintf("memo: residual %d exceeds the key layout's %d", e.peak, e.maxRes))
 	}
-	return e.dst
+	if e.off > 0 {
+		e.dst[e.w] = e.cur
+		e.w++
+	}
+	return e.dst[:e.w]
 }
 
 // DefaultCap is the default bound on table entries. An entry costs 16
-// bytes of entry, 8 per key word (one or two on 20-node blocks) and 8 to
-// 16 of slot index; with append slack that measured 40–46 bytes per entry
-// on the example machine's heaviest blocks, so a full table stays under
-// ~12 MB.
+// bytes of entry, 8 per key word (one or two on 20-node blocks) and 8 of
+// slot index, so a full table of two-word keys holds 10 MB; the in-order
+// searches never come near it.
 const DefaultCap = 1 << 18
+
+// minEntries is how many entries a table makes room for at its first
+// Store.
+const minEntries = 32
+
+// entryBytes is what one entry costs beyond its key words: the entry
+// itself and two uint32 slots (the slot array stays at most half full).
+const entryBytes = int(unsafe.Sizeof(entry{})) + 2*4
+
+// SplitBytes divides a storage budget into a table bound: the largest
+// power-of-two entry count whose entries and slots take at most half of
+// bytes, and as many key words as the rest holds. A table with that
+// bound never holds more than bytes (Bytes), for budgets of at least
+// 64·entryBytes.
+func SplitBytes(bytes int) (entries, words int) {
+	entries = 1
+	for 2*entries*entryBytes <= bytes/2 {
+		entries *= 2
+	}
+	return entries, (bytes - entries*entryBytes) / 8
+}
 
 // record is one stored visit: the (cost-so-far, peak-pressure-so-far)
 // pair at which the state's subtree was fully explored. Paper-mode
@@ -226,32 +258,41 @@ type entry struct {
 // Table is a bounded map from state key to the best (cost-so-far,
 // peak-pressure-so-far) pair at which the state's subtree has been fully
 // explored. It is NOT safe for concurrent use; parallel searches hold one
-// per worker. A table allocates nothing until its first Store.
+// per worker. A table allocates nothing until its first Store, then
+// doubles its storage as it fills, never past its bound, and keeps that
+// storage through every flush.
 type Table struct {
 	slots []uint32 // open addressing, linear probing: entry index + 1, 0 = empty
 	ents  []entry
 	arena []uint64
-	cap   int
-	hash  func([]uint64) uint64
+
+	maxEntries, maxWords int
+	hash                 func([]uint64) uint64
 
 	hits    int64
 	misses  int64
 	stores  int64
-	dropped int64 // stores refused because the table was full
+	flushes int64 // times a full table was emptied to admit a new key
+	bytes   int   // the most storage held at once
 }
 
 // NewTable creates a table bounded to capEntries keys (<= 0 selects
-// DefaultCap).
-func NewTable(capEntries int) *Table { return NewTableHash(capEntries, hashWords) }
+// DefaultCap) and, when capWords > 0, to capWords key words in all.
+func NewTable(capEntries, capWords int) *Table {
+	return NewTableHash(capEntries, capWords, hashWords)
+}
 
 // NewTableHash is NewTable with a caller-chosen key hash. A degenerate
 // hash puts every key in one probe chain, which shows that the full-key
 // compare alone keeps the table exact.
-func NewTableHash(capEntries int, hash func(key []uint64) uint64) *Table {
+func NewTableHash(capEntries, capWords int, hash func(key []uint64) uint64) *Table {
 	if capEntries <= 0 {
 		capEntries = DefaultCap
 	}
-	return &Table{cap: capEntries, hash: hash}
+	if capWords <= 0 {
+		capWords = math.MaxInt
+	}
+	return &Table{maxEntries: capEntries, maxWords: capWords, hash: hash}
 }
 
 // hashWords mixes the key's length and words.
@@ -307,14 +348,14 @@ func (t *Table) Dominated(key []uint64, cost, live int) bool {
 // (cost-so-far, peak-pressure-so-far). The table keeps one pair per key:
 // a new pair replaces the old only when it dominates it component-wise
 // (any genuinely reached pair makes Dominated sound, so which pair is
-// kept is purely a hit-rate heuristic). New keys are dropped once the
-// table is full; dominating improvements to existing keys always land.
-// The table copies key.
+// kept is purely a hit-rate heuristic). A new key that finds the table
+// full, in entries or in key words, flushes it first. The table copies
+// key.
 func (t *Table) Store(key []uint64, cost, live int) {
 	rec := record{cost: int32(cost), live: int32(live)}
 	h := t.hash(key)
-	if len(t.slots) == 0 {
-		t.slots = make([]uint32, 64)
+	if t.slots == nil {
+		t.resize(min(minEntries, t.maxEntries))
 	}
 	slot, i := t.find(key, h)
 	if i >= 0 {
@@ -323,22 +364,33 @@ func (t *Table) Store(key []uint64, cost, live int) {
 		}
 		return
 	}
-	if len(t.ents) >= t.cap {
-		t.dropped++
-		return
+	if len(t.ents) == t.maxEntries || len(t.arena)+len(key) > t.maxWords {
+		t.flush()
+		slot, _ = t.find(key, h)
+	}
+	if n := len(t.ents); n == cap(t.ents) {
+		t.resize(min(2*n, t.maxEntries))
+		slot, _ = t.find(key, h)
+	}
+	if need := len(t.arena) + len(key); need > cap(t.arena) {
+		arena := make([]uint64, len(t.arena), min(max(2*cap(t.arena), 4*minEntries, need), t.maxWords))
+		copy(arena, t.arena)
+		t.arena = arena
+		t.noteBytes()
 	}
 	t.ents = append(t.ents, entry{hash: uint32(h), off: uint32(len(t.arena)), rec: rec})
 	t.arena = append(t.arena, key...)
 	t.stores++
 	t.slots[slot] = uint32(len(t.ents))
-	if 2*len(t.ents) > len(t.slots) {
-		t.grow()
-	}
 }
 
-// grow doubles the slot array, keeping the load at or below one half.
-func (t *Table) grow() {
-	t.slots = make([]uint32, 2*len(t.slots))
+// resize moves the entries into storage for the given number, with at
+// least twice as many slots so the load stays at or below one half.
+func (t *Table) resize(entries int) {
+	ents := make([]entry, len(t.ents), entries)
+	copy(ents, t.ents)
+	t.ents = ents
+	t.slots = make([]uint32, max(64, 1<<bits.Len(uint(2*entries-1))))
 	mask := len(t.slots) - 1
 	for i := range t.ents {
 		j := int(t.hash(t.key(i))>>32) & mask
@@ -347,13 +399,29 @@ func (t *Table) grow() {
 		}
 		t.slots[j] = uint32(i + 1)
 	}
+	t.noteBytes()
+}
+
+// noteBytes records the storage held now in the high-water mark.
+func (t *Table) noteBytes() {
+	t.bytes = max(t.bytes, 4*cap(t.slots)+int(unsafe.Sizeof(entry{}))*cap(t.ents)+8*cap(t.arena))
+}
+
+// flush empties the table in place.
+func (t *Table) flush() {
+	clear(t.slots)
+	t.ents, t.arena = t.ents[:0], t.arena[:0]
+	t.flushes++
 }
 
 // Len returns the number of stored states.
 func (t *Table) Len() int { return len(t.ents) }
 
+// Bytes returns the most storage the table has held at once.
+func (t *Table) Bytes() int { return t.bytes }
+
 // Stats returns cumulative lookup/store counters: dominance hits, lookup
-// misses, stored states, and stores dropped at capacity.
-func (t *Table) Stats() (hits, misses, stores, dropped int64) {
-	return t.hits, t.misses, t.stores, t.dropped
+// misses, stored states, and flushes of a full table.
+func (t *Table) Stats() (hits, misses, stores, flushes int64) {
+	return t.hits, t.misses, t.stores, t.flushes
 }

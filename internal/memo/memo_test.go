@@ -14,7 +14,7 @@ const testMaxResidual = 31
 // lastIssue — exercising exactly the translation the search performs.
 // Every call gets a fresh key, so results can be compared.
 func buildKey(n int, scheduled []int, lastIssue int, pipeDeadline []int, inflight, ready [][2]int) []uint64 {
-	c := NewEncoder(n, len(pipeDeadline), testMaxResidual)
+	c := NewEncoder(n, len(pipeDeadline), 2, testMaxResidual)
 	sched := make([]uint64, SchedWords(n))
 	for _, u := range scheduled {
 		sched[u/64] |= 1 << (u % 64)
@@ -24,7 +24,7 @@ func buildKey(n int, scheduled []int, lastIssue int, pipeDeadline []int, infligh
 	for i, d := range pipeDeadline {
 		res[i] = Residual(d, lastIssue)
 	}
-	c.Pipes(res)
+	c.Values(res)
 	for _, p := range inflight {
 		c.Pair(p[0], Residual(p[1], lastIssue))
 	}
@@ -114,7 +114,7 @@ func TestKeyPairOrderIrrelevant(t *testing.T) {
 }
 
 func TestTableDominance(t *testing.T) {
-	tb := NewTable(2)
+	tb := NewTable(2, 0)
 	if tb.Dominated(k(1), 5, 0) {
 		t.Fatal("empty table claimed dominance")
 	}
@@ -129,21 +129,58 @@ func TestTableDominance(t *testing.T) {
 	if !tb.Dominated(k(1), 3, 0) {
 		t.Fatal("improved entry not effective")
 	}
-	tb.Store(k(2), 1, 0)
-	tb.Store(k(3), 1, 0) // over capacity: dropped
-	if tb.Len() != 2 {
-		t.Fatalf("table grew past its cap: %d entries", tb.Len())
+	tb.Store(k(2), 1, 0) // now full
+	tb.Store(k(1), 2, 0) // improvements land in a full table without a flush
+	if tb.Len() != 2 || !tb.Dominated(k(1), 2, 0) {
+		t.Fatalf("improvement at capacity: %d entries, dominated=%v", tb.Len(), tb.Dominated(k(1), 2, 0))
 	}
 	if tb.Dominated(k(3), 9, 9) {
-		t.Fatal("dropped key claimed dominance")
+		t.Fatal("absent key claimed dominance")
 	}
-	tb.Store(k(1), 2, 0) // improvements still land when full
-	if !tb.Dominated(k(1), 2, 0) {
-		t.Fatal("improvement at capacity did not land")
+	tb.Store(k(3), 1, 0) // a new key at capacity flushes, then lands
+	if tb.Len() != 1 {
+		t.Fatalf("full table did not flush: %d entries", tb.Len())
 	}
-	hits, misses, stores, dropped := tb.Stats()
-	if hits == 0 || misses == 0 || stores != 2 || dropped != 1 {
-		t.Fatalf("stats hits=%d misses=%d stores=%d dropped=%d", hits, misses, stores, dropped)
+	if tb.Dominated(k(1), 9, 9) || tb.Dominated(k(2), 9, 9) {
+		t.Fatal("flushed key claimed dominance")
+	}
+	if !tb.Dominated(k(3), 1, 0) {
+		t.Fatal("key stored by the flush lost")
+	}
+	hits, misses, stores, flushes := tb.Stats()
+	if hits == 0 || misses == 0 || stores != 3 || flushes != 1 {
+		t.Fatalf("stats hits=%d misses=%d stores=%d flushes=%d", hits, misses, stores, flushes)
+	}
+}
+
+// TestTableBytesBound: a table bounded by SplitBytes never holds more
+// storage than the budget, however many keys pass through it, flushes
+// when either its entries or its key words run out, and keeps the same
+// storage across flushes.
+func TestTableBytesBound(t *testing.T) {
+	const budget = 96 << 10
+	entries, words := SplitBytes(budget)
+	if entries&(entries-1) != 0 || 2*entries*entryBytes <= budget/2 {
+		t.Fatalf("SplitBytes(%d) = %d entries: not the largest power of two in half the budget", budget, entries)
+	}
+	for _, maxLen := range []uint64{1, 3, 5} { // 5 words a key: the words run out first
+		tb := NewTable(entries, words)
+		full := 0
+		for i := uint64(0); i < uint64(8*entries); i++ {
+			tb.Store(k(i, i>>3, i>>5, i>>7, i>>9)[:1+i%maxLen], 1, 0)
+			b := tb.Bytes()
+			if b > budget {
+				t.Fatalf("after %d stores the table holds %d bytes, budget %d", i+1, b, budget)
+			}
+			if i == uint64(4*entries) {
+				full = b
+			} else if full != 0 && b != full {
+				t.Fatalf("storage at its bound changed: %d -> %d bytes", full, b)
+			}
+		}
+		if _, _, stores, flushes := tb.Stats(); stores != int64(8*entries) || flushes < 4 {
+			t.Fatalf("keys of up to %d words: stores=%d flushes=%d", maxLen, stores, flushes)
+		}
 	}
 }
 
@@ -151,7 +188,7 @@ func TestTableDominance(t *testing.T) {
 // (cost, live) — a lower cost with a higher pressure-so-far does NOT
 // dominate, and vice versa.
 func TestTablePairDominance(t *testing.T) {
-	tb := NewTable(0)
+	tb := NewTable(0, 0)
 	tb.Store(k(7, 9), 5, 3)
 	if !tb.Dominated(k(7, 9), 5, 3) || !tb.Dominated(k(7, 9), 6, 3) || !tb.Dominated(k(7, 9), 5, 4) {
 		t.Fatal("component-wise worse revisit not dominated")
@@ -252,7 +289,7 @@ func TestKeyRoundTrip(t *testing.T) {
 		ready := [][2]int{{n / 3, 30}, {n - 2, 12}}
 		pipes := []int{10 + n%7, 3, 40}
 		key := buildKey(n, sched, 10, pipes, inflight, ready)
-		c := NewEncoder(n, len(pipes), testMaxResidual)
+		c := NewEncoder(n, len(pipes), 2, testMaxResidual)
 		got := decodeKey(c, len(pipes), key)
 		want := decodedKey{sched: sched}
 		for _, d := range pipes {
@@ -280,7 +317,7 @@ func TestKeyResidualOverflowPanics(t *testing.T) {
 // lands in one probe chain and only the full-word compare tells them
 // apart — so only a word-equal key may be dominated.
 func TestTableConstantHash(t *testing.T) {
-	tb := NewTableHash(0, func([]uint64) uint64 { return 0 })
+	tb := NewTableHash(0, 0, func([]uint64) uint64 { return 0 })
 	var keys [][]uint64
 	for i := uint64(0); i < 300; i++ {
 		keys = append(keys, k(i), k(i, 0), k(i, 0, 0), k(i, i+1))

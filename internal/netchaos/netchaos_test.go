@@ -2,6 +2,7 @@ package netchaos
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -35,12 +36,13 @@ func payloadServer(t *testing.T, payload []byte) string {
 }
 
 // dialRead connects through the proxy and reads until EOF or error,
-// returning whatever arrived and the terminal error.
-func dialRead(t *testing.T, addr string) ([]byte, error) {
-	t.Helper()
+// returning whatever arrived and the terminal error. A dial error is that
+// connection's terminal error too: on loopback a dropped connection can
+// be reset before the non-blocking connect reports completion.
+func dialRead(addr string) ([]byte, error) {
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
-		t.Fatalf("dial proxy: %v", err)
+		return nil, fmt.Errorf("dial proxy: %w", err)
 	}
 	defer c.Close()
 	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -62,7 +64,7 @@ func newProxy(t *testing.T, target string) *Proxy {
 func TestProxyPassThrough(t *testing.T) {
 	payload := bytes.Repeat([]byte("pipesched"), 100)
 	p := newProxy(t, payloadServer(t, payload))
-	got, err := dialRead(t, p.Addr())
+	got, err := dialRead(p.Addr())
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -76,7 +78,7 @@ func TestProxyLatency(t *testing.T) {
 	p := newProxy(t, payloadServer(t, payload))
 	p.SetPlan(Plan{Latency: 150 * time.Millisecond}, 1)
 	start := time.Now()
-	got, err := dialRead(t, p.Addr())
+	got, err := dialRead(p.Addr())
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read: %v (%d bytes)", err, len(got))
 	}
@@ -92,7 +94,7 @@ func TestProxyDropMidBody(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 64<<10)
 	p := newProxy(t, payloadServer(t, payload))
 	p.SetPlan(Plan{DropAfter: 1024}, 1)
-	got, err := dialRead(t, p.Addr())
+	got, err := dialRead(p.Addr())
 	if err == nil {
 		t.Fatalf("dropped connection must surface a read error, got clean EOF after %d bytes", len(got))
 	}
@@ -105,7 +107,7 @@ func TestProxyTruncate(t *testing.T) {
 	payload := bytes.Repeat([]byte("y"), 64<<10)
 	p := newProxy(t, payloadServer(t, payload))
 	p.SetPlan(Plan{TruncateAfter: 2048}, 1)
-	got, err := dialRead(t, p.Addr())
+	got, err := dialRead(p.Addr())
 	// Truncation is a CLEAN close: the client sees a normal EOF around a
 	// short document — the JSON layer's "unexpected EOF", not a reset.
 	if err != nil {
@@ -121,7 +123,7 @@ func TestProxyPartition(t *testing.T) {
 	p := newProxy(t, payloadServer(t, payload))
 
 	// Healthy first.
-	if got, err := dialRead(t, p.Addr()); err != nil || !bytes.Equal(got, payload) {
+	if got, err := dialRead(p.Addr()); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("pre-partition read: %v", err)
 	}
 
@@ -142,7 +144,7 @@ func TestProxyPartition(t *testing.T) {
 
 	// Heal: traffic flows again without a new listener.
 	p.Partition(false)
-	if got, err := dialRead(t, p.Addr()); err != nil || !bytes.Equal(got, payload) {
+	if got, err := dialRead(p.Addr()); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("post-heal read: %v", err)
 	}
 }
@@ -202,7 +204,7 @@ func TestProxyNthDeterminism(t *testing.T) {
 		p := newProxy(t, target)
 		p.SetPlan(Plan{DropAfter: 512, Nth: 2}, 42)
 		for i := 1; i <= 3; i++ {
-			got, err := dialRead(t, p.Addr())
+			got, err := dialRead(p.Addr())
 			if i == 2 {
 				if err == nil {
 					t.Fatalf("run %d conn %d: Nth=2 plan did not fire", run, i)
@@ -226,7 +228,7 @@ func TestProxyTimesBudget(t *testing.T) {
 	p.SetPlan(Plan{DropAfter: 512, Times: 2}, 7)
 	failures := 0
 	for i := 0; i < 5; i++ {
-		if _, err := dialRead(t, p.Addr()); err != nil {
+		if _, err := dialRead(p.Addr()); err != nil {
 			failures++
 		}
 	}
@@ -242,11 +244,11 @@ func TestProxySetTargetSeversAndRepoints(t *testing.T) {
 	oldPayload := []byte("old worker")
 	newPayload := []byte("new worker")
 	p := newProxy(t, payloadServer(t, oldPayload))
-	if got, _ := dialRead(t, p.Addr()); !bytes.Equal(got, oldPayload) {
+	if got, _ := dialRead(p.Addr()); !bytes.Equal(got, oldPayload) {
 		t.Fatalf("pre-retarget read: %q", got)
 	}
 	p.SetTarget(payloadServer(t, newPayload))
-	if got, _ := dialRead(t, p.Addr()); !bytes.Equal(got, newPayload) {
+	if got, _ := dialRead(p.Addr()); !bytes.Equal(got, newPayload) {
 		t.Fatalf("post-retarget read: %q", got)
 	}
 }
@@ -257,7 +259,7 @@ func TestProxyBandwidthCap(t *testing.T) {
 	// 16 KiB/s over 4 KiB ≈ 250ms minimum.
 	p.SetPlan(Plan{BandwidthBPS: 16 << 10}, 1)
 	start := time.Now()
-	got, err := dialRead(t, p.Addr())
+	got, err := dialRead(p.Addr())
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read: %v (%d bytes)", err, len(got))
 	}
