@@ -36,6 +36,8 @@
 package bound
 
 import (
+	"slices"
+
 	"pipesched/internal/dag"
 	"pipesched/internal/machine"
 )
@@ -72,11 +74,11 @@ type Engine struct {
 	tails []int // longest latency-weighted path from node to any sink
 	root  int   // lower bound on total NOPs of any complete schedule
 
-	pipeIdx map[int]int // pipeline ID -> dense index
-	enq     []int       // per pipe index: enqueue time
-	forced  []int       // node -> forced pipe index, or -1
-	rem     []int       // per pipe index: unscheduled forced instructions
-	lastEnq []int       // per pipe index: absolute tick of latest enqueue (0 = never)
+	pipeIDs []int // dense index -> pipeline ID, in machine table order
+	enq     []int // per pipe index: enqueue time
+	forced  []int // node -> forced pipe index, or -1
+	rem     []int // per pipe index: unscheduled forced instructions
+	lastEnq []int // per pipe index: absolute tick of latest enqueue (0 = never)
 
 	remTotal int
 	drain    int // max over scheduled v of issue(v) + tails[v]
@@ -94,7 +96,7 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 	e := &Engine{
 		n:            n,
 		startTick:    cfg.StartTick,
-		pipeIdx:      make(map[int]int, len(m.Pipelines)),
+		pipeIDs:      make([]int, len(m.Pipelines)),
 		enq:          make([]int, len(m.Pipelines)),
 		forced:       make([]int, n),
 		rem:          make([]int, len(m.Pipelines)),
@@ -105,7 +107,7 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 		savedEnqPipe: make([]int, n),
 	}
 	for i, p := range m.Pipelines {
-		e.pipeIdx[p.ID] = i
+		e.pipeIDs[i] = p.ID
 		e.enq[i] = p.Enqueue
 		if last, ok := cfg.PipeLast[p.ID]; ok {
 			e.lastEnq[i] = last
@@ -133,7 +135,7 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 		}
 		minLat[u] = min
 		if len(set) == 1 && set[0] != machine.NoPipeline {
-			pi := e.pipeIdx[set[0]]
+			pi := slices.Index(e.pipeIDs, set[0])
 			e.forced[u] = pi
 			e.rem[pi]++
 		}
@@ -217,7 +219,7 @@ func (e *Engine) Push(u, pipeID, issue int) {
 		e.drain = t
 	}
 	if pipeID != machine.NoPipeline {
-		if pi, ok := e.pipeIdx[pipeID]; ok {
+		if pi := slices.Index(e.pipeIDs, pipeID); pi >= 0 {
 			e.savedEnqPipe[d] = pi
 			e.savedEnq[d] = e.lastEnq[pi]
 			e.lastEnq[pi] = issue
@@ -271,10 +273,6 @@ func (e *Engine) Lower(lastIssue int) (cp, res int) {
 	}
 	return cp, res
 }
-
-// Tails exposes the latency-weighted height of each node (read-only; used
-// by diagnostics and tests).
-func (e *Engine) Tails() []int { return e.tails }
 
 // PipeResiduals writes, per pipeline in machine table order, how many
 // ticks after lastIssue+1 the pipeline's enqueue slot stays blocked by

@@ -65,7 +65,9 @@ func TestFindAllocsFlat(t *testing.T) {
 // TestFindAllocsFlatScoreboard is TestFindAllocsFlat in scoreboard mode:
 // a search that stores tens of thousands of states, and so flushes its
 // dominance table many times, still allocates within the same budget,
-// and the table never holds more storage than its byte bound.
+// and the table never holds more storage than its byte bound. The lower
+// bound is off: with it, the block proves optimal in under 1,000 Ω-calls
+// and never fills the table.
 func TestFindAllocsFlatScoreboard(t *testing.T) {
 	defer func(orig func(int, int) *memo.Table) { newTable = orig }(newTable)
 	tables := make([]*memo.Table, 0, 4)
@@ -76,7 +78,7 @@ func TestFindAllocsFlatScoreboard(t *testing.T) {
 	}
 	g := mustGraph(t, heavyBlock)
 	m := machine.SimulationMachine()
-	opts := Options{Sched: machine.Scoreboard(8, 2), Lambda: 200_000, SeedPriority: listsched.ByHeight}
+	opts := Options{Sched: machine.Scoreboard(8, 2), Lambda: 200_000, SeedPriority: listsched.ByHeight, DisableLowerBound: true}
 	var s *Schedule
 	allocs := testing.AllocsPerRun(1, func() {
 		tables = tables[:0]

@@ -128,9 +128,10 @@ type Options struct {
 
 	// DisableLowerBound turns off the lower-bound engine's per-state
 	// pruning — the critical-path/height bound and the per-pipeline
-	// enqueue-occupancy bound (internal/bound) used to strengthen α–β
-	// (an optimality-preserving extension: both bounds are admissible,
-	// so only branches provably unable to beat the incumbent are cut).
+	// enqueue-occupancy bound (internal/bound, or the scoreboard mode's
+	// own in scoreboard.go) used to strengthen α–β (an
+	// optimality-preserving extension: both bounds are admissible, so
+	// only branches provably unable to beat the incumbent are cut).
 	// Disable for a paper-faithful search (ablation).
 	DisableLowerBound bool
 
@@ -176,7 +177,7 @@ type Stats struct {
 	PrunedStrongEquiv int64 // candidates removed by the extension filter
 	PrunedAlphaBeta   int64 // placements abandoned by α–β
 	PrunedLowerBound  int64 // placements abandoned by the critical-path bound
-	PrunedResource    int64 // placements abandoned by the enqueue-occupancy bound
+	PrunedResource    int64 // placements abandoned by the resource bound (enqueue occupancy; issue width too on the scoreboard)
 	PrunedPressure    int64 // placements abandoned by the MAXLIVE ≤ k constraint
 	MemoHits          int64 // placements abandoned by dominance (revisited state)
 	Curtailed         bool  // search stopped early (λ, deadline or cancellation)
@@ -696,11 +697,11 @@ func (s *searcher) expand(i, xi, eta int) bool {
 		return !s.curtail
 	}
 
-	// Lower bounds: from the just-issued tick, the schedule cannot finish
-	// before the longest scheduled dependent chain has drained
-	// (critical-path bound) nor, on the in-order machine, before every
-	// pipeline has accepted its remaining forced instructions (resource
-	// bound). If even an admissible bound cannot beat the incumbent, the
+	// Lower bounds: the schedule cannot finish before the longest
+	// dependent chain has drained (critical-path bound) nor before every
+	// pipeline has accepted its remaining forced instructions and, on the
+	// scoreboard, the issue width has let every instruction out
+	// (resource bound). If even an admissible bound cannot beat the incumbent, the
 	// branch is hopeless. (In minreg-lex each NOP bound is packed with
 	// the current peak — admissible because packing is monotone in both
 	// components.)

@@ -57,6 +57,7 @@ type goldenCase struct {
 	strong  bool
 	ablated bool // DisableLowerBound + DisableMemo: the paper's prune set alone
 	nomemo  bool // DisableMemo alone
+	nobound bool // DisableLowerBound alone
 }
 
 var goldenCases = []goldenCase{
@@ -73,6 +74,10 @@ var goldenCases = []goldenCase{
 	{name: "scoreboard=8x2-lambda40-nomemo", sched: "scoreboard=8x2", lambda: 40, nomemo: true},
 	{name: "scoreboard=4x2-strong-nomemo", sched: "scoreboard=4x2", strong: true, nomemo: true},
 	{name: "scoreboard=1x1-nomemo", sched: "scoreboard=1x1", nomemo: true},
+	{name: "scoreboard=8x2-nobound", sched: "scoreboard=8x2", nobound: true},
+	{name: "scoreboard=8x2-lambda40-nobound", sched: "scoreboard=8x2", lambda: 40, nobound: true},
+	{name: "scoreboard=4x2-strong-nobound", sched: "scoreboard=4x2", strong: true, nobound: true},
+	{name: "scoreboard=1x1-nobound", sched: "scoreboard=1x1", nobound: true},
 }
 
 // goldenLambda caps every case without its own λ, so the big scoreboard
@@ -84,32 +89,40 @@ const goldenLambda = 20000
 // exactly the same nodes in the same order and attribute every prune to
 // the same class, so any change here is a change to the search itself.
 var goldenEffort = map[string]effort{
-	"paper/example":                             {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3425, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 2270, PrunedIllegal: 3232, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 981, PrunedLowerBound: 619, PrunedResource: 56, PrunedPressure: 0, MemoHits: 498},
-	"paper/simulation":                          {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2886, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1536, PrunedIllegal: 3257, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 904, PrunedLowerBound: 444, PrunedResource: 6, PrunedPressure: 0, MemoHits: 500},
-	"paper-strong/example":                      {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3369, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 2263, PrunedIllegal: 3213, PrunedEquivalence: 0, PrunedStrongEq: 21, PrunedAlphaBeta: 963, PrunedLowerBound: 605, PrunedResource: 56, PrunedPressure: 0, MemoHits: 492},
-	"paper-strong/simulation":                   {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2883, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1534, PrunedIllegal: 3257, PrunedEquivalence: 0, PrunedStrongEq: 2, PrunedAlphaBeta: 903, PrunedLowerBound: 443, PrunedResource: 6, PrunedPressure: 0, MemoHits: 500},
-	"paper-ablated/example":                     {TotalNOPs: 136, InitialNOPs: 161, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 108136, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 16156, PrunedIllegal: 133402, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 68175, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"paper-ablated/simulation":                  {TotalNOPs: 75, InitialNOPs: 92, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 118259, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 9706, PrunedIllegal: 140041, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 73238, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"minreg-lex/example":                        {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 12349, SeedOmegaCalls: 1014, SchedulesExamined: 178, Improvements: 58, PrunedBounds: 7456, PrunedIllegal: 11948, PrunedEquivalence: 30, PrunedStrongEq: 0, PrunedAlphaBeta: 4734, PrunedLowerBound: 1524, PrunedResource: 190, PrunedPressure: 0, MemoHits: 2011},
-	"minreg-lex/simulation":                     {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 9363, SeedOmegaCalls: 1014, SchedulesExamined: 181, Improvements: 61, PrunedBounds: 5841, PrunedIllegal: 8856, PrunedEquivalence: 26, PrunedStrongEq: 0, PrunedAlphaBeta: 4107, PrunedLowerBound: 935, PrunedResource: 14, PrunedPressure: 0, MemoHits: 1295},
-	"minreg-k=3/example":                        {TotalNOPs: 160, InitialNOPs: 185, RootLB: 91, Optimal: 59, Curtailed: 0, Infeasible: 1, OmegaCalls: 10199, SeedOmegaCalls: 973, SchedulesExamined: 204, Improvements: 92, PrunedBounds: 5604, PrunedIllegal: 10276, PrunedEquivalence: 71, PrunedStrongEq: 0, PrunedAlphaBeta: 886, PrunedLowerBound: 1000, PrunedResource: 118, PrunedPressure: 3035, MemoHits: 1722},
-	"minreg-k=3/simulation":                     {TotalNOPs: 84, InitialNOPs: 113, RootLB: 51, Optimal: 59, Curtailed: 0, Infeasible: 1, OmegaCalls: 5796, SeedOmegaCalls: 941, SchedulesExamined: 188, Improvements: 80, PrunedBounds: 3620, PrunedIllegal: 6041, PrunedEquivalence: 20, PrunedStrongEq: 0, PrunedAlphaBeta: 617, PrunedLowerBound: 457, PrunedResource: 10, PrunedPressure: 1790, MemoHits: 827},
-	"scoreboard=8x2/example":                    {TotalNOPs: 336, InitialNOPs: 348, RootLB: 282, Optimal: 59, Curtailed: 1, Infeasible: 0, OmegaCalls: 39417, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 16940, PrunedIllegal: 42659, PrunedEquivalence: 23, PrunedStrongEq: 0, PrunedAlphaBeta: 687, PrunedLowerBound: 8463, PrunedResource: 0, PrunedPressure: 0, MemoHits: 16907},
-	"scoreboard=8x2/simulation":                 {TotalNOPs: 237, InitialNOPs: 251, RootLB: 203, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 29537, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 11293, PrunedIllegal: 40429, PrunedEquivalence: 31, PrunedStrongEq: 0, PrunedAlphaBeta: 368, PrunedLowerBound: 8369, PrunedResource: 0, PrunedPressure: 0, MemoHits: 10622},
-	"scoreboard=8x2-lambda40/example":           {TotalNOPs: 342, InitialNOPs: 348, RootLB: 282, Optimal: 39, Curtailed: 21, Infeasible: 0, OmegaCalls: 951, SeedOmegaCalls: 1011, SchedulesExamined: 123, Improvements: 4, PrunedBounds: 351, PrunedIllegal: 424, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 71, PrunedLowerBound: 222, PrunedResource: 0, PrunedPressure: 0, MemoHits: 165},
-	"scoreboard=8x2-lambda40/simulation":        {TotalNOPs: 243, InitialNOPs: 251, RootLB: 203, Optimal: 39, Curtailed: 21, Infeasible: 0, OmegaCalls: 947, SeedOmegaCalls: 999, SchedulesExamined: 124, Improvements: 6, PrunedBounds: 333, PrunedIllegal: 444, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 50, PrunedLowerBound: 263, PrunedResource: 0, PrunedPressure: 0, MemoHits: 149},
-	"scoreboard=4x2-strong/example":             {TotalNOPs: 336, InitialNOPs: 348, RootLB: 282, Optimal: 59, Curtailed: 1, Infeasible: 0, OmegaCalls: 35850, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 15335, PrunedIllegal: 41682, PrunedEquivalence: 0, PrunedStrongEq: 203, PrunedAlphaBeta: 596, PrunedLowerBound: 5648, PrunedResource: 0, PrunedPressure: 0, MemoHits: 18147},
-	"scoreboard=4x2-strong/simulation":          {TotalNOPs: 237, InitialNOPs: 251, RootLB: 203, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21880, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 9328, PrunedIllegal: 27353, PrunedEquivalence: 0, PrunedStrongEq: 285, PrunedAlphaBeta: 361, PrunedLowerBound: 5954, PrunedResource: 0, PrunedPressure: 0, MemoHits: 8229},
-	"scoreboard=1x1/example":                    {TotalNOPs: 136, InitialNOPs: 161, RootLB: 99, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 11557, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 3094, PrunedIllegal: 9920, PrunedEquivalence: 111, PrunedStrongEq: 0, PrunedAlphaBeta: 854, PrunedLowerBound: 3089, PrunedResource: 0, PrunedPressure: 0, MemoHits: 3480},
-	"scoreboard=1x1/simulation":                 {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 9487, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 2315, PrunedIllegal: 9961, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 380, PrunedLowerBound: 2673, PrunedResource: 0, PrunedPressure: 0, MemoHits: 3141},
-	"scoreboard=8x2-nomemo/example":             {TotalNOPs: 336, InitialNOPs: 348, RootLB: 282, Optimal: 56, Curtailed: 4, Infeasible: 0, OmegaCalls: 142245, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 28195, PrunedIllegal: 102231, PrunedEquivalence: 211, PrunedStrongEq: 0, PrunedAlphaBeta: 23918, PrunedLowerBound: 42062, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=8x2-nomemo/simulation":          {TotalNOPs: 238, InitialNOPs: 251, RootLB: 203, Optimal: 54, Curtailed: 6, Infeasible: 0, OmegaCalls: 151277, SeedOmegaCalls: 999, SchedulesExamined: 129, Improvements: 11, PrunedBounds: 26515, PrunedIllegal: 123994, PrunedEquivalence: 211, PrunedStrongEq: 0, PrunedAlphaBeta: 18463, PrunedLowerBound: 54590, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=8x2-lambda40-nomemo/example":    {TotalNOPs: 342, InitialNOPs: 348, RootLB: 282, Optimal: 39, Curtailed: 21, Infeasible: 0, OmegaCalls: 974, SeedOmegaCalls: 1011, SchedulesExamined: 123, Improvements: 4, PrunedBounds: 370, PrunedIllegal: 417, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 118, PrunedLowerBound: 278, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=8x2-lambda40-nomemo/simulation": {TotalNOPs: 243, InitialNOPs: 251, RootLB: 203, Optimal: 39, Curtailed: 21, Infeasible: 0, OmegaCalls: 960, SeedOmegaCalls: 999, SchedulesExamined: 124, Improvements: 6, PrunedBounds: 358, PrunedIllegal: 476, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 81, PrunedLowerBound: 314, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=4x2-strong-nomemo/example":      {TotalNOPs: 336, InitialNOPs: 348, RootLB: 282, Optimal: 56, Curtailed: 4, Infeasible: 0, OmegaCalls: 134475, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 28316, PrunedIllegal: 102756, PrunedEquivalence: 0, PrunedStrongEq: 3640, PrunedAlphaBeta: 20142, PrunedLowerBound: 42234, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=4x2-strong-nomemo/simulation":   {TotalNOPs: 238, InitialNOPs: 251, RootLB: 203, Optimal: 55, Curtailed: 5, Infeasible: 0, OmegaCalls: 141849, SeedOmegaCalls: 999, SchedulesExamined: 129, Improvements: 11, PrunedBounds: 26400, PrunedIllegal: 123987, PrunedEquivalence: 0, PrunedStrongEq: 4385, PrunedAlphaBeta: 14126, PrunedLowerBound: 54859, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=1x1-nomemo/example":             {TotalNOPs: 137, InitialNOPs: 161, RootLB: 99, Optimal: 58, Curtailed: 2, Infeasible: 0, OmegaCalls: 79742, SeedOmegaCalls: 970, SchedulesExamined: 136, Improvements: 24, PrunedBounds: 10121, PrunedIllegal: 53962, PrunedEquivalence: 438, PrunedStrongEq: 0, PrunedAlphaBeta: 20837, PrunedLowerBound: 22961, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=1x1-nomemo/simulation":          {TotalNOPs: 76, InitialNOPs: 92, RootLB: 58, Optimal: 58, Curtailed: 2, Infeasible: 0, OmegaCalls: 47520, SeedOmegaCalls: 912, SchedulesExamined: 121, Improvements: 16, PrunedBounds: 3288, PrunedIllegal: 33453, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 12102, PrunedLowerBound: 14183, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
+	"paper/example":                              {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3425, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 2270, PrunedIllegal: 3232, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 981, PrunedLowerBound: 619, PrunedResource: 56, PrunedPressure: 0, MemoHits: 498},
+	"paper/simulation":                           {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2886, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1536, PrunedIllegal: 3257, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 904, PrunedLowerBound: 444, PrunedResource: 6, PrunedPressure: 0, MemoHits: 500},
+	"paper-strong/example":                       {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3369, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 2263, PrunedIllegal: 3213, PrunedEquivalence: 0, PrunedStrongEq: 21, PrunedAlphaBeta: 963, PrunedLowerBound: 605, PrunedResource: 56, PrunedPressure: 0, MemoHits: 492},
+	"paper-strong/simulation":                    {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2883, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1534, PrunedIllegal: 3257, PrunedEquivalence: 0, PrunedStrongEq: 2, PrunedAlphaBeta: 903, PrunedLowerBound: 443, PrunedResource: 6, PrunedPressure: 0, MemoHits: 500},
+	"paper-ablated/example":                      {TotalNOPs: 136, InitialNOPs: 161, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 108136, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 16156, PrunedIllegal: 133402, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 68175, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
+	"paper-ablated/simulation":                   {TotalNOPs: 75, InitialNOPs: 92, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 118259, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 9706, PrunedIllegal: 140041, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 73238, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 0},
+	"minreg-lex/example":                         {TotalNOPs: 136, InitialNOPs: 161, RootLB: 100, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 12349, SeedOmegaCalls: 1014, SchedulesExamined: 178, Improvements: 58, PrunedBounds: 7456, PrunedIllegal: 11948, PrunedEquivalence: 30, PrunedStrongEq: 0, PrunedAlphaBeta: 4734, PrunedLowerBound: 1524, PrunedResource: 190, PrunedPressure: 0, MemoHits: 2011},
+	"minreg-lex/simulation":                      {TotalNOPs: 75, InitialNOPs: 92, RootLB: 58, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 9363, SeedOmegaCalls: 1014, SchedulesExamined: 181, Improvements: 61, PrunedBounds: 5841, PrunedIllegal: 8856, PrunedEquivalence: 26, PrunedStrongEq: 0, PrunedAlphaBeta: 4107, PrunedLowerBound: 935, PrunedResource: 14, PrunedPressure: 0, MemoHits: 1295},
+	"minreg-k=3/example":                         {TotalNOPs: 160, InitialNOPs: 185, RootLB: 91, Optimal: 59, Curtailed: 0, Infeasible: 1, OmegaCalls: 10199, SeedOmegaCalls: 973, SchedulesExamined: 204, Improvements: 92, PrunedBounds: 5604, PrunedIllegal: 10276, PrunedEquivalence: 71, PrunedStrongEq: 0, PrunedAlphaBeta: 886, PrunedLowerBound: 1000, PrunedResource: 118, PrunedPressure: 3035, MemoHits: 1722},
+	"minreg-k=3/simulation":                      {TotalNOPs: 84, InitialNOPs: 113, RootLB: 51, Optimal: 59, Curtailed: 0, Infeasible: 1, OmegaCalls: 5796, SeedOmegaCalls: 941, SchedulesExamined: 188, Improvements: 80, PrunedBounds: 3620, PrunedIllegal: 6041, PrunedEquivalence: 20, PrunedStrongEq: 0, PrunedAlphaBeta: 617, PrunedLowerBound: 457, PrunedResource: 10, PrunedPressure: 1790, MemoHits: 827},
+	"scoreboard=8x2/example":                     {TotalNOPs: 336, InitialNOPs: 348, RootLB: 331, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2960, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 2489, PrunedIllegal: 3879, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 3, PrunedLowerBound: 1070, PrunedResource: 174, PrunedPressure: 0, MemoHits: 608},
+	"scoreboard=8x2/simulation":                  {TotalNOPs: 237, InitialNOPs: 251, RootLB: 233, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 4855, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 2761, PrunedIllegal: 6764, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 1975, PrunedResource: 201, PrunedPressure: 0, MemoHits: 1019},
+	"scoreboard=8x2-lambda40/example":            {TotalNOPs: 340, InitialNOPs: 348, RootLB: 331, Optimal: 52, Curtailed: 8, Infeasible: 0, OmegaCalls: 413, SeedOmegaCalls: 1011, SchedulesExamined: 125, Improvements: 6, PrunedBounds: 190, PrunedIllegal: 339, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 3, PrunedLowerBound: 114, PrunedResource: 68, PrunedPressure: 0, MemoHits: 27},
+	"scoreboard=8x2-lambda40/simulation":         {TotalNOPs: 242, InitialNOPs: 251, RootLB: 233, Optimal: 52, Curtailed: 8, Infeasible: 0, OmegaCalls: 422, SeedOmegaCalls: 999, SchedulesExamined: 125, Improvements: 7, PrunedBounds: 83, PrunedIllegal: 304, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 116, PrunedResource: 55, PrunedPressure: 0, MemoHits: 34},
+	"scoreboard=4x2-strong/example":              {TotalNOPs: 336, InitialNOPs: 348, RootLB: 331, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 1644, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 1550, PrunedIllegal: 1639, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 3, PrunedLowerBound: 693, PrunedResource: 174, PrunedPressure: 0, MemoHits: 195},
+	"scoreboard=4x2-strong/simulation":           {TotalNOPs: 237, InitialNOPs: 251, RootLB: 233, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2058, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 1288, PrunedIllegal: 1964, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 1003, PrunedResource: 122, PrunedPressure: 0, MemoHits: 257},
+	"scoreboard=1x1/example":                     {TotalNOPs: 136, InitialNOPs: 161, RootLB: 126, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 943, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 698, PrunedIllegal: 543, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 15, PrunedLowerBound: 333, PrunedResource: 164, PrunedPressure: 0, MemoHits: 25},
+	"scoreboard=1x1/simulation":                  {TotalNOPs: 75, InitialNOPs: 92, RootLB: 68, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 945, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 788, PrunedIllegal: 771, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 9, PrunedLowerBound: 256, PrunedResource: 231, PrunedPressure: 0, MemoHits: 77},
+	"scoreboard=8x2-nomemo/example":              {TotalNOPs: 336, InitialNOPs: 348, RootLB: 331, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 13592, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 8401, PrunedIllegal: 24971, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 3, PrunedLowerBound: 7106, PrunedResource: 214, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2-nomemo/simulation":           {TotalNOPs: 237, InitialNOPs: 251, RootLB: 233, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 29551, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 12323, PrunedIllegal: 48123, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 16567, PrunedResource: 1553, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2-lambda40-nomemo/example":     {TotalNOPs: 340, InitialNOPs: 348, RootLB: 331, Optimal: 52, Curtailed: 8, Infeasible: 0, OmegaCalls: 414, SeedOmegaCalls: 1011, SchedulesExamined: 125, Improvements: 6, PrunedBounds: 203, PrunedIllegal: 369, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 126, PrunedResource: 69, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2-lambda40-nomemo/simulation":  {TotalNOPs: 242, InitialNOPs: 251, RootLB: 233, Optimal: 52, Curtailed: 8, Infeasible: 0, OmegaCalls: 427, SeedOmegaCalls: 999, SchedulesExamined: 125, Improvements: 7, PrunedBounds: 80, PrunedIllegal: 332, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 128, PrunedResource: 64, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=4x2-strong-nomemo/example":       {TotalNOPs: 336, InitialNOPs: 348, RootLB: 331, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3918, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 2598, PrunedIllegal: 5281, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 3, PrunedLowerBound: 2360, PrunedResource: 214, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=4x2-strong-nomemo/simulation":    {TotalNOPs: 237, InitialNOPs: 251, RootLB: 233, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 5460, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 2442, PrunedIllegal: 6994, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 3173, PrunedResource: 514, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=1x1-nomemo/example":              {TotalNOPs: 136, InitialNOPs: 161, RootLB: 126, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 1269, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 847, PrunedIllegal: 1029, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 15, PrunedLowerBound: 496, PrunedResource: 254, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=1x1-nomemo/simulation":           {TotalNOPs: 75, InitialNOPs: 92, RootLB: 68, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 1534, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1255, PrunedIllegal: 1696, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 9, PrunedLowerBound: 489, PrunedResource: 487, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2-nobound/example":             {TotalNOPs: 336, InitialNOPs: 348, RootLB: 0, Optimal: 55, Curtailed: 5, Infeasible: 0, OmegaCalls: 154865, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 30731, PrunedIllegal: 146786, PrunedEquivalence: 330, PrunedStrongEq: 0, PrunedAlphaBeta: 16911, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 83926},
+	"scoreboard=8x2-nobound/simulation":          {TotalNOPs: 238, InitialNOPs: 251, RootLB: 0, Optimal: 55, Curtailed: 5, Infeasible: 0, OmegaCalls: 143726, SeedOmegaCalls: 999, SchedulesExamined: 129, Improvements: 11, PrunedBounds: 28578, PrunedIllegal: 135395, PrunedEquivalence: 222, PrunedStrongEq: 0, PrunedAlphaBeta: 14601, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 78939},
+	"scoreboard=8x2-lambda40-nobound/example":    {TotalNOPs: 343, InitialNOPs: 348, RootLB: 0, Optimal: 21, Curtailed: 39, Infeasible: 0, OmegaCalls: 1780, SeedOmegaCalls: 1011, SchedulesExamined: 122, Improvements: 3, PrunedBounds: 389, PrunedIllegal: 248, PrunedEquivalence: 5, PrunedStrongEq: 0, PrunedAlphaBeta: 360, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 435},
+	"scoreboard=8x2-lambda40-nobound/simulation": {TotalNOPs: 244, InitialNOPs: 251, RootLB: 0, Optimal: 22, Curtailed: 38, Infeasible: 0, OmegaCalls: 1740, SeedOmegaCalls: 999, SchedulesExamined: 123, Improvements: 5, PrunedBounds: 393, PrunedIllegal: 255, PrunedEquivalence: 6, PrunedStrongEq: 0, PrunedAlphaBeta: 382, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 403},
+	"scoreboard=4x2-strong-nobound/example":      {TotalNOPs: 336, InitialNOPs: 348, RootLB: 0, Optimal: 58, Curtailed: 2, Infeasible: 0, OmegaCalls: 108918, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 33423, PrunedIllegal: 112272, PrunedEquivalence: 0, PrunedStrongEq: 889, PrunedAlphaBeta: 8723, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 62641},
+	"scoreboard=4x2-strong-nobound/simulation":   {TotalNOPs: 237, InitialNOPs: 251, RootLB: 0, Optimal: 59, Curtailed: 1, Infeasible: 0, OmegaCalls: 102432, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 31853, PrunedIllegal: 106001, PrunedEquivalence: 0, PrunedStrongEq: 862, PrunedAlphaBeta: 8119, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 58629},
+	"scoreboard=1x1-nobound/example":             {TotalNOPs: 136, InitialNOPs: 161, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 27925, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 5497, PrunedIllegal: 23937, PrunedEquivalence: 189, PrunedStrongEq: 0, PrunedAlphaBeta: 4634, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 13038},
+	"scoreboard=1x1-nobound/simulation":          {TotalNOPs: 75, InitialNOPs: 92, RootLB: 0, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 20499, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 3799, PrunedIllegal: 19928, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2382, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 10700},
 }
 
 // goldenCorpus is the seeded block corpus of the golden pin.
@@ -155,7 +168,7 @@ func measureEffort(t *testing.T, c goldenCase, m *machine.Machine, graphs []*dag
 			Lambda:            lambda,
 			SeedPriority:      listsched.ByHeight,
 			StrongEquivalence: c.strong,
-			DisableLowerBound: c.ablated,
+			DisableLowerBound: c.ablated || c.nobound,
 			DisableMemo:       c.ablated || c.nomemo,
 		})
 		if errors.Is(err, ErrInfeasible) {
@@ -207,19 +220,25 @@ func TestSearchEffortGolden(t *testing.T) {
 				mc.name, ablated.TotalNOPs, paper.TotalNOPs)
 		}
 	}
-	// The scoreboard memo only prunes, so under the same λ it can only
-	// finish more blocks, at no more stalls in all.
+	// The scoreboard memo and lower bounds only prune, so under the same λ
+	// each can only finish more blocks, at no more stalls in all.
 	for _, c := range goldenCases {
-		if !c.nomemo {
+		what := ""
+		switch {
+		case c.nomemo:
+			what = "memo"
+		case c.nobound:
+			what = "bound"
+		default:
 			continue
 		}
 		for _, mc := range goldenMachines {
 			off := measured[c.name+"/"+mc.name]
-			name := strings.TrimSuffix(c.name, "-nomemo") + "/" + mc.name
+			name := strings.TrimSuffix(c.name, "-no"+what) + "/" + mc.name
 			on := measured[name]
 			if on.TotalNOPs > off.TotalNOPs || on.Optimal < off.Optimal {
-				t.Errorf("%s: memo on %d stalls, %d optimal; off %d stalls, %d optimal",
-					name, on.TotalNOPs, on.Optimal, off.TotalNOPs, off.Optimal)
+				t.Errorf("%s: %s on %d stalls, %d optimal; off %d stalls, %d optimal",
+					name, what, on.TotalNOPs, on.Optimal, off.TotalNOPs, off.Optimal)
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"pipesched/internal/bound"
+	"pipesched/internal/dag"
 	"pipesched/internal/memo"
 	"pipesched/internal/nopins"
 )
@@ -17,6 +20,7 @@ type inOrderEval struct {
 	bnd  *bound.Engine // lower-bound engine (nil when fully disabled)
 
 	enc     *memo.Encoder // key builder (nil when the memo is off)
+	feeds   []bool        // node -> it has a flow (latency-carrying) successor
 	sched   []uint64      // the scheduled set, one bit per node
 	maxLat  int           // the machine's largest pipeline latency
 	pipeRes []int         // scratch for per-pipeline residuals
@@ -39,6 +43,10 @@ func newInOrderEval(p *problem) *inOrderEval {
 	}
 	if !p.opts.DisableMemo {
 		e.enc = memo.NewEncoder(p.g.N, len(p.m.Pipelines), 2, e.maxResidual())
+		e.feeds = make([]bool, p.g.N)
+		for u, succs := range p.g.Succs {
+			e.feeds[u] = slices.ContainsFunc(succs, func(d dag.Dep) bool { return d.Kind.CarriesLatency() })
+		}
 	}
 	if p.opts.DisableLowerBound && p.opts.DisableMemo {
 		return e
@@ -148,13 +156,12 @@ func (e *inOrderEval) key(dst []uint64) ([]uint64, int) {
 	c.Values(e.pipeRes)
 	// Issue ticks fall going back, so once even the slowest pipeline's
 	// result would have landed, every earlier producer's residual is 0.
+	// A producer with a positive residual has no consumer scheduled yet
+	// (a consumer issues at issue+latency or later, which is past last),
+	// so the static feeds flag is enough to pick the pairs.
 	for pos := n - 1; pos >= 0 && e.eval.IssueAt(pos)+e.maxLat > last+1; pos-- {
-		u := e.eval.NodeAt(pos)
-		for _, d := range e.g.Succs[u] {
-			if d.Kind.CarriesLatency() && !e.eval.Scheduled(d.Node) {
-				c.Pair(u, memo.Residual(e.eval.IssueAt(pos)+e.eval.LatencyAt(pos), last))
-				break
-			}
+		if u := e.eval.NodeAt(pos); e.feeds[u] {
+			c.Pair(u, memo.Residual(e.eval.IssueAt(pos)+e.eval.LatencyAt(pos), last))
 		}
 	}
 	c.SealPairs()

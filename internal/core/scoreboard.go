@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -60,8 +61,11 @@ import (
 // the scoreboardEval evaluator: [5a]/[5b]/[5c] and the strong-equivalence
 // filter apply unchanged, because all four are order-structural. α–β
 // prunes on the prefix's stall floor (the running makespan never
-// decreases along a branch), strengthened by a latency-weighted
-// critical-path bound (heightTicks below), and FindParallel fans the
+// decreases along a branch), strengthened by the mode's own lower
+// bounds: latency-weighted critical paths, issue width and per-pipeline
+// occupancy, all from the window's base tick and kept incrementally by
+// push and pop (lower), and a release-time bound at the root that
+// certifies a seed without search (rootTicks). FindParallel fans the
 // search out like any other mode. The paper's bound engine stays OFF: its
 // NOP arithmetic assumes in-order issue and is inadmissible here. The
 // dominance table runs, under a key of the window state relative to the
@@ -86,10 +90,16 @@ type scoreboardEval struct {
 	minTicks      int   // ⌈N/width⌉: the width-limited minimum makespan
 	pipeOf        []int // node -> fixed pipeline (machine.NoPipeline for none)
 	slot          []int // node -> index of its pipeline in m.Pipelines, or -1
-	enq           []int // node -> enqueue time of its pipeline
 	flowLat       []int // node -> issue separation its flow consumers need: max(1, latency)
 	heightTicks   []int // node -> latency-weighted longest downstream chain
-	critPath      int   // max over u of heightTicks[u]+1 (the head's own tick)
+	rootLB        int   // root's stall bound (0 when the lower bound is off)
+	byHeight      []int // nodes by falling heightTicks (nil when the lower bound is off)
+
+	// Per pipeline slot: its enqueue time, the smallest heightTicks among
+	// its nodes, and how many of them are unscheduled.
+	slotEnq []int
+	minH    []int
+	rem     []int
 
 	tickOf []int // node -> issue tick, while scheduled
 	order  []int // prefix node order
@@ -101,6 +111,14 @@ type scoreboardEval struct {
 	savedFree []int // position -> the pipeFree entry its push replaced
 	maxTick   int
 	savedMax  []int // position -> maxTick before its push
+
+	// lower's incremental state: drain is the largest tick+heightTicks of
+	// a scheduled node, tallest the index in byHeight of the tallest
+	// unscheduled node.
+	drain        int
+	savedDrain   []int // position -> drain before its push
+	tallest      int
+	savedTallest []int // position -> tallest before its push
 
 	// The scheduled set and its frontier — the scheduled nodes that still
 	// have an unscheduled successor — as bitsets of sw words, beside each
@@ -131,16 +149,20 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 		minTicks:      (n + width - 1) / width,
 		pipeOf:        make([]int, n),
 		slot:          make([]int, n),
-		enq:           make([]int, n),
 		flowLat:       make([]int, n),
 		heightTicks:   make([]int, n),
 		tickOf:        make([]int, n),
 		order:         make([]int, 0, n),
 		ticks:         make([]int, 0, n),
 		sorted:        make([]int, 0, n),
+		slotEnq:       make([]int, len(m.Pipelines)),
+		minH:          make([]int, len(m.Pipelines)),
+		rem:           make([]int, len(m.Pipelines)),
 		pipeFree:      make([]int, len(m.Pipelines)),
 		savedFree:     make([]int, n),
 		savedMax:      make([]int, n),
+		savedDrain:    make([]int, n),
+		savedTallest:  make([]int, n),
 		sw:            sw,
 		sched:         make([]uint64, sw),
 		frontier:      make([]uint64, sw),
@@ -151,11 +173,13 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 	if !p.opts.DisableMemo {
 		e.enc = memo.NewEncoder(n, e.keyFields(), 0, e.maxResidual())
 	}
+	for s, q := range m.Pipelines {
+		e.slotEnq[s], e.minH[s] = q.Enqueue, math.MaxInt
+	}
 	for u := 0; u < n; u++ {
 		e.pipeOf[u], e.slot[u] = machine.NoPipeline, -1
 		if set := p.pipeSets()[u]; len(set) > 0 {
 			e.pipeOf[u] = set[0]
-			e.enq[u] = m.EnqueueTime(set[0])
 			e.slot[u] = slices.IndexFunc(m.Pipelines, func(q machine.Pipeline) bool { return q.ID == set[0] })
 		}
 		e.flowLat[u] = max(1, m.Latency(e.pipeOf[u]))
@@ -173,9 +197,62 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 		for _, d := range g.Succs[u] {
 			e.heightTicks[u] = max(e.heightTicks[u], e.sep(u, d)+e.heightTicks[d.Node])
 		}
-		e.critPath = max(e.critPath, e.heightTicks[u]+1)
+		if s := e.slot[u]; s >= 0 {
+			e.rem[s]++
+			e.minH[s] = min(e.minH[s], e.heightTicks[u])
+		}
+	}
+	if !p.opts.DisableLowerBound {
+		e.rootLB = e.rootTicks() - e.minTicks
+		e.byHeight = make([]int, n)
+		for u := range e.byHeight {
+			e.byHeight[u] = u
+		}
+		slices.SortFunc(e.byHeight, func(u, v int) int { return e.heightTicks[v] - e.heightTicks[u] })
 	}
 	return e, nil
+}
+
+// rootTicks bounds the makespan of every order from below. A forward
+// pass gives each node its release r(v), the earliest tick any order can
+// issue it: 1, or a predecessor's release plus the edge's separation.
+// Each node's r(v) + heightTicks(v) is a critical path. For any set S of
+// nodes on one pipeline, the last of them to issue does so at
+// min r(S) + (|S|−1)·enqueue or later, and its chain below adds at least
+// min heightTicks(S); for any set S of nodes at all, they fill ⌈|S|/I⌉
+// distinct ticks from min r(S) on. Taking S as every node (of a
+// pipeline) released at or after each threshold, in one sweep over the
+// nodes by falling release, is the single-machine bound with release
+// dates; ⌈N/I⌉ is its last step.
+func (e *scoreboardEval) rootTicks() int {
+	n, slots := e.g.N, len(e.rem)
+	release, byRelease := make([]int, n), make([]int, n)
+	for v := 0; v < n; v++ {
+		release[v], byRelease[v] = 1, v
+		for _, d := range e.g.Preds[v] {
+			release[v] = max(release[v], release[d.Node]+e.sep(d.Node, d))
+		}
+	}
+	slices.SortFunc(byRelease, func(u, v int) int { return release[v] - release[u] })
+	// Index slots counts every node, for the width term.
+	cnt, minH := make([]int, slots+1), make([]int, slots+1)
+	for i := range minH {
+		minH[i] = math.MaxInt
+	}
+	lb := e.minTicks
+	for _, v := range byRelease {
+		r, h := release[v], e.heightTicks[v]
+		lb = max(lb, r+h)
+		cnt[slots]++
+		minH[slots] = min(minH[slots], h)
+		lb = max(lb, r-1+(cnt[slots]+e.width-1)/e.width+minH[slots])
+		if s := e.slot[v]; s >= 0 {
+			cnt[s]++
+			minH[s] = min(minH[s], h)
+			lb = max(lb, r+(cnt[s]-1)*e.slotEnq[s]+minH[s])
+		}
+	}
+	return lb
 }
 
 // sep is the issue separation edge u→d forces: a flow consumer waits
@@ -211,6 +288,7 @@ func (e *scoreboardEval) push(x, _ int) int {
 	sl := e.slot[x]
 	if sl >= 0 {
 		lo = max(lo, e.pipeFree[sl])
+		e.rem[sl]--
 	}
 	if k >= e.window {
 		// x enters the window only after the (k−window+1)-th smallest
@@ -228,7 +306,7 @@ func (e *scoreboardEval) push(x, _ int) int {
 	}
 	e.cnt[t]++
 	if sl >= 0 {
-		e.savedFree[k], e.pipeFree[sl] = e.pipeFree[sl], t+e.enq[x]
+		e.savedFree[k], e.pipeFree[sl] = e.pipeFree[sl], t+e.slotEnq[sl]
 	}
 	e.order = append(e.order, x)
 	e.ticks = append(e.ticks, t)
@@ -241,6 +319,11 @@ func (e *scoreboardEval) push(x, _ int) int {
 	}
 	e.sorted[i] = t
 	e.savedMax[k], e.maxTick = e.maxTick, max(e.maxTick, t)
+	e.savedDrain[k], e.drain = e.drain, max(e.drain, t+e.heightTicks[x])
+	e.savedTallest[k] = e.tallest
+	for e.tallest < len(e.byHeight) && e.scheduled(e.byHeight[e.tallest]) {
+		e.tallest++
+	}
 	return t
 }
 
@@ -257,6 +340,7 @@ func (e *scoreboardEval) pop(x int) {
 	}
 	if sl := e.slot[x]; sl >= 0 {
 		e.pipeFree[sl] = e.savedFree[k]
+		e.rem[sl]++
 	}
 	i := len(e.sorted) - 1
 	for e.sorted[i] != t {
@@ -267,6 +351,8 @@ func (e *scoreboardEval) pop(x int) {
 	}
 	e.sorted = e.sorted[:len(e.sorted)-1]
 	e.maxTick = e.savedMax[k]
+	e.drain = e.savedDrain[k]
+	e.tallest = e.savedTallest[k]
 }
 
 func (e *scoreboardEval) ready(x int) bool {
@@ -297,23 +383,62 @@ func (e *scoreboardEval) pipeChoices(x int) []int { return e.pipeOf[x : x+1] }
 // completion's stall count (and equals it on a complete schedule).
 func (e *scoreboardEval) cost() int { return max(e.maxTick-e.minTicks, 0) }
 
-// lower is the critical-path bound: the last-placed node's downstream
-// chain forces the makespan to at least its tick + heightTicks. The mode
-// has no resource bound.
+// lower bounds the stalls of every completion from the window's base
+// tick b, after which every future instruction issues (see base). cp is
+// the larger of two critical-path terms:
+//
+//   - every scheduled node's downstream chain: its tick + heightTicks
+//     (drain);
+//   - the tallest unscheduled node's: it issues at b+1 or later.
+//
+// res is the larger of two resource terms:
+//
+//   - issue width: the unscheduled nodes and the prefix ticks above b
+//     all fall in ticks after b, at most I per tick;
+//   - per-pipeline occupancy: the rem unscheduled nodes of a pipeline
+//     enqueue in FIFO order, the first at max(pipeFree, b+1) or later and
+//     each next one enqueue ticks after, and the last of them adds its
+//     chain, at least minH.
+//
+// push and pop keep every input, so a call is O(width + pipelines).
+// DESIGN.md §11 carries the admissibility argument.
 func (e *scoreboardEval) lower() (cp, res int) {
-	k := len(e.order) - 1
-	return e.ticks[k] + e.heightTicks[e.order[k]] - e.minTicks, 0
+	k := len(e.order)
+	b, above := e.base()
+	cp = e.drain
+	if e.tallest < len(e.byHeight) {
+		cp = max(cp, b+1+e.heightTicks[e.byHeight[e.tallest]])
+	}
+	res = b + (e.g.N-k+above+e.width-1)/e.width
+	for s, r := range e.rem {
+		if r > 0 {
+			res = max(res, max(e.pipeFree[s], b+1)+(r-1)*e.slotEnq[s]+e.minH[s])
+		}
+	}
+	return cp - e.minTicks, res - e.minTicks
 }
 
-// root is the latency-weighted critical path against the width floor;
-// 0 when the lower bound is disabled. Stall counts are never negative,
-// so it always certifies.
-func (e *scoreboardEval) root() (int, bool) {
-	if e.opts.DisableLowerBound || e.critPath <= e.minTicks {
-		return 0, true
+// base returns the window's base tick b — sorted[k−W] once k ≥ W
+// instructions are placed, 0 before — and how many prefix ticks lie above
+// it. The window admits position j ≥ k only after sorted[j−W] ≥ b, so
+// every future instruction issues after b. At most I prefix ticks equal
+// b, so the scan past sorted[k−W] is O(I).
+func (e *scoreboardEval) base() (b, above int) {
+	k := len(e.order)
+	if k < e.window {
+		return 0, k
 	}
-	return e.critPath - e.minTicks, true
+	i := k - e.window
+	b = e.sorted[i]
+	for i++; i < k && e.sorted[i] == b; i++ {
+	}
+	return b, k - i
 }
+
+// root is rootTicks against the width floor, computed once; 0 when the
+// lower bound is disabled. Stall counts are never negative, so even the
+// trivial 0 certifies.
+func (e *scoreboardEval) root() (int, bool) { return e.rootLB, true }
 
 func (e *scoreboardEval) snapshot() Schedule {
 	n := len(e.order)
