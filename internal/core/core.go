@@ -235,8 +235,7 @@ type Schedule struct {
 type evaluator interface {
 	push(x, pipe int) int                // place x next (pipe, or the mode's choice for anyPipe); returns η or the issue tick, for tracing
 	pop(x int)                           // undo the most recent push, of x, exactly
-	ready(x int) bool                    // [5b]: every immediate predecessor of x is placed
-	scheduled(u int) bool                // u is in the prefix
+	placed() []uint64                    // the prefix's node set, one bit per node
 	cost() int                           // prefix cost: μ(Φ), or the stall floor
 	lower() (cp, res int)                // critical-path and resource bounds after the last push (0 = none)
 	root() (lb int, certify bool)        // root bound; certify: an incumbent meeting it is optimal
@@ -280,6 +279,11 @@ type problem struct {
 	pipes      [][]int
 	equivClass []int // StrongEquivalence: canonical representative per node
 
+	// predSet holds each node's immediate predecessors as a bitset of sw
+	// words (node u at u*sw); [5b] reads it.
+	sw      int
+	predSet []uint64
+
 	// The incumbent is compared in the mode's packed order: plain NOPs
 	// for paper/minreg-k/scoreboard, (NOPs, MAXLIVE) packed
 	// lexicographically for minreg-lex. rootCost is the same packing of
@@ -293,7 +297,13 @@ type problem struct {
 }
 
 func newProblem(g *dag.Graph, m *machine.Machine, opts Options) *problem {
-	p := &problem{g: g, m: m, opts: opts}
+	p := &problem{g: g, m: m, opts: opts, sw: memo.SchedWords(g.N)}
+	p.predSet = make([]uint64, g.N*p.sw)
+	for u, preds := range g.Preds {
+		for _, d := range preds {
+			p.predSet[u*p.sw+d.Node>>6] |= 1 << (d.Node & 63)
+		}
+	}
 	p.lex = opts.Sched.Kind == machine.SchedMinRegLex
 	if opts.Sched.Kind == machine.SchedMinRegK {
 		p.kBound = opts.Sched.K
@@ -315,6 +325,17 @@ func (p *problem) pipeSets() [][]int {
 		}
 	}
 	return p.pipes
+}
+
+// ready is [5b]: every immediate predecessor of x is in placed, the
+// prefix's node set — one word compare per 64 nodes.
+func (p *problem) ready(x int, placed []uint64) bool {
+	for i, w := range p.predSet[x*p.sw : (x+1)*p.sw] {
+		if w&^placed[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // newEvaluator builds the mode's evaluator (one per parallel worker).
@@ -624,7 +645,7 @@ func (s *searcher) admit(i, k int) bool {
 			return false
 		}
 	}
-	if !s.ev.ready(xi) { // [5b]
+	if !s.ready(xi, s.ev.placed()) { // [5b]
 		s.stats.PrunedIllegal++
 		s.trace(TraceIllegal, i, xi, 0)
 		return false
@@ -798,9 +819,9 @@ func (s *searcher) equivalentSwap(kappa, xi int) bool {
 // with a smaller node number exists; if so, placing xi now would duplicate
 // a schedule reachable by placing the twin first.
 func (s *searcher) strongEquivBlocked(xi int) bool {
-	rep := s.equivClass[xi]
+	rep, placed := s.equivClass[xi], s.ev.placed()
 	for u := rep; u < xi; u++ {
-		if s.equivClass[u] == rep && !s.ev.scheduled(u) {
+		if s.equivClass[u] == rep && placed[u>>6]&(1<<(u&63)) == 0 {
 			return true
 		}
 	}

@@ -82,8 +82,7 @@ func (e *inOrderEval) pop(x int) {
 	e.sched[x>>6] &^= 1 << (x & 63)
 }
 
-func (e *inOrderEval) ready(x int) bool        { return e.eval.Ready(x) }
-func (e *inOrderEval) scheduled(u int) bool    { return e.eval.Scheduled(u) }
+func (e *inOrderEval) placed() []uint64        { return e.sched }
 func (e *inOrderEval) cost() int               { return e.eval.TotalNOPs() }
 func (e *inOrderEval) pipeChoices(x int) []int { return e.eval.PipeChoices(x) }
 

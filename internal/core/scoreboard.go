@@ -122,13 +122,11 @@ type scoreboardEval struct {
 
 	// The scheduled set and its frontier — the scheduled nodes that still
 	// have an unscheduled successor — as bitsets of sw words, beside each
-	// node's predecessor and successor sets in the same form. push and
-	// pop keep them; ready and the dominance key read them.
-	sw            int
+	// node's successor set in the same form. push and pop keep them; [5b]
+	// and the dominance key read them.
 	sched         []uint64
 	frontier      []uint64
 	savedFrontier []uint64 // position -> the frontier before its push
-	predSet       []uint64 // node -> its predecessors
 	succSet       []uint64 // node -> its successors
 	enc           *memo.Encoder
 }
@@ -141,7 +139,7 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 		return nil, fmt.Errorf("%w: pipeline assignment beyond AssignFixed", ErrScoreboardOption)
 	}
 	g, m, n := p.g, p.m, p.g.N
-	width, sw := p.opts.Sched.Width, memo.SchedWords(p.g.N)
+	width, sw := p.opts.Sched.Width, p.sw
 	e := &scoreboardEval{
 		problem:       p,
 		window:        p.opts.Sched.Window,
@@ -163,11 +161,9 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 		savedMax:      make([]int, n),
 		savedDrain:    make([]int, n),
 		savedTallest:  make([]int, n),
-		sw:            sw,
 		sched:         make([]uint64, sw),
 		frontier:      make([]uint64, sw),
 		savedFrontier: make([]uint64, n*sw),
-		predSet:       make([]uint64, n*sw),
 		succSet:       make([]uint64, n*sw),
 	}
 	if !p.opts.DisableMemo {
@@ -184,7 +180,6 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 		}
 		e.flowLat[u] = max(1, m.Latency(e.pipeOf[u]))
 		for _, d := range g.Preds[u] {
-			e.predSet[u*sw+d.Node>>6] |= 1 << (d.Node & 63)
 			e.succSet[d.Node*sw+u>>6] |= 1 << (u & 63)
 		}
 	}
@@ -355,15 +350,6 @@ func (e *scoreboardEval) pop(x int) {
 	e.tallest = e.savedTallest[k]
 }
 
-func (e *scoreboardEval) ready(x int) bool {
-	for i, w := range e.predSet[x*e.sw : (x+1)*e.sw] {
-		if w&^e.sched[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // waits reports whether scheduled node u still has an unscheduled
 // successor.
 func (e *scoreboardEval) waits(u int) bool {
@@ -376,6 +362,7 @@ func (e *scoreboardEval) waits(u int) bool {
 }
 
 func (e *scoreboardEval) scheduled(u int) bool    { return e.sched[u>>6]&(1<<(u&63)) != 0 }
+func (e *scoreboardEval) placed() []uint64        { return e.sched }
 func (e *scoreboardEval) pipeChoices(x int) []int { return e.pipeOf[x : x+1] }
 
 // cost returns the prefix's stall floor: the running makespan never

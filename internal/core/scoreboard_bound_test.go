@@ -40,7 +40,7 @@ func TestScoreboardBoundsAdmissible(t *testing.T) {
 			}
 			lo := math.MaxInt
 			for x := 0; x < g.N; x++ {
-				if ev.scheduled(x) || !ev.ready(x) {
+				if ev.scheduled(x) || !ev.ready(x, ev.sched) {
 					continue
 				}
 				ev.push(x, anyPipe)

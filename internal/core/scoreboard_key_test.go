@@ -108,7 +108,7 @@ func TestScoreboardKeyAdmissible(t *testing.T) {
 		var walk func()
 		walk = func() {
 			for x := 0; x < g.N && budget > 0; x++ {
-				if ev.scheduled(x) || !ev.ready(x) {
+				if ev.scheduled(x) || !ev.ready(x, ev.sched) {
 					continue
 				}
 				budget--
@@ -213,7 +213,7 @@ func FuzzScoreboardKey(f *testing.F) {
 		for i := 0; i < k; i++ {
 			var ready []int
 			for u := 0; u < g.N; u++ {
-				if !ev.scheduled(u) && ev.ready(u) {
+				if !ev.scheduled(u) && ev.ready(u, ev.sched) {
 					ready = append(ready, u)
 				}
 			}
