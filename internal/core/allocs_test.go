@@ -8,9 +8,9 @@ import (
 	"pipesched/internal/memo"
 )
 
-// heavyBlock is a synthetic 19-tuple block whose optimality proof on the
-// example machine takes over 100k Ω-calls, about half of them answered
-// by the dominance memo.
+// heavyBlock is a synthetic 19-tuple block whose scoreboard search
+// without the lower bound takes 200k Ω-calls and fills the bounded
+// dominance table several times over.
 const heavyBlock = `block:
   1: Load #v6
   2: Load #v1
@@ -33,17 +33,50 @@ const heavyBlock = `block:
   23: Store #v7, @22
 `
 
+// searchBlock is a synthetic 25-tuple block whose root bound on the
+// example machine does not certify its seed: the optimality proof takes
+// about 15k Ω-calls, and about 114k without the lower bound, two thirds
+// of them answered by the dominance memo.
+const searchBlock = `block:
+  1: Const 69
+  2: Store #v4, @1
+  3: Load #v0
+  4: Load #v2
+  5: Add @3, @4
+  6: Store #v1, @5
+  7: Const 29
+  8: Sub @5, @7
+  9: Store #v1, @8
+  10: Const 21
+  11: Sub @1, @10
+  12: Store #v3, @11
+  13: Const 29
+  14: Add @11, @13
+  15: Store #v1, @14
+  16: Const 21
+  17: Add @14, @16
+  18: Store #v1, @17
+  19: Sub @17, @4
+  20: Store #v1, @19
+  21: Const 21
+  22: Sub @1, @21
+  23: Store #v4, @22
+  24: Add @4, @19
+  25: Store #v4, @24
+`
+
 // maxFindAllocs bounds the allocations of one Find however many nodes it
 // expands: setup, seeding and the dominance table's growth to its bound.
 const maxFindAllocs = 256
 
 // TestFindAllocsFlat pins the search hot path as allocation-free: a Find
 // that expands over 100k nodes may allocate no more than a fixed setup
-// budget.
+// budget. The lower bound is off: with it, the block proves optimal in
+// about 15k Ω-calls.
 func TestFindAllocsFlat(t *testing.T) {
-	g := mustGraph(t, heavyBlock)
+	g := mustGraph(t, searchBlock)
 	m := machine.ExampleMachine()
-	opts := Options{Lambda: 1_000_000, SeedPriority: listsched.ByHeight}
+	opts := Options{Lambda: 1_000_000, SeedPriority: listsched.ByHeight, DisableLowerBound: true}
 	var s *Schedule
 	allocs := testing.AllocsPerRun(1, func() {
 		var err error

@@ -238,12 +238,17 @@ func TestAblationsPreserveOptimality(t *testing.T) {
 
 func TestStrongEquivalencePrunesInterchangeableLoads(t *testing.T) {
 	// Loads of distinct variables feeding one Add are interchangeable:
-	// same pipeline, same (empty) preds, same successor.
+	// same pipeline, same (empty) preds, same successor. The Mul chain
+	// beside them keeps the root bound from certifying the seed, so the
+	// search runs.
 	g := mustGraph(t, `twins:
   1: Load #a
   2: Load #b
   3: Add @1, @2
-  4: Store #r, @3`)
+  4: Store #r, @3
+  5: Load #c
+  6: Mul @5, @5
+  7: Store #s, @6`)
 	m := machine.SimulationMachine()
 	plain, err := Find(g, m, Options{})
 	if err != nil {

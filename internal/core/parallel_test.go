@@ -134,12 +134,8 @@ func TestFindParallelRejectsIllegalSeed(t *testing.T) {
 }
 
 func TestFindParallelCurtails(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g, err := dag.Build(randomBlock(rng, 14))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := FindParallel(g, machine.DeepMachine(), Options{Lambda: 10}, 4)
+	g := mustGraph(t, searchBlock)
+	sched, err := FindParallel(g, machine.ExampleMachine(), Options{Lambda: 10}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +146,7 @@ func TestFindParallelCurtails(t *testing.T) {
 		t.Error("curtailed parallel result illegal")
 	}
 	// Curtailed or not, it never loses to the greedy-seeded incumbent.
-	seq, err := Find(g, machine.DeepMachine(), Options{Lambda: 10})
+	seq, err := Find(g, machine.ExampleMachine(), Options{Lambda: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,14 +348,9 @@ func TestScheduleSequenceCtxChaos(t *testing.T) {
 }
 
 func TestScheduleSequenceCtxExpiredDeadline(t *testing.T) {
-	var blocks []*Block
-	for i := 0; i < 2; i++ {
-		b, err := ParseBlock("b:\n  1: Load #x\n  2: Load #y\n  3: Mul @1, @2\n  4: Mul @3, @1\n  5: Store #a, @4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks = append(blocks, b)
-	}
+	// tangleBlock's seed is not root-certified, so each block's search runs
+	// and meets the expired deadline.
+	blocks := []*Block{tangleBlock(8), tangleBlock(8)}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	r, err := ScheduleSequenceCtx(ctx, blocks, SimulationMachine(), Options{})
