@@ -42,9 +42,7 @@ func CheckPairMode(g *dag.Graph, m *machine.Machine, mode machine.SchedMode, cfg
 }
 
 // modeCandidates is the differential set for a non-paper mode: the same
-// ablation grid as DefaultCandidates, each running with Sched set. The
-// scoreboard evaluator has no bound engine or memo table, so its grid
-// drops the ablations that would be no-ops there.
+// ablation grid as DefaultCandidates, each running with Sched set.
 func modeCandidates(mode machine.SchedMode, cfg Config) []Candidate {
 	opts := func(mut func(*core.Options)) core.Options {
 		o := core.Options{Sched: mode, Lambda: cfg.Lambda}
@@ -53,7 +51,7 @@ func modeCandidates(mode machine.SchedMode, cfg Config) []Candidate {
 		}
 		return o
 	}
-	cands := []Candidate{
+	return []Candidate{
 		{Name: "find", Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
 			return core.Find(g, m, opts(nil))
 		}},
@@ -66,21 +64,16 @@ func modeCandidates(mode machine.SchedMode, cfg Config) []Candidate {
 		{Name: "find-strongequiv", Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
 			return core.Find(g, m, opts(func(o *core.Options) { o.StrongEquivalence = true }))
 		}},
+		{Name: "find-nomemo", Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
+			return core.Find(g, m, opts(func(o *core.Options) { o.DisableMemo = true }))
+		}},
+		{Name: "find-noprune", Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
+			return core.Find(g, m, opts(func(o *core.Options) {
+				o.DisableLowerBound = true
+				o.DisableMemo = true
+			}))
+		}},
 	}
-	if mode.Kind != machine.SchedScoreboard {
-		cands = append(cands,
-			Candidate{Name: "find-nomemo", Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-				return core.Find(g, m, opts(func(o *core.Options) { o.DisableMemo = true }))
-			}},
-			Candidate{Name: "find-noprune", Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-				return core.Find(g, m, opts(func(o *core.Options) {
-					o.DisableLowerBound = true
-					o.DisableMemo = true
-				}))
-			}},
-		)
-	}
-	return cands
 }
 
 // checkPressurePair runs the minreg-lex / minreg-k suite. Every emitted
