@@ -360,7 +360,7 @@ func BenchmarkSplitterLargeBlock(b *testing.B) {
 	m := machine.SimulationMachine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := splitter.Schedule(g, m, splitter.Config{Window: 20, Lambda: 20000}); err != nil {
+		if _, err := splitter.Schedule(g, m, 20, core.Options{Lambda: 20000}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"pipesched/internal/asm"
+	"pipesched/internal/dag"
 	"pipesched/internal/ir"
+	"pipesched/internal/sim"
 	"pipesched/internal/synth"
 )
 
@@ -35,6 +37,16 @@ func TestScheduleLargeBasics(t *testing.T) {
 	if c.Assembly == "" {
 		t.Error("no assembly emitted")
 	}
+	// The seed figure is the windows' seeds summed: never below the
+	// delivered cost, and non-zero when the windows pay NOPs (as they do
+	// at window 5 on this block).
+	small, err := ScheduleLarge(block, m, 5, Options{Lambda: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.InitialNOPs < small.TotalNOPs || small.InitialNOPs == 0 {
+		t.Errorf("window 5: InitialNOPs = %d, want > 0 and ≥ TotalNOPs %d", small.InitialNOPs, small.TotalNOPs)
+	}
 	// The finish() verification already re-simulated the schedule; also
 	// check semantics end to end via the tuple interpreter.
 	env1 := ir.Env{}
@@ -54,6 +66,55 @@ func TestScheduleLargeBasics(t *testing.T) {
 			t.Errorf("split scheduling broke semantics at %s: %d vs %d", k, env2[k], v)
 		}
 	}
+}
+
+// TestScheduleLargeHonoursOptions: every window's search runs under the
+// caller's Options, as a whole-block search does — a trace records the
+// windows' events, and the exact-assignment and strong-equivalence
+// extensions still yield legal, simulator-verified schedules.
+func TestScheduleLargeHonoursOptions(t *testing.T) {
+	block := tangleBlock(6)
+	g, err := dag.Build(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified := func(name string, c *Compiled, m *Machine) {
+		t.Helper()
+		if c.Quality > Incumbent {
+			t.Fatalf("%s: quality %s, want a search result", name, c.Quality)
+		}
+		if !g.IsLegalOrder(c.Order) {
+			t.Fatalf("%s: illegal order", name)
+		}
+		if _, err := sim.Run(sim.Input{Graph: g, M: m, Order: c.Order, Eta: c.Eta, Pipes: c.Pipes}, sim.NOPPadding); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	tr := &SearchTrace{Limit: 10_000}
+	c, err := ScheduleLarge(block, SimulationMachine(), 8, Options{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats.OmegaCalls == 0 {
+		t.Fatal("test block should make the windows search")
+	}
+	if len(tr.Snapshot()) == 0 {
+		t.Error("Trace recorded no events for the windows' searches")
+	}
+
+	em := ExampleMachine()
+	c, err = ScheduleLarge(block, em, 8, Options{AssignPipelines: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified("AssignPipelines", c, em)
+
+	c, err = ScheduleLarge(block, SimulationMachine(), 8, Options{StrongEquivalence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified("StrongEquivalence", c, SimulationMachine())
 }
 
 func TestScheduleLargeDefaultWindow(t *testing.T) {

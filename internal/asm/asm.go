@@ -136,35 +136,6 @@ func (p *Program) NumRegisters() int {
 	return max + 1
 }
 
-// CountNOPs returns the number of NOP instructions.
-func (p *Program) CountNOPs() int {
-	n := 0
-	for _, in := range p.Instrs {
-		if in.Op == NOP {
-			n++
-		}
-	}
-	return n
-}
-
-// TotalWait returns the sum of explicit wait counts.
-func (p *Program) TotalWait() int {
-	n := 0
-	for _, in := range p.Instrs {
-		n += in.Wait
-	}
-	return n
-}
-
-// BackCounts returns the per-instruction Tera lookback counts.
-func (p *Program) BackCounts() []int {
-	out := make([]int, len(p.Instrs))
-	for i, in := range p.Instrs {
-		out[i] = in.Back
-	}
-	return out
-}
-
 // Parse reads an assembly listing.
 func Parse(text string) (*Program, error) {
 	p := &Program{}

@@ -35,11 +35,11 @@ func TestParseBasics(t *testing.T) {
 	if len(p.Instrs) != 6 {
 		t.Fatalf("got %d instructions", len(p.Instrs))
 	}
-	if p.CountNOPs() != 1 {
-		t.Errorf("CountNOPs = %d", p.CountNOPs())
+	if countNOPs(p) != 1 {
+		t.Errorf("CountNOPs = %d", countNOPs(p))
 	}
-	if p.TotalWait() != 3 {
-		t.Errorf("TotalWait = %d", p.TotalWait())
+	if totalWait(p) != 3 {
+		t.Errorf("TotalWait = %d", totalWait(p))
 	}
 	if p.NumRegisters() != 2 {
 		t.Errorf("NumRegisters = %d, want 2", p.NumRegisters())
@@ -278,8 +278,8 @@ func TestNOPCountMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nopProg.CountNOPs() != sched.TotalNOPs {
-		t.Errorf("assembly has %d NOPs, schedule says %d", nopProg.CountNOPs(), sched.TotalNOPs)
+	if countNOPs(nopProg) != sched.TotalNOPs {
+		t.Errorf("assembly has %d NOPs, schedule says %d", countNOPs(nopProg), sched.TotalNOPs)
 	}
 	expText, err := codegen.Emit(codegen.Program{Block: scheduled, Eta: sched.Eta, Regs: regs},
 		codegen.ExplicitInterlock)
@@ -290,8 +290,8 @@ func TestNOPCountMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if expProg.TotalWait() != sched.TotalNOPs {
-		t.Errorf("explicit waits total %d, schedule says %d", expProg.TotalWait(), sched.TotalNOPs)
+	if totalWait(expProg) != sched.TotalNOPs {
+		t.Errorf("explicit waits total %d, schedule says %d", totalWait(expProg), sched.TotalNOPs)
 	}
 	// Both encodings compute the same memory.
 	init := map[string]int64{"a": 2, "b": 3, "c": 4}
@@ -350,7 +350,7 @@ func TestParseBackPrefix(t *testing.T) {
 	if p.Instrs[2].Back != 3 || p.Instrs[2].Wait != 1 {
 		t.Errorf("combined prefixes parsed wrong: %+v", p.Instrs[2])
 	}
-	counts := p.BackCounts()
+	counts := backCounts(p)
 	if len(counts) != 3 || counts[0] != 2 || counts[1] != 0 || counts[2] != 3 {
 		t.Errorf("BackCounts = %v", counts)
 	}
@@ -375,4 +375,33 @@ func TestParseBadPrefixes(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// countNOPs returns the number of NOP instructions.
+func countNOPs(p *Program) int {
+	n := 0
+	for _, in := range p.Instrs {
+		if in.Op == NOP {
+			n++
+		}
+	}
+	return n
+}
+
+// totalWait returns the sum of explicit wait counts.
+func totalWait(p *Program) int {
+	n := 0
+	for _, in := range p.Instrs {
+		n += in.Wait
+	}
+	return n
+}
+
+// backCounts returns the per-instruction Tera lookback counts.
+func backCounts(p *Program) []int {
+	out := make([]int, len(p.Instrs))
+	for i, in := range p.Instrs {
+		out[i] = in.Back
+	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"pipesched/internal/ir"
 	"pipesched/internal/machine"
 	"pipesched/internal/nopins"
+	"pipesched/internal/seqsched"
 	"pipesched/internal/sim"
 )
 
@@ -138,43 +139,21 @@ func ScheduleTrace(ctx context.Context, t *Trace, m *machine.Machine, mode machi
 }
 
 // threadedBaseline reprices the member schedules under footnote-1
-// entry-state threading and flattens them into one schedule of the
-// merged graph (offsetting each member's node numbering, exactly as
-// ir.Concat renumbers the merged block).
+// entry-state threading and concatenates them into one schedule of the
+// merged graph (seqsched.Result.Concat numbers nodes exactly as ir.Concat
+// renumbers the merged block).
 func threadedBaseline(t *Trace, members []*pipesched.Compiled, m *machine.Machine) (*TraceResult, error) {
-	out := &TraceResult{}
-	startTick := 0
-	pipeLast := map[int]int{}
-	offset := 0
+	blocks := make([]*ir.Block, len(t.Blocks))
+	orders := make([][]int, len(t.Blocks))
 	for i, b := range t.Blocks {
-		g, err := dag.Build(b.IR)
-		if err != nil {
-			return nil, err
-		}
-		eval := nopins.NewEvaluator(g, m, nopins.AssignFixed)
-		entryPipes := make(map[int]int, len(pipeLast))
-		for k, v := range pipeLast {
-			entryPipes[k] = v
-		}
-		eval.SetEntryState(&nopins.EntryState{StartTick: startTick, PipeLast: entryPipes})
-		r, err := eval.EvaluateOrder(members[i].Order)
-		if err != nil {
-			return nil, fmt.Errorf("block %q order rejected at seam: %w", b.Name, err)
-		}
-		tick := startTick
-		for k := range r.Order {
-			tick += r.Eta[k] + 1
-			if p := r.Pipes[k]; p != machine.NoPipeline {
-				pipeLast[p] = tick
-			}
-			out.Order = append(out.Order, offset+r.Order[k])
-			out.Eta = append(out.Eta, r.Eta[k])
-			out.Pipes = append(out.Pipes, r.Pipes[k])
-		}
-		startTick = tick
-		offset += g.N
-		out.BaselineNOPs += r.TotalNOPs
+		blocks[i], orders[i] = b.IR, members[i].Order
 	}
+	r, err := seqsched.Price(blocks, orders, m, nopins.AssignFixed)
+	if err != nil {
+		return nil, fmt.Errorf("member order rejected at seam: %w", err)
+	}
+	out := &TraceResult{BaselineNOPs: r.TotalNOPs}
+	out.Order, out.Eta, out.Pipes = r.Concat()
 	return out, nil
 }
 

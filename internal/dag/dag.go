@@ -79,7 +79,6 @@ type Graph struct {
 	height   []int    // longest edge-count path to any sink
 	depth    []int    // longest edge-count path from any source
 	desc     []Bitset // desc[u] = transitive descendants of u
-	anc      []Bitset // anc[u]  = transitive ancestors of u
 }
 
 // Build constructs the dependence graph for b. The block must be valid
@@ -176,23 +175,23 @@ func less(a, b Dep) bool {
 	return a.Kind < b.Kind
 }
 
-// computeClosure fills anc/desc bitsets and the earliest/latest bounds.
+// computeClosure fills the desc bitsets and the earliest/latest bounds.
 // Program order is already a topological order (references point backward),
 // so a single forward sweep builds ancestor sets and a backward sweep
 // builds descendant sets.
 func (g *Graph) computeClosure() {
 	n := g.N
-	g.anc = make([]Bitset, n)
+	anc := make([]Bitset, n)
 	g.desc = make([]Bitset, n)
 	g.earliest = make([]int, n)
 	g.latest = make([]int, n)
 	for i := 0; i < n; i++ {
-		g.anc[i] = NewBitset(n)
+		anc[i] = NewBitset(n)
 		for _, d := range g.Preds[i] {
-			g.anc[i].Set(d.Node)
-			g.anc[i].Or(g.anc[d.Node])
+			anc[i].Set(d.Node)
+			anc[i].Or(anc[d.Node])
 		}
-		g.earliest[i] = g.anc[i].Count()
+		g.earliest[i] = anc[i].Count()
 	}
 	for i := n - 1; i >= 0; i-- {
 		g.desc[i] = NewBitset(n)
@@ -244,38 +243,8 @@ func (g *Graph) Depth(u int) int { return g.depth[u] }
 // NumDescendants returns the number of nodes that transitively depend on u.
 func (g *Graph) NumDescendants(u int) int { return g.desc[u].Count() }
 
-// NumAncestors returns the number of nodes u transitively depends on.
-func (g *Graph) NumAncestors(u int) int { return g.anc[u].Count() }
-
 // DependsOn reports whether v transitively depends on u (u ⇒ ... ⇒ v).
 func (g *Graph) DependsOn(v, u int) bool { return g.desc[u].Has(v) }
-
-// Independent reports whether neither node depends on the other.
-func (g *Graph) Independent(u, v int) bool {
-	return u != v && !g.desc[u].Has(v) && !g.desc[v].Has(u)
-}
-
-// Sources returns the nodes with no predecessors, in node order.
-func (g *Graph) Sources() []int {
-	var s []int
-	for i := 0; i < g.N; i++ {
-		if len(g.Preds[i]) == 0 {
-			s = append(s, i)
-		}
-	}
-	return s
-}
-
-// Sinks returns the nodes with no successors, in node order.
-func (g *Graph) Sinks() []int {
-	var s []int
-	for i := 0; i < g.N; i++ {
-		if len(g.Succs[i]) == 0 {
-			s = append(s, i)
-		}
-	}
-	return s
-}
 
 // CriticalPathLen returns the longest chain length in nodes (not edges);
 // 0 for an empty graph.
@@ -426,28 +395,6 @@ func (g *Graph) ExternalPreds(u int, selected map[int]bool) []Dep {
 		}
 	}
 	return out
-}
-
-// DOT renders the dependence graph in Graphviz dot syntax: nodes are
-// labeled with their tuple text, flow edges are solid, memory-ordering
-// edges dashed. Useful for documentation and debugging.
-func (g *Graph) DOT(name string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n", name)
-	for i := 0; i < g.N; i++ {
-		fmt.Fprintf(&sb, "  n%d [label=%q];\n", i, g.Block.Tuples[i].String())
-	}
-	for i := 0; i < g.N; i++ {
-		for _, d := range g.Succs[i] {
-			style := "solid"
-			if !d.Kind.CarriesLatency() {
-				style = "dashed"
-			}
-			fmt.Fprintf(&sb, "  n%d -> n%d [style=%s, label=%q];\n", i, d.Node, style, d.Kind.String())
-		}
-	}
-	sb.WriteString("}\n")
-	return sb.String()
 }
 
 // RegAnti and RegOutput are the artificial dependence kinds introduced

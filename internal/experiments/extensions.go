@@ -102,7 +102,7 @@ func RunWindowSweep(seed int64, blocks, statements int, m *machine.Machine,
 	for _, w := range windows {
 		var nops, omega, optWins, wins float64
 		for _, g := range pool {
-			r, err := splitter.Schedule(g, m, splitter.Config{Window: w, Lambda: 20000})
+			r, err := splitter.Schedule(g, m, w, core.Options{Lambda: 20000})
 			if err != nil {
 				return nil, err
 			}

@@ -72,13 +72,6 @@ type diskBacked interface {
 	DiskRecovery() store.RecoveryReport
 }
 
-// crasher is the optional Backend facet for members that can simulate
-// a crash and recovery in-process (the chaos soaks' lever).
-type crasher interface {
-	Kill()
-	Restart()
-}
-
 // remoteProber is the optional Backend facet for members with a real
 // failure detector: the fleet probe loop calls Probe instead of relying
 // on local state. restarted reports that the worker process changed

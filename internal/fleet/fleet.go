@@ -383,26 +383,6 @@ type RecoveryStats struct {
 	Quarantined int
 }
 
-// RestartNode restarts a killed node and records its recovery scan in
-// the fleet counters. A no-op for unknown, live, or remote members
-// (remote workers are restarted by their supervisor; the probe loop
-// picks up the new incarnation and folds its recovery scan).
-func (f *Fleet) RestartNode(id string) {
-	b := f.Backend(id)
-	if b == nil || b.Healthy() {
-		return
-	}
-	c, ok := b.(crasher)
-	if !ok {
-		return
-	}
-	c.Restart()
-	if db, ok := b.(diskBacked); ok {
-		rep := db.DiskRecovery()
-		f.RecordRecovery(RecoveryStats{Recovered: rep.Recovered, Quarantined: rep.Quarantined})
-	}
-}
-
 // hedgeDelay returns how long Submit waits for the active attempt
 // before launching the hedged retry: the observed p95 request latency,
 // or the configured fallback while samples are scarce.

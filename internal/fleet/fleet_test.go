@@ -395,3 +395,18 @@ func TestFleetShutdownIdempotent(t *testing.T) {
 		t.Fatal("submit after shutdown succeeded")
 	}
 }
+
+// RestartNode restarts a killed in-process node and records its recovery
+// scan in the fleet counters — the chaos soaks' lever. A no-op for
+// unknown, live, or remote members (remote workers are restarted by
+// their supervisor; the probe loop picks up the new incarnation and
+// folds its recovery scan).
+func (f *Fleet) RestartNode(id string) {
+	n := f.Node(id)
+	if n == nil || n.Healthy() {
+		return
+	}
+	n.Restart()
+	rep := n.DiskRecovery()
+	f.RecordRecovery(RecoveryStats{Recovered: rep.Recovered, Quarantined: rep.Quarantined})
+}

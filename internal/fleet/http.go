@@ -39,9 +39,10 @@ func httpStatus(resp *server.Response, err error) int {
 	return server.HTTPStatus(resp, err)
 }
 
-// writeOutcome is server.WriteOutcome plus the fleet error codes, the
-// trace-ID stamp on wire errors, and the typed-5xx flight-recorder
-// trigger.
+// writeOutcome renders one single-request outcome like
+// server.WriteWireOutcome, with the fleet error codes and their HTTP
+// statuses: the trace-ID stamp on wire errors and the typed-5xx
+// flight-recorder trigger.
 func writeOutcome(w http.ResponseWriter, req *server.Request, resp *server.Response, serr error, traceID string) {
 	wire := server.ToWire(req.ID, resp, serr)
 	if req.WireSchedule {

@@ -165,7 +165,6 @@ func (n *Node) DiskStore() *store.Store {
 var (
 	_ Backend    = (*Node)(nil)
 	_ diskBacked = (*Node)(nil)
-	_ crasher    = (*Node)(nil)
 )
 
 // DiskRecovery reports the last startup scan's recovery outcome.

@@ -21,24 +21,6 @@ import (
 // an immediate, and "_" the absent operand. Lines beginning with ';' or
 // '//' are comments. Blank lines separate blocks.
 
-// WriteBlock writes b in the textual tuple format.
-func WriteBlock(w io.Writer, b *Block) error {
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// FormatBlocks renders a sequence of blocks separated by blank lines.
-func FormatBlocks(blocks []*Block) string {
-	var sb strings.Builder
-	for i, b := range blocks {
-		if i > 0 {
-			sb.WriteString("\n")
-		}
-		sb.WriteString(b.String())
-	}
-	return sb.String()
-}
-
 // ParseBlocks reads any number of blocks in the textual tuple format.
 // Every parsed block is validated before being returned.
 func ParseBlocks(r io.Reader) ([]*Block, error) {

@@ -56,13 +56,13 @@ func FuzzParseBlocks(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rendered := FormatBlocks(blocks)
+		rendered := formatBlocks(blocks)
 		again, err := ParseBlocks(strings.NewReader(rendered))
 		if err != nil {
 			t.Fatalf("render of accepted input does not reparse: %v\n%s", err, rendered)
 		}
-		if FormatBlocks(again) != rendered {
-			t.Fatalf("render not idempotent:\n%s\nvs\n%s", rendered, FormatBlocks(again))
+		if formatBlocks(again) != rendered {
+			t.Fatalf("render not idempotent:\n%s\nvs\n%s", rendered, formatBlocks(again))
 		}
 	})
 }

@@ -36,7 +36,7 @@ func TestOpString(t *testing.T) {
 }
 
 func TestParseOpRoundTrip(t *testing.T) {
-	for _, op := range AllOps() {
+	for _, op := range allOps() {
 		got, err := ParseOp(op.String())
 		if err != nil {
 			t.Fatalf("ParseOp(%q): %v", op.String(), err)
@@ -340,7 +340,7 @@ func TestFormatBlocksSeparatesWithBlankLine(t *testing.T) {
 	a := figure3Block(t)
 	b := figure3Block(t)
 	b.Label = "second"
-	out := FormatBlocks([]*Block{a, b})
+	out := formatBlocks([]*Block{a, b})
 	parsed, err := ParseBlocks(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
@@ -461,17 +461,6 @@ func TestConcatEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestWriteBlock(t *testing.T) {
-	var sb strings.Builder
-	b := figure3Block(t)
-	if err := WriteBlock(&sb, b); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != b.String() {
-		t.Error("WriteBlock differs from String")
-	}
-}
-
 func TestExecErrors(t *testing.T) {
 	// Division by zero.
 	b, err := ParseBlock("d:\n  1: Const 0\n  2: Div 1, @1\n  3: Store #x, @2")
@@ -534,4 +523,26 @@ func TestExecNopAndUnknownOp(t *testing.T) {
 	if _, err := Exec(bad, Env{}); err == nil {
 		t.Error("unknown op unreported")
 	}
+}
+
+// allOps returns every defined operation type, in declaration order.
+func allOps() []Op {
+	ops := make([]Op, 0, int(numOps)-1)
+	for o := Nop; o < numOps; o++ {
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+// formatBlocks renders a sequence of blocks separated by blank lines,
+// the form ParseBlocks reads.
+func formatBlocks(blocks []*Block) string {
+	var sb strings.Builder
+	for i, b := range blocks {
+		if i > 0 {
+			sb.WriteString("\n")
+		}
+		sb.WriteString(b.String())
+	}
+	return sb.String()
 }

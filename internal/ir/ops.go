@@ -106,13 +106,3 @@ func (o Op) NumOperands() int {
 
 // TouchesMemory reports whether o reads or writes a named variable.
 func (o Op) TouchesMemory() bool { return o == Load || o == Store }
-
-// AllOps returns every defined operation type, in declaration order.
-// The slice is freshly allocated on each call.
-func AllOps() []Op {
-	ops := make([]Op, 0, int(numOps)-1)
-	for o := Nop; o < numOps; o++ {
-		ops = append(ops, o)
-	}
-	return ops
-}

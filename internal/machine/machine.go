@@ -174,17 +174,6 @@ func (m *Machine) MaxLatency() int {
 	return max
 }
 
-// HasAssignmentChoice reports whether any operation maps to more than one
-// pipeline (the Tables 2/3 model, which needs the assignment extension).
-func (m *Machine) HasAssignmentChoice() bool {
-	for _, ids := range m.OpMap {
-		if len(ids) > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders both description tables in a compact textual form.
 func (m *Machine) String() string {
 	var sb strings.Builder

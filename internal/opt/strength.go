@@ -34,22 +34,3 @@ func StrengthReduce(b *ir.Block) bool {
 	}
 	return changed
 }
-
-// OptimizeStrength runs the standard pipeline with strength reduction
-// folded in, to a combined fixed point.
-func OptimizeStrength(b *ir.Block) *ir.Block {
-	out := Optimize(b)
-	for round := 0; round < 4; round++ {
-		changed := StrengthReduce(out)
-		for _, p := range Passes() {
-			if p.Run(out) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	out.InvalidateIndex()
-	return out
-}

