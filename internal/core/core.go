@@ -776,14 +776,16 @@ func (s *searcher) expand(i, xi, eta int) bool {
 			return !s.curtail
 		}
 	}
+	omega := s.stats.OmegaCalls
 	if !s.dfs(i + 1) {
 		return false
 	}
 	// Record only FULLY explored subtrees (a curtailed or stopped
 	// subtree returned false above): dominance from a partially searched
-	// state could prune the only optimum.
+	// state could prune the only optimum. The subtree's Ω-calls weigh
+	// the entry against eviction from a full table.
 	if s.table != nil {
-		s.table.Store(key, keyCost, peak)
+		s.table.Store(key, keyCost, peak, s.stats.OmegaCalls-omega)
 	}
 	return !s.curtail
 }

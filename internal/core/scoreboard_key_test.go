@@ -80,7 +80,7 @@ func TestScoreboardKeyAdmissible(t *testing.T) {
 				}
 				tb := memo.NewTable(0, 0)
 				key, _ := ev.key(make([]uint64, 0, ev.keyWords()))
-				tb.Store(key, hi.keyCost, 0)
+				tb.Store(key, hi.keyCost, 0, 1)
 				if tb.Dominated(key, lo.keyCost, 0) {
 					t.Fatalf("trial %d: a visit at key cost %d dominated one at %d", trial, hi.keyCost, lo.keyCost)
 				}

@@ -46,10 +46,13 @@
 // then-weaker-or-equal incumbent, so discarding it never changes the
 // search's returned cost — only the work done to find it.
 //
-// The table is bounded: once full, storing a new key flushes every entry
-// and starts over in the same storage. Forgetting an entry only forgoes
-// prunes, so a flush is always sound, and it is deterministic, so the
-// search stays reproducible.
+// The table is bounded: once full, storing a new key evicts the lighter
+// half of the entries in place and keeps the storage. Each entry carries
+// the weight of its subtree, the Ω-calls it took to explore, so the
+// states near the root, which are the expensive ones to prove again,
+// outlive the cheap ones near the leaves. Forgetting an entry only
+// forgoes prunes, so eviction is always sound, and it is deterministic,
+// so the search stays reproducible.
 package memo
 
 import (
@@ -203,9 +206,9 @@ func (e *Encoder) Key() []uint64 {
 }
 
 // DefaultCap is the default bound on table entries. An entry costs 16
-// bytes of entry, 8 per key word (one or two on 20-node blocks) and 8 of
-// slot index, so a full table of two-word keys holds 10 MB; the in-order
-// searches never come near it.
+// bytes of entry, 8 of slot index and 8 per key word: 40–46 bytes on the
+// example machine's heaviest blocks, so a full table would hold 10–12 MB.
+// The in-order searches never come near it.
 const DefaultCap = 1 << 18
 
 // minEntries is how many entries a table makes room for at its first
@@ -248,19 +251,36 @@ func (r record) dominates(cost, live int32) bool {
 }
 
 // entry is one stored state. Its key occupies arena[off:] up to the next
-// entry's off (or the arena's end): entries are only ever appended.
+// entry's off (or the arena's end): entries are appended in arena order,
+// and eviction keeps both in that order.
 type entry struct {
-	hash uint32 // low half of the key's hash, checked before the words
-	off  uint32
-	rec  record
+	tag uint32 // weight class in the top bits, hashBits of the key's hash below
+	off uint32
+	rec record
 }
+
+// An entry's tag holds its weight class above the low hashBits bits of
+// the key's hash, which the probe checks before the words.
+const (
+	hashBits   = 24
+	hashMask   = 1<<hashBits - 1
+	numClasses = 1 << (32 - hashBits)
+)
+
+// weightClass is ⌊log₂ weight⌋, 0 for a weight below 2: eviction treats
+// subtrees within the same power of two of Ω-calls as equally costly.
+func weightClass(weight int64) int {
+	return bits.Len64(uint64(max(weight, 1))) - 1
+}
+
+func (e entry) class() int { return int(e.tag >> hashBits) }
 
 // Table is a bounded map from state key to the best (cost-so-far,
 // peak-pressure-so-far) pair at which the state's subtree has been fully
 // explored. It is NOT safe for concurrent use; parallel searches hold one
 // per worker. A table allocates nothing until its first Store, then
 // doubles its storage as it fills, never past its bound, and keeps that
-// storage through every flush.
+// storage through every eviction.
 type Table struct {
 	slots []uint32 // open addressing, linear probing: entry index + 1, 0 = empty
 	ents  []entry
@@ -269,11 +289,11 @@ type Table struct {
 	maxEntries, maxWords int
 	hash                 func([]uint64) uint64
 
-	hits    int64
-	misses  int64
-	stores  int64
-	flushes int64 // times a full table was emptied to admit a new key
-	bytes   int   // the most storage held at once
+	hits      int64
+	misses    int64
+	stores    int64
+	evictions int64 // times a full table dropped its lighter half to admit a new key
+	bytes     int   // the most storage held at once
 }
 
 // NewTable creates a table bounded to capEntries keys (<= 0 selects
@@ -323,7 +343,7 @@ func (t *Table) find(key []uint64, h uint64) (slot, idx int) {
 		if s == 0 {
 			return i, -1
 		}
-		if t.ents[s-1].hash == uint32(h) && slices.Equal(t.key(int(s-1)), key) {
+		if t.ents[s-1].tag&hashMask == uint32(h)&hashMask && slices.Equal(t.key(int(s-1)), key) {
 			return i, int(s - 1)
 		}
 	}
@@ -345,27 +365,32 @@ func (t *Table) Dominated(key []uint64, cost, live int) bool {
 }
 
 // Store records that key's subtree has been fully explored at the given
-// (cost-so-far, peak-pressure-so-far). The table keeps one pair per key:
-// a new pair replaces the old only when it dominates it component-wise
-// (any genuinely reached pair makes Dominated sound, so which pair is
-// kept is purely a hit-rate heuristic). A new key that finds the table
-// full, in entries or in key words, flushes it first. The table copies
-// key.
-func (t *Table) Store(key []uint64, cost, live int) {
+// (cost-so-far, peak-pressure-so-far), and that exploring it took weight
+// Ω-calls. The table keeps one pair per key: a new pair replaces the old
+// only when it dominates it component-wise (any genuinely reached pair
+// makes Dominated sound, so which pair is kept is purely a hit-rate
+// heuristic), and a key stored again keeps the larger weight. A new key
+// that finds the table full, in entries or in key words, first evicts
+// the lighter half (evict). The table copies key.
+func (t *Table) Store(key []uint64, cost, live int, weight int64) {
 	rec := record{cost: int32(cost), live: int32(live)}
-	h := t.hash(key)
+	h, class := t.hash(key), weightClass(weight)
 	if t.slots == nil {
 		t.resize(min(minEntries, t.maxEntries))
 	}
 	slot, i := t.find(key, h)
 	if i >= 0 {
-		if old := t.ents[i].rec; rec.dominates(old.cost, old.live) && rec != old {
-			t.ents[i].rec = rec
+		e := &t.ents[i]
+		if rec.dominates(e.rec.cost, e.rec.live) {
+			e.rec = rec
+		}
+		if class > e.class() {
+			e.tag = uint32(class)<<hashBits | e.tag&hashMask
 		}
 		return
 	}
 	if len(t.ents) == t.maxEntries || len(t.arena)+len(key) > t.maxWords {
-		t.flush()
+		t.evict(len(key))
 		slot, _ = t.find(key, h)
 	}
 	if n := len(t.ents); n == cap(t.ents) {
@@ -378,7 +403,7 @@ func (t *Table) Store(key []uint64, cost, live int) {
 		t.arena = arena
 		t.noteBytes()
 	}
-	t.ents = append(t.ents, entry{hash: uint32(h), off: uint32(len(t.arena)), rec: rec})
+	t.ents = append(t.ents, entry{tag: uint32(class)<<hashBits | uint32(h)&hashMask, off: uint32(len(t.arena)), rec: rec})
 	t.arena = append(t.arena, key...)
 	t.stores++
 	t.slots[slot] = uint32(len(t.ents))
@@ -391,6 +416,13 @@ func (t *Table) resize(entries int) {
 	copy(ents, t.ents)
 	t.ents = ents
 	t.slots = make([]uint32, max(64, 1<<bits.Len(uint(2*entries-1))))
+	t.rehash()
+	t.noteBytes()
+}
+
+// rehash rebuilds the slot array over the entries, in place.
+func (t *Table) rehash() {
+	clear(t.slots)
 	mask := len(t.slots) - 1
 	for i := range t.ents {
 		j := int(t.hash(t.key(i))>>32) & mask
@@ -399,7 +431,6 @@ func (t *Table) resize(entries int) {
 		}
 		t.slots[j] = uint32(i + 1)
 	}
-	t.noteBytes()
 }
 
 // noteBytes records the storage held now in the high-water mark.
@@ -407,11 +438,52 @@ func (t *Table) noteBytes() {
 	t.bytes = max(t.bytes, 4*cap(t.slots)+int(unsafe.Sizeof(entry{}))*cap(t.ents)+8*cap(t.arena))
 }
 
-// flush empties the table in place.
-func (t *Table) flush() {
-	clear(t.slots)
-	t.ents, t.arena = t.ents[:0], t.arena[:0]
-	t.flushes++
+// evict keeps the half of the entries with the heaviest weight classes,
+// the older of equal ones first, and repeats until a key of the given
+// number of words fits. It compacts the entries and the arena in place,
+// in arena order, and rehashes the slots, so it allocates nothing.
+func (t *Table) evict(words int) {
+	for {
+		t.keepHeavierHalf()
+		t.evictions++
+		if len(t.ents) == 0 || len(t.arena)+words <= t.maxWords {
+			break
+		}
+	}
+	t.rehash()
+}
+
+// keepHeavierHalf drops all but the heaviest half of the entries.
+func (t *Table) keepHeavierHalf() {
+	var count [numClasses]int
+	for _, e := range t.ents {
+		count[e.class()]++
+	}
+	// Every entry above class cut stays, and the oldest take of class cut.
+	cut, take := numClasses, len(t.ents)/2
+	for take > 0 {
+		cut--
+		if count[cut] >= take {
+			break
+		}
+		take -= count[cut]
+	}
+	n, w := 0, 0
+	for i, e := range t.ents {
+		c := e.class()
+		if c < cut || c == cut && take == 0 {
+			continue
+		}
+		if c == cut {
+			take--
+		}
+		key := t.key(i) // ends at ents[i+1].off, which the compaction has not reached
+		e.off = uint32(w)
+		t.ents[n] = e
+		w += copy(t.arena[w:], key)
+		n++
+	}
+	t.ents, t.arena = t.ents[:n], t.arena[:w]
 }
 
 // Len returns the number of stored states.
@@ -421,7 +493,7 @@ func (t *Table) Len() int { return len(t.ents) }
 func (t *Table) Bytes() int { return t.bytes }
 
 // Stats returns cumulative lookup/store counters: dominance hits, lookup
-// misses, stored states, and flushes of a full table.
-func (t *Table) Stats() (hits, misses, stores, flushes int64) {
-	return t.hits, t.misses, t.stores, t.flushes
+// misses, stored states, and evictions from a full table (one per halving).
+func (t *Table) Stats() (hits, misses, stores, evictions int64) {
+	return t.hits, t.misses, t.stores, t.evictions
 }

@@ -118,45 +118,67 @@ func TestTableDominance(t *testing.T) {
 	if tb.Dominated(k(1), 5, 0) {
 		t.Fatal("empty table claimed dominance")
 	}
-	tb.Store(k(1), 5, 0)
+	tb.Store(k(1), 5, 0, 1)
 	if !tb.Dominated(k(1), 5, 0) || !tb.Dominated(k(1), 7, 0) {
 		t.Fatal("equal/worse revisit not dominated")
 	}
 	if tb.Dominated(k(1), 4, 0) {
 		t.Fatal("strictly better revisit wrongly dominated")
 	}
-	tb.Store(k(1), 3, 0) // improvement lands
+	tb.Store(k(1), 3, 0, 1) // improvement lands
 	if !tb.Dominated(k(1), 3, 0) {
 		t.Fatal("improved entry not effective")
 	}
-	tb.Store(k(2), 1, 0) // now full
-	tb.Store(k(1), 2, 0) // improvements land in a full table without a flush
+	tb.Store(k(2), 1, 0, 1000) // now full, and k(2)'s subtree is the heavier
+	tb.Store(k(1), 2, 0, 1)    // improvements land in a full table without an eviction
 	if tb.Len() != 2 || !tb.Dominated(k(1), 2, 0) {
 		t.Fatalf("improvement at capacity: %d entries, dominated=%v", tb.Len(), tb.Dominated(k(1), 2, 0))
 	}
 	if tb.Dominated(k(3), 9, 9) {
 		t.Fatal("absent key claimed dominance")
 	}
-	tb.Store(k(3), 1, 0) // a new key at capacity flushes, then lands
-	if tb.Len() != 1 {
-		t.Fatalf("full table did not flush: %d entries", tb.Len())
+	tb.Store(k(3), 1, 0, 1) // a new key at capacity evicts the lighter half, then lands
+	if tb.Len() != 2 {
+		t.Fatalf("full table holds %d entries after an eviction and a store, want 2", tb.Len())
 	}
-	if tb.Dominated(k(1), 9, 9) || tb.Dominated(k(2), 9, 9) {
-		t.Fatal("flushed key claimed dominance")
+	if tb.Dominated(k(1), 9, 9) {
+		t.Fatal("evicted key claimed dominance")
+	}
+	if !tb.Dominated(k(2), 1, 0) {
+		t.Fatal("the heavier key did not survive the eviction")
 	}
 	if !tb.Dominated(k(3), 1, 0) {
-		t.Fatal("key stored by the flush lost")
+		t.Fatal("key stored by the eviction lost")
 	}
-	hits, misses, stores, flushes := tb.Stats()
-	if hits == 0 || misses == 0 || stores != 3 || flushes != 1 {
-		t.Fatalf("stats hits=%d misses=%d stores=%d flushes=%d", hits, misses, stores, flushes)
+	hits, misses, stores, evictions := tb.Stats()
+	if hits == 0 || misses == 0 || stores != 3 || evictions != 1 {
+		t.Fatalf("stats hits=%d misses=%d stores=%d evictions=%d", hits, misses, stores, evictions)
+	}
+}
+
+// TestTableEvictionKeepsHeavierHalf: a full table keeps the half of its
+// entries with the heaviest weight classes, the older of equal ones, and
+// a key stored again keeps its larger weight.
+func TestTableEvictionKeepsHeavierHalf(t *testing.T) {
+	tb := NewTable(8, 0)
+	for i, w := range []int64{1, 64, 3, 64, 1, 2, 100, 64} { // classes 0 6 1 6 0 1 6 6
+		tb.Store(k(uint64(i)), 0, 0, w)
+	}
+	tb.Store(k(0), 0, 0, 1000) // class 9
+	tb.Store(k(6), 0, 0, 1)    // stays class 6
+	tb.Store(k(8), 0, 0, 1)    // evicts: k(0), then the three oldest of class 6
+	for i := uint64(0); i <= 8; i++ {
+		want := i == 0 || i == 1 || i == 3 || i == 6 || i == 8
+		if got := tb.Dominated(k(i), 0, 0); got != want {
+			t.Errorf("key %d: present=%v after the eviction, want %v", i, got, want)
+		}
 	}
 }
 
 // TestTableBytesBound: a table bounded by SplitBytes never holds more
-// storage than the budget, however many keys pass through it, flushes
+// storage than the budget, however many keys pass through it, evicts
 // when either its entries or its key words run out, and keeps the same
-// storage across flushes.
+// storage across evictions.
 func TestTableBytesBound(t *testing.T) {
 	const budget = 96 << 10
 	entries, words := SplitBytes(budget)
@@ -167,7 +189,7 @@ func TestTableBytesBound(t *testing.T) {
 		tb := NewTable(entries, words)
 		full := 0
 		for i := uint64(0); i < uint64(8*entries); i++ {
-			tb.Store(k(i, i>>3, i>>5, i>>7, i>>9)[:1+i%maxLen], 1, 0)
+			tb.Store(k(i, i>>3, i>>5, i>>7, i>>9)[:1+i%maxLen], 1, 0, int64(i%97))
 			b := tb.Bytes()
 			if b > budget {
 				t.Fatalf("after %d stores the table holds %d bytes, budget %d", i+1, b, budget)
@@ -178,8 +200,8 @@ func TestTableBytesBound(t *testing.T) {
 				t.Fatalf("storage at its bound changed: %d -> %d bytes", full, b)
 			}
 		}
-		if _, _, stores, flushes := tb.Stats(); stores != int64(8*entries) || flushes < 4 {
-			t.Fatalf("keys of up to %d words: stores=%d flushes=%d", maxLen, stores, flushes)
+		if _, _, stores, evictions := tb.Stats(); stores != int64(8*entries) || evictions < 4 {
+			t.Fatalf("keys of up to %d words: stores=%d evictions=%d", maxLen, stores, evictions)
 		}
 	}
 }
@@ -189,7 +211,7 @@ func TestTableBytesBound(t *testing.T) {
 // dominate, and vice versa.
 func TestTablePairDominance(t *testing.T) {
 	tb := NewTable(0, 0)
-	tb.Store(k(7, 9), 5, 3)
+	tb.Store(k(7, 9), 5, 3, 1)
 	if !tb.Dominated(k(7, 9), 5, 3) || !tb.Dominated(k(7, 9), 6, 3) || !tb.Dominated(k(7, 9), 5, 4) {
 		t.Fatal("component-wise worse revisit not dominated")
 	}
@@ -202,12 +224,12 @@ func TestTablePairDominance(t *testing.T) {
 	// An incomparable pair must not replace the stored one (either order
 	// of arrival keeps a sound table): after storing (4,9), (5,3) must
 	// still dominate revisits it dominated before.
-	tb.Store(k(7, 9), 4, 9)
+	tb.Store(k(7, 9), 4, 9, 1)
 	if !tb.Dominated(k(7, 9), 6, 3) {
 		t.Fatal("incomparable Store clobbered the existing record")
 	}
 	// A pair dominating on both axes replaces the record.
-	tb.Store(k(7, 9), 4, 2)
+	tb.Store(k(7, 9), 4, 2, 1)
 	if !tb.Dominated(k(7, 9), 4, 2) {
 		t.Fatal("dominating improvement did not land")
 	}
@@ -323,7 +345,7 @@ func TestTableConstantHash(t *testing.T) {
 		keys = append(keys, k(i), k(i, 0), k(i, 0, 0), k(i, i+1))
 	}
 	for i, key := range keys {
-		tb.Store(key, i, 0)
+		tb.Store(key, i, 0, 1)
 	}
 	if tb.Len() != len(keys) {
 		t.Fatalf("%d distinct keys stored as %d entries", len(keys), tb.Len())
