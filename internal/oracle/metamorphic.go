@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -11,7 +12,8 @@ import (
 )
 
 // The metamorphic invariants: transformations of the block or the
-// machine description that provably cannot change the optimal NOP cost.
+// machine description that provably cannot change the optimum in any
+// scheduler mode.
 // A scheduler that accidentally depends on tuple reference numbers,
 // operand order of commutative operations, pipeline-table row order, or
 // the spelling of pipeline identifiers will diverge here even on blocks
@@ -113,60 +115,135 @@ func RelabelPipelines(m *machine.Machine, rng *rand.Rand) (*machine.Machine, err
 }
 
 // CheckMetamorphic runs the metamorphic invariants on one (block,
-// machine) pair: it establishes the baseline optimal cost, applies each
-// cost-preserving transformation, re-runs the search, and reports any
-// cost movement. Pairs whose baseline search is curtailed are skipped —
-// without an optimality proof a cost difference is inconclusive.
-func CheckMetamorphic(g *dag.Graph, m *machine.Machine, cfg Config, rng *rand.Rand) []Divergence {
+// machine) pair under mode. It establishes the baseline optimum (or,
+// under minreg-k, proven infeasibility), applies each cost-preserving
+// transformation — tuple renumbering, commutative operand swaps,
+// pipeline-table row order, pipeline relabeling — re-runs the search,
+// and reports any movement of the optimum (MAXLIVE included under
+// minreg-lex: it counts simultaneously-live values, not their names) or
+// of infeasibility. Then it checks the mode's degeneracy invariants:
+//
+//   - minreg-lex: the lexicographic optimum's NOP component equals the
+//     paper mode's optimum (the secondary objective only breaks ties);
+//   - minreg-k: relaxing k never costs NOPs (k-monotonicity), and a
+//     bound no schedule can reach (k = #tuples + 1) reproduces the
+//     paper-mode optimum exactly;
+//   - scoreboard: a 1-entry window issuing 1 per tick is the paper's
+//     in-order machine, so its optimal stall count equals the paper
+//     mode's optimal NOP count.
+//
+// Pairs whose baseline search is curtailed are skipped — without an
+// optimality proof a difference is inconclusive.
+func CheckMetamorphic(g *dag.Graph, m *machine.Machine, mode machine.SchedMode, cfg Config, rng *rand.Rand) []Divergence {
+	if mode.Validate() != nil {
+		return nil // CheckPair reports it
+	}
 	cfg = cfg.withDefaults()
-	base, err := core.Find(g, m, core.Options{Lambda: cfg.Lambda})
-	if err != nil || !base.Optimal {
-		return nil
+	find := func(g2 *dag.Graph, m2 *machine.Machine, mode2 machine.SchedMode) (*core.Schedule, error) {
+		return core.Find(g2, m2, core.Options{Sched: mode2, Lambda: cfg.Lambda})
+	}
+	var divs []Divergence
+	report := func(name, format string, args ...any) {
+		divs = append(divs, Divergence{Check: "metamorphic-" + name, Detail: fmt.Sprintf(format, args...)})
 	}
 
-	var divs []Divergence
+	base, err := find(g, m, mode)
+	infeasible := errors.Is(err, core.ErrInfeasible)
+	if (err != nil && !infeasible) || (base != nil && !base.Optimal) {
+		return nil // curtailed or failed baseline: inconclusive
+	}
+
 	check := func(name string, b2 *ir.Block, m2 *machine.Machine) {
 		g2, err := dag.Build(b2)
 		if err != nil {
-			divs = append(divs, Divergence{
-				Check:  "metamorphic-" + name,
-				Detail: fmt.Sprintf("transformed block is invalid: %v", err),
-			})
+			report(name, "transformed block is invalid: %v", err)
 			return
 		}
-		s2, err := core.Find(g2, m2, core.Options{Lambda: cfg.Lambda})
-		if err != nil {
-			divs = append(divs, Divergence{
-				Check:  "metamorphic-" + name,
-				Detail: fmt.Sprintf("search failed on transformed pair: %v", err),
-			})
-			return
-		}
-		if !s2.Optimal {
-			return // budget asymmetry: inconclusive, not a divergence
-		}
-		if s2.TotalNOPs != base.TotalNOPs {
-			divs = append(divs, Divergence{
-				Check: "metamorphic-" + name,
-				Detail: fmt.Sprintf("optimal cost moved from %d to %d under a cost-preserving transformation",
-					base.TotalNOPs, s2.TotalNOPs),
-			})
+		s2, err := find(g2, m2, mode)
+		switch {
+		case errors.Is(err, core.ErrInfeasible):
+			if !infeasible {
+				report(name, "baseline is feasible with %s but the transformed pair is proven infeasible",
+					objective(mode, base))
+			}
+		case errors.Is(err, core.ErrBudget):
+			// minreg-k curtailed before any feasible schedule: inconclusive
+		case err != nil:
+			report(name, "search failed on transformed pair: %v", err)
+		case !s2.Optimal:
+			// budget asymmetry: inconclusive, not a divergence
+		case infeasible:
+			report(name, "baseline is proven infeasible but the transformed pair schedules with %s",
+				objective(mode, s2))
+		case s2.TotalNOPs != base.TotalNOPs || (mode.Kind == machine.SchedMinRegLex && s2.MaxLive != base.MaxLive):
+			report(name, "optimal %s moved to %s under a cost-preserving transformation",
+				objective(mode, base), objective(mode, s2))
 		}
 	}
-
 	check("renumber", RenumberTuples(g.Block, rng), m)
 	check("commute", SwapCommutativeOperands(g.Block, rng), m)
 	if mp, err := PermutePipelines(m, rng); err == nil {
 		check("pipe-order", g.Block, mp)
 	} else {
-		divs = append(divs, Divergence{Check: "metamorphic-pipe-order",
-			Detail: fmt.Sprintf("row permutation produced invalid machine: %v", err)})
+		report("pipe-order", "row permutation produced invalid machine: %v", err)
 	}
 	if mr, err := RelabelPipelines(m, rng); err == nil {
 		check("pipe-relabel", g.Block, mr)
 	} else {
-		divs = append(divs, Divergence{Check: "metamorphic-pipe-relabel",
-			Detail: fmt.Sprintf("relabeling produced invalid machine: %v", err)})
+		report("pipe-relabel", "relabeling produced invalid machine: %v", err)
+	}
+
+	// paperOpt is the paper mode's proven optimum, or -1 when curtailed.
+	paperOpt := func() int {
+		if p, err := find(g, m, machine.SchedMode{}); err == nil && p.Optimal {
+			return p.TotalNOPs
+		}
+		return -1
+	}
+	switch mode.Kind {
+	case machine.SchedMinRegLex:
+		// The NOP component of the lex optimum is the paper optimum.
+		if p := paperOpt(); p >= 0 && base.TotalNOPs != p {
+			report("lex-nops", "minreg-lex optimum has %d NOPs but the paper optimum is %d — the tiebreak changed the primary objective",
+				base.TotalNOPs, p)
+		}
+
+	case machine.SchedMinRegK:
+		// Monotonicity: k+1 admits every k-feasible schedule.
+		if mode.K+1 <= machine.MaxSchedK {
+			up, err := find(g, m, machine.MinRegK(mode.K+1))
+			switch {
+			case errors.Is(err, core.ErrInfeasible):
+				if !infeasible {
+					report("k-monotone", "k=%d is feasible with %d NOPs but k=%d is proven infeasible",
+						mode.K, base.TotalNOPs, mode.K+1)
+				}
+			case err == nil && up.Optimal && !infeasible && up.TotalNOPs > base.TotalNOPs:
+				report("k-monotone", "relaxing k=%d to k=%d raised the optimal NOP count from %d to %d",
+					mode.K, mode.K+1, base.TotalNOPs, up.TotalNOPs)
+			}
+		}
+		// A bound above any possible MAXLIVE reproduces the paper optimum.
+		if loose := len(g.Block.Tuples) + 1; loose <= machine.MaxSchedK {
+			lres, err := find(g, m, machine.MinRegK(loose))
+			if errors.Is(err, core.ErrInfeasible) {
+				report("k-loose", "k=%d exceeds the block's value count yet is proven infeasible", loose)
+			} else if err == nil && lres.Optimal {
+				if p := paperOpt(); p >= 0 && lres.TotalNOPs != p {
+					report("k-loose", "unconstraining k (k=%d) yields %d NOPs but the paper optimum is %d",
+						loose, lres.TotalNOPs, p)
+				}
+			}
+		}
+
+	case machine.SchedScoreboard:
+		// A 1x1 scoreboard is the in-order paper machine.
+		if inorder, err := find(g, m, machine.Scoreboard(1, 1)); err == nil && inorder.Optimal {
+			if p := paperOpt(); p >= 0 && inorder.TotalNOPs != p {
+				report("sb-inorder", "1x1 scoreboard optimum is %d stalls but the paper optimum is %d NOPs",
+					inorder.TotalNOPs, p)
+			}
+		}
 	}
 	return divs
 }

@@ -163,7 +163,7 @@ func TestCheckMetamorphicCleanOnPresets(t *testing.T) {
 		machine.DeepMachine(),
 	} {
 		rng := rand.New(rand.NewSource(9))
-		if divs := CheckMetamorphic(g, m, Config{}, rng); len(divs) != 0 {
+		if divs := CheckMetamorphic(g, m, machine.SchedMode{}, Config{}, rng); len(divs) != 0 {
 			t.Errorf("%s: unexpected metamorphic divergences: %v", m.Name, divs)
 		}
 	}

@@ -1,8 +1,8 @@
 package oracle
 
 import (
+	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,10 +41,10 @@ func TestCheckPairModeCleanOnPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if divs := CheckPairMode(g, m, mode, Config{}); len(divs) > 0 {
+			if divs := CheckPair(g, m, mode, Config{}); len(divs) > 0 {
 				t.Errorf("%s on %q: unexpected divergences: %v", ms, g.Block.Label, divs)
 			}
-			if divs := CheckModeMetamorphic(g, m, mode, Config{}, rand.New(rand.NewSource(1))); len(divs) > 0 {
+			if divs := CheckMetamorphic(g, m, mode, Config{}, rand.New(rand.NewSource(1))); len(divs) > 0 {
 				t.Errorf("%s on %q: metamorphic divergences: %v", ms, g.Block.Label, divs)
 			}
 		}
@@ -61,13 +61,13 @@ func TestCheckPairModeInfeasible(t *testing.T) {
   3: Add @1, @2
   4: Store #c, @3`)
 	m := machine.SimulationMachine()
-	if divs := CheckPairMode(g, m, machine.MinRegK(1), Config{}); len(divs) > 0 {
+	if divs := CheckPair(g, m, machine.MinRegK(1), Config{}); len(divs) > 0 {
 		t.Fatalf("infeasible pair reported divergences: %v", divs)
 	}
 	if _, err := core.Find(g, m, core.Options{Sched: machine.MinRegK(1)}); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible at k=1, got %v", err)
 	}
-	if divs := CheckModeMetamorphic(g, m, machine.MinRegK(1), Config{}, rand.New(rand.NewSource(2))); len(divs) > 0 {
+	if divs := CheckMetamorphic(g, m, machine.MinRegK(1), Config{}, rand.New(rand.NewSource(2))); len(divs) > 0 {
 		t.Fatalf("infeasible metamorphic divergences: %v", divs)
 	}
 }
@@ -86,19 +86,19 @@ func TestCheckPressureScheduleCatchesLies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if divs := checkPressureSchedule(g, m, machine.MinRegLex(), "honest", honest); len(divs) > 0 {
+	if divs := checkSchedule(g, m, machine.MinRegLex(), "honest", honest); len(divs) > 0 {
 		t.Fatalf("honest schedule reported: %v", divs)
 	}
 	lied := *honest
 	lied.MaxLive++
-	if divs := checkPressureSchedule(g, m, machine.MinRegLex(), "liar", &lied); !hasCheck(divs, "pressure-verify", "liar") {
+	if divs := checkSchedule(g, m, machine.MinRegLex(), "liar", &lied); !hasCheck(divs, "pressure-verify", "liar") {
 		t.Fatalf("inflated MAXLIVE claim not caught: %v", divs)
 	}
 	// A schedule whose true pressure violates the mode bound must trip
 	// pressure-bound even when the MaxLive field is honest.
 	k := honest.MaxLive - 1
 	if k >= 1 {
-		if divs := checkPressureSchedule(g, m, machine.MinRegK(k), "overk", honest); !hasCheck(divs, "pressure-bound", "overk") {
+		if divs := checkSchedule(g, m, machine.MinRegK(k), "overk", honest); !hasCheck(divs, "pressure-bound", "overk") {
 			t.Fatalf("bound violation not caught at k=%d: %v", k, divs)
 		}
 	}
@@ -120,27 +120,27 @@ func TestCheckScoreboardScheduleCatchesLies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if divs := checkScoreboardSchedule(g, m, mode, "honest", honest); len(divs) > 0 {
+	if divs := checkSchedule(g, m, mode, "honest", honest); len(divs) > 0 {
 		t.Fatalf("honest schedule reported: %v", divs)
 	}
 
 	ticks := *honest
 	ticks.IssueTicks = append([]int(nil), honest.IssueTicks...)
 	ticks.IssueTicks[len(ticks.IssueTicks)-1]++
-	if divs := checkScoreboardSchedule(g, m, mode, "ticks", &ticks); !hasCheck(divs, "sim-verify", "ticks") {
+	if divs := checkSchedule(g, m, mode, "ticks", &ticks); !hasCheck(divs, "sim-verify", "ticks") {
 		t.Fatalf("perturbed issue ticks not caught: %v", divs)
 	}
 
 	stalls := *honest
 	stalls.TotalNOPs++
-	if divs := checkScoreboardSchedule(g, m, mode, "stalls", &stalls); !hasCheck(divs, "sim-verify", "stalls") {
+	if divs := checkSchedule(g, m, mode, "stalls", &stalls); !hasCheck(divs, "sim-verify", "stalls") {
 		t.Fatalf("inflated stall claim not caught: %v", divs)
 	}
 
 	padded := *honest
 	padded.Eta = append([]int(nil), honest.Eta...)
 	padded.Eta[0] = 1
-	if divs := checkScoreboardSchedule(g, m, mode, "padded", &padded); !hasCheck(divs, "schedule-legal", "padded") {
+	if divs := checkSchedule(g, m, mode, "padded", &padded); !hasCheck(divs, "schedule-legal", "padded") {
 		t.Fatalf("NOP padding not caught: %v", divs)
 	}
 }
@@ -199,10 +199,6 @@ func TestModeMetamorphicRandom(t *testing.T) {
 		t.Skip("metamorphic sweep skipped in -short")
 	}
 	for _, ms := range soakModes {
-		mode, err := machine.ParseSchedMode(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < 6; i++ {
 			sum, runErr := Run(RunConfig{
 				Blocks:        1,
@@ -219,35 +215,47 @@ func TestModeMetamorphicRandom(t *testing.T) {
 				t.Fatalf("%s seed %d: %s", ms, i, sum.Checks())
 			}
 		}
-		_ = mode
 	}
 }
 
-// TestModeArtifactModeField: forcing a divergence through an impossible
-// mode parameter exercises the artifact path end to end. A window/width
-// pair is valid machine-wide, so instead tamper via a broken paper
-// candidate and confirm paper artifacts carry no mode while mode
-// artifacts carry the canonical string (covered above); here we just
-// pin the canonicalization.
+// TestModeArtifactModeField: a divergence planted under a non-paper
+// mode must reach the artifact path end to end. Every artifact carries
+// the canonical mode, and its shrunk repro re-triggers its check when
+// replayed under that mode.
 func TestModeArtifactModeField(t *testing.T) {
-	sum, err := Run(RunConfig{
+	mode := machine.Scoreboard(8, 2)
+	cfg := RunConfig{
 		Blocks:             2,
 		Machines:           1,
 		Seed:               5,
 		MaxStatements:      3,
 		Mode:               "scoreboard", // default geometry, canonicalizes to 8x2
 		DisableMetamorphic: true,
-	})
+		Check: Config{Candidates: []Candidate{
+			tampered("inflated", mode, core.Options{}, func(s *core.Schedule) { s.TotalNOPs++ }),
+		}},
+	}
+	sum, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if sum.Divergences != 0 {
-		t.Fatalf("unexpected divergences: %s", sum.Checks())
+	if sum.Divergences == 0 || len(sum.Artifacts) != sum.Divergences {
+		t.Fatalf("planted lie produced %d divergences, %d artifacts", sum.Divergences, len(sum.Artifacts))
 	}
-	// Canonicalization is observable through the artifact writer only on
-	// failure; assert it directly instead.
-	mode, _ := machine.ParseSchedMode("scoreboard")
-	if got := mode.String(); got != fmt.Sprintf("scoreboard=%dx%d", 8, 2) {
-		t.Fatalf("default scoreboard canonical form %q", got)
+	for _, a := range sum.Artifacts {
+		if a.Mode != "scoreboard=8x2" {
+			t.Errorf("artifact mode %q, want scoreboard=8x2", a.Mode)
+		}
+		replay, err := machine.ParseSchedMode(a.Mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m machine.Machine
+		if err := json.Unmarshal(a.MachineJSON, &m); err != nil {
+			t.Fatal(err)
+		}
+		if !hasCheck(CheckPair(mustGraph(t, a.ShrunkText), &m, replay, cfg.Check), a.Check, "") {
+			t.Errorf("shrunk repro no longer triggers %s under %s:\n%s", a.Check, a.Mode, a.ShrunkText)
+		}
 	}
 }

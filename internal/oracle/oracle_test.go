@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,42 +30,68 @@ func mustGraph(t *testing.T, text string) *dag.Graph {
 	return g
 }
 
-// suboptimalSeedPair returns a (graph, machine) pair on which the
-// ByHeight list schedule is strictly costlier than the optimum, so a
-// scheduler that just prices the seed and claims optimality is wrong.
-// The two stores are WAW-ordered and the Mul's latency shadow is only
-// hidden when the search floats the second dependence chain first.
+// lieModes is the mode matrix every planted lie runs under: the paper
+// mode, both register-pressure objectives and an out-of-order window.
+var lieModes = []machine.SchedMode{{}, machine.MinRegLex(), machine.MinRegK(4), machine.Scoreboard(4, 2)}
+
+// seedSearch curtails a search right after it prices its list-schedule
+// seed, so the result is the seed in the mode's own cost model.
+var seedSearch = core.Options{Lambda: 1, DisableGreedySeed: true}
+
+// suboptimalSeedPair returns a (graph, machine) pair on which, in every
+// mode of lieModes, the list-schedule seed costs at least two more than
+// the optimum: a scheduler that just prices the seed and claims
+// optimality is wrong, and a nonzero gap can bracket the seed's cost
+// while excluding the optimum. The Mul chain's latency shadow is only
+// hidden when the search interleaves the Const/Mul/Store chain with it.
 func suboptimalSeedPair(t *testing.T) (*dag.Graph, *machine.Machine) {
 	t.Helper()
 	g := mustGraph(t, `repro:
-  1: Const 57
-  2: Store #v0, @1
-  3: Const 95
-  5: Mul @3, @3
-  6: Store #v0, @5`)
+  1: Load #a
+  2: Load #b
+  3: Mul @1, @2
+  4: Mul @3, @2
+  5: Store #c, @4
+  6: Const 35
+  7: Mul @2, @6
+  8: Store #b, @7`)
 	m := machine.SimulationMachine()
-
-	seedOrder := listsched.Schedule(g, listsched.ByHeight)
-	seed, err := nopins.NewEvaluator(g, m, nopins.AssignFixed).EvaluateOrder(seedOrder)
-	if err != nil {
-		t.Fatalf("seed order illegal: %v", err)
-	}
-	opt, err := core.Find(g, m, core.Options{})
-	if err != nil {
-		t.Fatalf("find: %v", err)
-	}
-	if !opt.Optimal || seed.TotalNOPs <= opt.TotalNOPs {
-		t.Fatalf("test pair needs a suboptimal seed: seed=%d optimal=%d (optimal=%t)",
-			seed.TotalNOPs, opt.TotalNOPs, opt.Optimal)
+	for _, mode := range lieModes {
+		opts := seedSearch
+		opts.Sched = mode
+		seed, err := core.Find(g, m, opts)
+		if err != nil {
+			t.Fatalf("%v: seed: %v", mode, err)
+		}
+		opt, err := core.Find(g, m, core.Options{Sched: mode})
+		if err != nil {
+			t.Fatalf("%v: find: %v", mode, err)
+		}
+		if !opt.Optimal || seed.Optimal || seed.TotalNOPs-opt.TotalNOPs < 2 {
+			t.Fatalf("%v: test pair needs a seed two above the optimum: seed=%d optimal=%d (optimal=%t)",
+				mode, seed.TotalNOPs, opt.TotalNOPs, opt.Optimal)
+		}
 	}
 	return g, m
 }
 
-// findCandidate is the honest reference candidate.
-func findCandidate() Candidate {
-	return Candidate{Name: "find", Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-		return core.Find(g, m, core.Options{})
+// tampered is a candidate that searches under mode with opts and then
+// applies tamper to the schedule it found.
+func tampered(name string, mode machine.SchedMode, opts core.Options, tamper func(s *core.Schedule)) Candidate {
+	opts.Sched = mode
+	return Candidate{Name: name, Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
+		s, err := core.Find(g, m, opts)
+		if err != nil {
+			return nil, err
+		}
+		tamper(s)
+		return s, nil
 	}}
+}
+
+// findCandidate is the honest reference candidate.
+func findCandidate(mode machine.SchedMode) Candidate {
+	return tampered("find", mode, core.Options{}, func(*core.Schedule) {})
 }
 
 // hasCheck reports whether divs contains a finding with the given check
@@ -76,6 +103,25 @@ func hasCheck(divs []Divergence, check, candidate string) bool {
 		}
 	}
 	return false
+}
+
+// catchesInEveryMode plants the lie built by lie on suboptimalSeedPair
+// under every mode of lieModes — after the honest search when withFind
+// is set, so a proven optimum exists to contradict — and fails unless
+// CheckPair reports check against the lie.
+func catchesInEveryMode(t *testing.T, check string, withFind bool, lie func(machine.SchedMode) Candidate) {
+	t.Helper()
+	g, m := suboptimalSeedPair(t)
+	for _, mode := range lieModes {
+		liar := lie(mode)
+		cands := []Candidate{liar}
+		if withFind {
+			cands = []Candidate{findCandidate(mode), liar}
+		}
+		if divs := CheckPair(g, m, mode, Config{Candidates: cands}); !hasCheck(divs, check, liar.Name) {
+			t.Errorf("%v: %s not reported against %s: %v", mode, check, liar.Name, divs)
+		}
+	}
 }
 
 func TestCheckPairCleanOnPresets(t *testing.T) {
@@ -103,7 +149,7 @@ func TestCheckPairCleanOnPresets(t *testing.T) {
 	for _, text := range blocks {
 		g := mustGraph(t, text)
 		for _, m := range machines {
-			if divs := CheckPair(g, m, Config{}); len(divs) != 0 {
+			if divs := CheckPair(g, m, machine.SchedMode{}, Config{}); len(divs) != 0 {
 				t.Errorf("%s on %s: unexpected divergences %v", g.Block.Label, m.Name, divs)
 			}
 		}
@@ -111,213 +157,112 @@ func TestCheckPairCleanOnPresets(t *testing.T) {
 }
 
 func TestCheckPairCatchesFalseOptimalityClaim(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-
 	// The broken scheduler prices the list-schedule seed honestly but
 	// claims the result is optimal. Legality and simulation agree with
 	// the claim, so only the differential can catch it.
-	seedClaimsOptimal := Candidate{Name: "seed-claims-optimal",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			order := listsched.Schedule(g, listsched.ByHeight)
-			r, err := nopins.NewEvaluator(g, m, nopins.AssignFixed).EvaluateOrder(order)
-			if err != nil {
-				return nil, err
-			}
-			return &core.Schedule{
-				Order: r.Order, Eta: r.Eta, Pipes: r.Pipes,
-				TotalNOPs: r.TotalNOPs, Ticks: r.Ticks, Optimal: true,
-			}, nil
-		}}
-
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{findCandidate(), seedClaimsOptimal}})
-	if !hasCheck(divs, "optimal-agree", "seed-claims-optimal") {
-		t.Fatalf("false optimality claim not caught: %v", divs)
-	}
+	catchesInEveryMode(t, "optimal-agree", true, func(mode machine.SchedMode) Candidate {
+		return tampered("seed-claims-optimal", mode, seedSearch, func(s *core.Schedule) {
+			s.Optimal, s.Stopped, s.Gap = true, nil, 0
+		})
+	})
 }
 
 func TestCheckPairCatchesIllegalOrder(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-
-	reversed := Candidate{Name: "reversed",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			s, err := core.Find(g, m, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			n := len(s.Order)
-			rev := &core.Schedule{
-				Order: make([]int, n), Eta: make([]int, n), Pipes: make([]int, n),
-				TotalNOPs: s.TotalNOPs, Ticks: s.Ticks, Optimal: s.Optimal,
-			}
-			for i := 0; i < n; i++ {
-				rev.Order[i] = s.Order[n-1-i]
-				rev.Eta[i] = s.Eta[n-1-i]
-				rev.Pipes[i] = s.Pipes[n-1-i]
-			}
-			return rev, nil
-		}}
-
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{findCandidate(), reversed}})
-	if !hasCheck(divs, "schedule-legal", "reversed") {
-		t.Fatalf("illegal order not caught: %v", divs)
-	}
+	catchesInEveryMode(t, "schedule-legal", true, func(mode machine.SchedMode) Candidate {
+		return tampered("reversed", mode, core.Options{}, func(s *core.Schedule) {
+			slices.Reverse(s.Order)
+			slices.Reverse(s.Eta)
+			slices.Reverse(s.Pipes)
+			slices.Reverse(s.IssueTicks)
+		})
+	})
 }
 
 func TestCheckPairCatchesWrongCostClaim(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-
-	inflated := Candidate{Name: "inflated",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			s, err := core.Find(g, m, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			s.TotalNOPs++ // claimed cost no longer matches the simulator
+	// The claimed cost no longer matches the mode's simulator.
+	catchesInEveryMode(t, "sim-verify", false, func(mode machine.SchedMode) Candidate {
+		return tampered("inflated", mode, core.Options{}, func(s *core.Schedule) {
+			s.TotalNOPs++
 			s.Ticks++
-			return s, nil
-		}}
-
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{inflated}})
-	if !hasCheck(divs, "sim-verify", "inflated") {
-		t.Fatalf("wrong cost claim not caught: %v", divs)
-	}
+		})
+	})
 }
 
 func TestCheckPairCatchesOptimalBeaten(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-
 	// A curtailed candidate claiming a cost below the proven optimum is
 	// impossible; either the claim or the optimality proof is broken.
-	underclaims := Candidate{Name: "underclaims",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			s, err := core.Find(g, m, core.Options{})
-			if err != nil {
-				return nil, err
-			}
+	catchesInEveryMode(t, "optimal-beaten", true, func(mode machine.SchedMode) Candidate {
+		return tampered("underclaims", mode, core.Options{}, func(s *core.Schedule) {
 			s.TotalNOPs--
 			s.Ticks--
-			s.Optimal = false
-			s.Stopped = errors.New("fake curtailment")
-			return s, nil
-		}}
-
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{findCandidate(), underclaims}})
-	if !hasCheck(divs, "optimal-beaten", "underclaims") {
-		t.Fatalf("impossible sub-optimum claim not caught: %v", divs)
-	}
+			s.Optimal, s.Stopped = false, errors.New("fake curtailment")
+		})
+	})
 }
 
 func TestCheckPairCatchesUpperBoundViolation(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-
-	// Claim a (simulator-consistent) schedule costlier than the seed by
-	// pricing the seed order and padding the final instruction. The extra
-	// η is real padding — the simulator accepts over-padded schedules
-	// only under the NOP mechanism, so sim-verify fires too, but the
-	// upper-bound check must flag it independently.
-	costlier := Candidate{Name: "costlier",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			order := listsched.Schedule(g, listsched.ByHeight)
-			r, err := nopins.NewEvaluator(g, m, nopins.AssignFixed).EvaluateOrder(order)
-			if err != nil {
-				return nil, err
-			}
-			eta := append([]int(nil), r.Eta...)
-			eta[len(eta)-1] += 2
-			return &core.Schedule{
-				Order: r.Order, Eta: eta, Pipes: r.Pipes,
-				TotalNOPs: r.TotalNOPs + 2, Ticks: r.Ticks + 2, Optimal: true,
-			}, nil
-		}}
-
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{costlier}})
-	if !hasCheck(divs, "upper-bound", "costlier") {
-		t.Fatalf("upper-bound violation not caught: %v", divs)
-	}
+	// Claim a schedule costlier than the seed. The simulator rejects the
+	// claim too, but the upper-bound check must flag it independently.
+	catchesInEveryMode(t, "upper-bound", false, func(mode machine.SchedMode) Candidate {
+		return tampered("costlier", mode, seedSearch, func(s *core.Schedule) {
+			s.TotalNOPs += 2
+			s.Ticks += 2
+		})
+	})
 }
 
 func TestCheckPairCatchesInadmissibleBound(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-
 	// An honest schedule with a lying root bound: the claimed lower bound
 	// sits above the proven optimum, so it cannot be admissible.
-	overbounds := Candidate{Name: "overbounds",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			s, err := core.Find(g, m, core.Options{})
-			if err != nil {
-				return nil, err
-			}
+	catchesInEveryMode(t, "bound-admissible", true, func(mode machine.SchedMode) Candidate {
+		return tampered("overbounds", mode, core.Options{}, func(s *core.Schedule) {
 			s.RootLB = s.TotalNOPs + 1
-			return s, nil
-		}}
-
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{findCandidate(), overbounds}})
-	if !hasCheck(divs, "bound-admissible", "overbounds") {
-		t.Fatalf("inadmissible root bound not caught: %v", divs)
-	}
+		})
+	})
 }
 
 func TestCheckPairCatchesUnsoundGap(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-
 	// A curtailed candidate pricing the (suboptimal) seed but attaching a
 	// gap-0 certificate claims the seed is optimal without saying so in
 	// Optimal — the gap-soundness check must see through it.
-	fakeCertificate := Candidate{Name: "fake-certificate",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			order := listsched.Schedule(g, listsched.ByHeight)
-			r, err := nopins.NewEvaluator(g, m, nopins.AssignFixed).EvaluateOrder(order)
-			if err != nil {
-				return nil, err
-			}
-			return &core.Schedule{
-				Order: r.Order, Eta: r.Eta, Pipes: r.Pipes,
-				TotalNOPs: r.TotalNOPs, Ticks: r.Ticks,
-				Stopped: errors.New("fake curtailment"),
-			}, nil
-		}}
-
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{findCandidate(), fakeCertificate}})
-	if !hasCheck(divs, "gap-sound", "fake-certificate") {
-		t.Fatalf("unsound gap-0 certificate not caught: %v", divs)
-	}
+	catchesInEveryMode(t, "gap-sound", true, func(mode machine.SchedMode) Candidate {
+		return tampered("fake-certificate", mode, seedSearch, func(s *core.Schedule) {
+			s.Gap = 0
+		})
+	})
 
 	// A nonzero gap that brackets the optimum too high is just as unsound.
-	tooTight := Candidate{Name: "too-tight",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
-			order := listsched.Schedule(g, listsched.ByHeight)
-			r, err := nopins.NewEvaluator(g, m, nopins.AssignFixed).EvaluateOrder(order)
-			if err != nil {
-				return nil, err
-			}
-			opt, err := core.Find(g, m, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			gap := r.TotalNOPs - opt.TotalNOPs - 1 // excludes the true optimum
-			return &core.Schedule{
-				Order: r.Order, Eta: r.Eta, Pipes: r.Pipes,
-				TotalNOPs: r.TotalNOPs, Ticks: r.Ticks,
-				RootLB: r.TotalNOPs - gap, Gap: gap,
-				Stopped: errors.New("fake curtailment"),
-			}, nil
-		}}
-
-	divs = CheckPair(g, m, Config{Candidates: []Candidate{findCandidate(), tooTight}})
-	if !hasCheck(divs, "gap-sound", "too-tight") {
-		t.Fatalf("over-tight gap bracket not caught: %v", divs)
-	}
+	g, m := suboptimalSeedPair(t)
+	catchesInEveryMode(t, "gap-sound", true, func(mode machine.SchedMode) Candidate {
+		opt, err := core.Find(g, m, core.Options{Sched: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tampered("too-tight", mode, seedSearch, func(s *core.Schedule) {
+			s.Gap = s.TotalNOPs - opt.TotalNOPs - 1 // excludes the true optimum
+			s.RootLB = s.TotalNOPs - s.Gap
+		})
+	})
 }
 
 func TestCheckPairReportsCandidateError(t *testing.T) {
-	g, m := suboptimalSeedPair(t)
-	failing := Candidate{Name: "failing",
-		Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
+	catchesInEveryMode(t, "candidate-error", false, func(machine.SchedMode) Candidate {
+		return Candidate{Name: "failing", Run: func(*dag.Graph, *machine.Machine) (*core.Schedule, error) {
 			return nil, errors.New("boom")
 		}}
-	divs := CheckPair(g, m, Config{Candidates: []Candidate{failing}})
-	if !hasCheck(divs, "candidate-error", "failing") {
-		t.Fatalf("candidate error not reported: %v", divs)
+	})
+
+	// Only minreg-k may end a search without a schedule; a curtailed
+	// search that found none abstains there and is an error elsewhere.
+	g, m := suboptimalSeedPair(t)
+	budget := Candidate{Name: "budget", Run: func(*dag.Graph, *machine.Machine) (*core.Schedule, error) {
+		return nil, core.ErrBudget
+	}}
+	for _, mode := range lieModes {
+		divs := CheckPair(g, m, mode, Config{Candidates: []Candidate{findCandidate(mode), budget}})
+		if got, want := hasCheck(divs, "candidate-error", "budget"), mode.Kind != machine.SchedMinRegK; got != want {
+			t.Errorf("%v: candidate-error for ErrBudget = %t, want %t: %v", mode, got, want, divs)
+		}
 	}
 }
 
@@ -367,7 +312,7 @@ func TestRunCatchesBrokenSchedulerAndEmitsArtifacts(t *testing.T) {
 		Check: Config{
 			DisableExhaustive: true,
 			Candidates: []Candidate{
-				findCandidate(),
+				findCandidate(machine.SchedMode{}),
 				{Name: "seed-claims-optimal",
 					Run: func(g *dag.Graph, m *machine.Machine) (*core.Schedule, error) {
 						order := listsched.Schedule(g, listsched.ByHeight)
@@ -428,7 +373,7 @@ func TestRunCatchesBrokenSchedulerAndEmitsArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shrunk block does not build: %v", err)
 		}
-		if !hasCheck(CheckPair(g, &m, cfg.Check), a.Check, "") {
+		if !hasCheck(CheckPair(g, &m, machine.SchedMode{}, cfg.Check), a.Check, "") {
 			t.Errorf("shrunk repro no longer triggers %s:\n%s", a.Check, a.ShrunkText)
 		}
 	}

@@ -29,9 +29,8 @@ type RunConfig struct {
 	MaxStatements int
 
 	// Mode selects the scheduler mode under test, in
-	// machine.ParseSchedMode's textual form ("" = paper). Non-paper
-	// modes run CheckPairMode / CheckModeMetamorphic instead of the
-	// paper suite.
+	// machine.ParseSchedMode's textual form ("" = paper). Every pair
+	// runs CheckPair and CheckMetamorphic under it.
 	Mode string
 
 	// Machine bounds for machine.Random.
@@ -227,9 +226,9 @@ func checkBlock(cfg RunConfig, block *ir.Block, m *machine.Machine, rng *rand.Ra
 	if err != nil {
 		return nil, fmt.Errorf("bad scheduler mode: %w", err)
 	}
-	divs := CheckPairMode(g, m, mode, cfg.Check)
+	divs := CheckPair(g, m, mode, cfg.Check)
 	if !cfg.DisableMetamorphic {
-		divs = append(divs, CheckModeMetamorphic(g, m, mode, cfg.Check, rng)...)
+		divs = append(divs, CheckMetamorphic(g, m, mode, cfg.Check, rng)...)
 	}
 	return divs, nil
 }

@@ -22,9 +22,10 @@ var QualityRungs = []string{"optimal", "incumbent", "heuristic", "baseline"}
 
 // Event is one structured observability event, delivered to the
 // registered Sink. Kind is "span" for stage timings, "search" for one
-// branch-and-bound completion, "compile" for one finished block,
-// "trace" for one completed distributed-trace span, and "flight_dump"
-// for a flight-recorder dump header.
+// branch-and-bound completion, "gap" for one certified optimality gap
+// (RecordGap), "compile" for one finished block, "trace" for one
+// completed distributed-trace span, and "flight_dump" for a
+// flight-recorder dump header.
 type Event struct {
 	Time    time.Time        `json:"time"`
 	Kind    string           `json:"kind"`
