@@ -12,6 +12,7 @@ package pipesched
 // the design-choice index in DESIGN.md.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -330,14 +331,42 @@ func BenchmarkAblationAssignSearch(b *testing.B) {
 	}
 }
 
+// endToEndSrc is the expression block BenchmarkCompileEndToEnd and
+// TestCompileAllocs compile.
+const endToEndSrc = "t = x * x\nnum = t * a + x * b + c\nden = t + x * b + 1\ny = num / den\n"
+
+// maxCompileAllocs bounds the heap allocations of one CompileCtx of
+// endToEndSrc, search included.
+const maxCompileAllocs = 250
+
+// TestCompileAllocs pins the allocations of the whole compile pipeline
+// around the search, as TestFindAllocsFlat pins the search's own.
+func TestCompileAllocs(t *testing.T) {
+	m := SimulationMachine()
+	var c *Compiled
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if c, err = CompileCtx(context.Background(), endToEndSrc, m, Options{Optimize: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if c.Quality != Optimal || c.Assembly == "" {
+		t.Fatalf("block no longer compiles through the whole pipeline: quality %v, %d bytes of assembly",
+			c.Quality, len(c.Assembly))
+	}
+	if allocs > maxCompileAllocs {
+		t.Fatalf("CompileCtx allocated %.0f times, want ≤ %d", allocs, maxCompileAllocs)
+	}
+	t.Logf("%.0f allocations", allocs)
+}
+
 // BenchmarkCompileEndToEnd measures the whole public pipeline: parse,
 // optimize, schedule, allocate, emit, verify.
 func BenchmarkCompileEndToEnd(b *testing.B) {
 	m := SimulationMachine()
-	src := "t = x * x\nnum = t * a + x * b + c\nden = t + x * b + 1\ny = num / den\n"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(src, m, Options{Optimize: true}); err != nil {
+		if _, err := Compile(endToEndSrc, m, Options{Optimize: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

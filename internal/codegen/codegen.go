@@ -20,6 +20,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pipesched/internal/ir"
@@ -78,125 +79,132 @@ func Emit(p Program, mode Mode) (string, error) {
 		return "", fmt.Errorf("codegen: tera mode needs %d lookback counts, have %d",
 			p.Block.Len(), len(p.Back))
 	}
-	var sb strings.Builder
+	buf := make([]byte, 0, sizeHint(p, mode))
 	if p.Block.Label != "" {
-		fmt.Fprintf(&sb, "%s:\n", p.Block.Label)
+		buf = append(buf, p.Block.Label...)
+		buf = append(buf, ":\n"...)
 	}
-	for i, t := range p.Block.Tuples {
+	for i := range p.Block.Tuples {
 		if i < len(p.Notes) && p.Notes[i] != "" {
-			fmt.Fprintf(&sb, "\t; %s\n", p.Notes[i])
+			buf = append(buf, "\t; "...)
+			buf = append(buf, p.Notes[i]...)
+			buf = append(buf, '\n')
 		}
+		buf = append(buf, '\t')
 		switch mode {
 		case NOPPadding:
 			for k := 0; k < p.Eta[i]; k++ {
-				sb.WriteString("\tNOP\n")
+				buf = append(buf, "NOP\n\t"...)
 			}
-			line, err := instruction(p, t)
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&sb, "\t%s\n", line)
 		case ExplicitInterlock:
-			line, err := instruction(p, t)
-			if err != nil {
-				return "", err
-			}
-			if p.Eta[i] > 0 {
-				fmt.Fprintf(&sb, "\t[wait=%d] %s\n", p.Eta[i], line)
-			} else {
-				fmt.Fprintf(&sb, "\t%s\n", line)
-			}
+			buf = appendTag(buf, "[wait=", p.Eta[i])
 		case ImplicitInterlock:
-			line, err := instruction(p, t)
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&sb, "\t%s\n", line)
 		case TeraInterlock:
-			line, err := instruction(p, t)
-			if err != nil {
-				return "", err
-			}
-			if p.Back[i] > 0 {
-				fmt.Fprintf(&sb, "\t[back=%d] %s\n", p.Back[i], line)
-			} else {
-				fmt.Fprintf(&sb, "\t%s\n", line)
-			}
+			buf = appendTag(buf, "[back=", p.Back[i])
 		default:
 			return "", fmt.Errorf("codegen: unknown mode %d", mode)
 		}
+		var err error
+		if buf, err = appendInstruction(buf, p.Regs, &p.Block.Tuples[i]); err != nil {
+			return "", err
+		}
+		buf = append(buf, '\n')
 	}
-	return sb.String(), nil
+	return string(buf), nil
 }
 
-// instruction renders one tuple as a target instruction.
-func instruction(p Program, t ir.Tuple) (string, error) {
-	reg := func(id int) (string, error) {
-		r, ok := p.Regs.RegOf[id]
-		if !ok {
-			return "", fmt.Errorf("codegen: tuple @%d has no register", id)
+// sizeHint estimates the length of the emitted text, so that Emit
+// usually allocates its buffer once.
+func sizeHint(p Program, mode Mode) int {
+	n := len(p.Block.Label) + 2
+	for i := range p.Block.Tuples {
+		n += 24 + len(p.Block.Tuples[i].A.Var)
+		if i < len(p.Notes) {
+			n += len(p.Notes[i]) + 4
 		}
-		return fmt.Sprintf("R%d", r), nil
-	}
-	src := func(o ir.Operand) (string, error) {
-		switch o.Kind {
-		case ir.RefOperand:
-			return reg(o.Ref)
-		case ir.ImmOperand:
-			return fmt.Sprintf("#%d", o.Imm), nil
+		if mode == NOPPadding {
+			n += 5 * p.Eta[i]
+		} else if mode != ImplicitInterlock {
+			n += 10
 		}
-		return "", fmt.Errorf("codegen: operand %v cannot be a source", o)
 	}
+	return n
+}
+
+// appendTag appends an interlock tag such as "[wait=3] " when k > 0.
+func appendTag(dst []byte, tag string, k int) []byte {
+	if k <= 0 {
+		return dst
+	}
+	dst = append(dst, tag...)
+	dst = strconv.AppendInt(dst, int64(k), 10)
+	return append(dst, "] "...)
+}
+
+// mnemonic names the target instruction of each tuple operation.
+var mnemonic = [...]string{
+	ir.Nop: "NOP", ir.Const: "LI", ir.Load: "LOAD", ir.Store: "STORE", ir.Neg: "NEG",
+	ir.Add: "ADD", ir.Sub: "SUB", ir.Mul: "MUL", ir.Div: "DIV", ir.Mod: "MOD",
+}
+
+// appendInstruction appends one tuple rendered as a target instruction:
+// the mnemonic, then the destination register of a value-producing
+// tuple, then its sources.
+func appendInstruction(dst []byte, regs *regalloc.Assignment, t *ir.Tuple) ([]byte, error) {
+	if int(t.Op) >= len(mnemonic) || mnemonic[t.Op] == "" {
+		return nil, fmt.Errorf("codegen: unsupported op %v", t.Op)
+	}
+	dst = append(dst, mnemonic[t.Op]...)
 	switch t.Op {
 	case ir.Nop:
-		return "NOP", nil
-	case ir.Const:
-		d, err := reg(t.ID)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("LI %s, #%d", d, t.A.Imm), nil
-	case ir.Load:
-		d, err := reg(t.ID)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("LOAD %s, %s", d, t.A.Var), nil
+		return dst, nil
 	case ir.Store:
-		s, err := src(t.B)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("STORE %s, %s", t.A.Var, s), nil
-	case ir.Neg:
-		d, err := reg(t.ID)
-		if err != nil {
-			return "", err
-		}
-		s, err := src(t.A)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("NEG %s, %s", d, s), nil
-	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Mod:
-		d, err := reg(t.ID)
-		if err != nil {
-			return "", err
-		}
-		a, err := src(t.A)
-		if err != nil {
-			return "", err
-		}
-		b, err := src(t.B)
-		if err != nil {
-			return "", err
-		}
-		mnem := map[ir.Op]string{
-			ir.Add: "ADD", ir.Sub: "SUB", ir.Mul: "MUL", ir.Div: "DIV", ir.Mod: "MOD",
-		}[t.Op]
-		return fmt.Sprintf("%s %s, %s, %s", mnem, d, a, b), nil
+		dst = append(dst, ' ')
+		dst = append(dst, t.A.Var...)
+		dst = append(dst, ", "...)
+		return appendSource(dst, regs, t.B)
 	}
-	return "", fmt.Errorf("codegen: unsupported op %v", t.Op)
+	dst, err := appendReg(append(dst, ' '), regs, t.ID)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, ", "...)
+	switch t.Op {
+	case ir.Const:
+		return appendImm(dst, t.A.Imm), nil
+	case ir.Load:
+		return append(dst, t.A.Var...), nil
+	case ir.Neg:
+		return appendSource(dst, regs, t.A)
+	}
+	if dst, err = appendSource(dst, regs, t.A); err != nil {
+		return nil, err
+	}
+	return appendSource(append(dst, ", "...), regs, t.B)
+}
+
+// appendReg appends the register holding tuple id's value.
+func appendReg(dst []byte, regs *regalloc.Assignment, id int) ([]byte, error) {
+	r, ok := regs.RegOf[id]
+	if !ok {
+		return nil, fmt.Errorf("codegen: tuple @%d has no register", id)
+	}
+	return strconv.AppendInt(append(dst, 'R'), int64(r), 10), nil
+}
+
+// appendSource appends a source operand: a register or an immediate.
+func appendSource(dst []byte, regs *regalloc.Assignment, o ir.Operand) ([]byte, error) {
+	switch o.Kind {
+	case ir.RefOperand:
+		return appendReg(dst, regs, o.Ref)
+	case ir.ImmOperand:
+		return appendImm(dst, o.Imm), nil
+	}
+	return nil, fmt.Errorf("codegen: operand %v cannot be a source", o)
+}
+
+func appendImm(dst []byte, v int64) []byte {
+	return strconv.AppendInt(append(dst, '#'), v, 10)
 }
 
 // CountLines returns instruction and NOP counts of emitted assembly —

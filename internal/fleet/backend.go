@@ -5,6 +5,7 @@ import (
 
 	"pipesched/internal/fleet/store"
 	"pipesched/internal/server"
+	"pipesched/internal/stats"
 )
 
 // Backend is one fleet member behind the router: something with a
@@ -36,14 +37,14 @@ type Backend interface {
 	Shutdown(ctx context.Context) error
 
 	observeLatency(seconds float64)
-	latWindow() *latencyWindow
+	latWindow() *stats.Window
 }
 
 // backendLatency is the sliding winning-attempt latency window every
 // backend embeds. The window survives crashes and restarts — it
 // describes the backend's recent service history, not one incarnation.
 type backendLatency struct {
-	lat *latencyWindow
+	lat *stats.Window
 }
 
 func newBackendLatency() backendLatency { return backendLatency{lat: newLatencyWindow()} }
@@ -51,17 +52,17 @@ func newBackendLatency() backendLatency { return backendLatency{lat: newLatencyW
 // observeLatency folds one winning-attempt latency into the backend's
 // sliding window; the router calls it on every real answer the backend
 // produced.
-func (l *backendLatency) observeLatency(seconds float64) { l.lat.observe(seconds) }
+func (l *backendLatency) observeLatency(seconds float64) { l.lat.Observe(seconds) }
 
 // latWindow exposes the window to the /fleet status endpoint.
-func (l *backendLatency) latWindow() *latencyWindow { return l.lat }
+func (l *backendLatency) latWindow() *stats.Window { return l.lat }
 
 // LatencyQuantiles returns the requested percentiles (e.g. 50, 95, 99)
 // over the backend's recent winning-attempt latencies, in seconds.
-func (l *backendLatency) LatencyQuantiles(ps ...float64) []float64 { return l.lat.quantiles(ps...) }
+func (l *backendLatency) LatencyQuantiles(ps ...float64) []float64 { return l.lat.Quantiles(ps...) }
 
 // LatencySamples returns how many latencies the backend's window holds.
-func (l *backendLatency) LatencySamples() int { return l.lat.samples() }
+func (l *backendLatency) LatencySamples() int { return l.lat.Samples() }
 
 // diskBacked is the optional Backend facet for members whose durable
 // cache store is directly readable by the router — in-process nodes.

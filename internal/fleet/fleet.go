@@ -88,63 +88,12 @@ func newFleetMetrics(reg *telemetry.Registry) *fleetMetrics {
 	return m
 }
 
-// latencyWindow mirrors the server's waitWindow: a sliding window of
-// recent winning-attempt latencies answering "what is p95 right now?"
-// for the hedging policy.
-type latencyWindow struct {
-	mu  sync.Mutex
-	buf []float64 // seconds
-	n   int
-	i   int
-}
-
+// Latency windows hold recent winning-attempt latencies; the fleet's
+// own window answers "what is p95 right now?" for the hedging policy.
 const latWindowSize = 256
 const latWindowMinSamples = 16
 
-func newLatencyWindow() *latencyWindow {
-	return &latencyWindow{buf: make([]float64, latWindowSize)}
-}
-
-func (w *latencyWindow) observe(seconds float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf[w.i] = seconds
-	w.i = (w.i + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-}
-
-// quantiles returns the requested percentiles over the window, in
-// order. With no samples every answer is 0.
-func (w *latencyWindow) quantiles(ps ...float64) []float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]float64, len(ps))
-	if w.n == 0 {
-		return out
-	}
-	xs := make([]float64, w.n)
-	copy(xs, w.buf[:w.n])
-	for i, p := range ps {
-		out[i] = stats.Percentile(xs, p)
-	}
-	return out
-}
-
-// samples returns how many latencies the window currently holds.
-func (w *latencyWindow) samples() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
-func (w *latencyWindow) p95() float64 {
-	if w.samples() < latWindowMinSamples {
-		return 0
-	}
-	return w.quantiles(95)[0]
-}
+func newLatencyWindow() *stats.Window { return stats.NewWindow(latWindowSize, latWindowMinSamples) }
 
 // NoReplicasError is the concrete error behind ErrNoReplicas: every
 // replica in the key's chain was down, draining or overloaded. Last is
@@ -171,7 +120,7 @@ type Fleet struct {
 	cfg  Config
 	ring *ring
 	met  *fleetMetrics
-	lat  *latencyWindow
+	lat  *stats.Window
 
 	mu     sync.RWMutex
 	nodes  map[string]Backend
@@ -387,7 +336,7 @@ type RecoveryStats struct {
 // before launching the hedged retry: the observed p95 request latency,
 // or the configured fallback while samples are scarce.
 func (f *Fleet) hedgeDelay() time.Duration {
-	if p := f.lat.p95(); p > 0 {
+	if p := f.lat.P95(); p > 0 {
 		d := time.Duration(p * float64(time.Second))
 		if d < time.Millisecond {
 			d = time.Millisecond
@@ -579,7 +528,7 @@ func (f *Fleet) submitChain(ctx context.Context, key string, req *server.Request
 			}
 			// First real answer wins.
 			seconds := f.cfg.now().Sub(a.start).Seconds()
-			f.lat.observe(seconds)
+			f.lat.Observe(seconds)
 			a.b.observeLatency(seconds)
 			if a.hedged {
 				f.met.hedgeWins.Inc()

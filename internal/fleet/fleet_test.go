@@ -230,7 +230,7 @@ func TestFleetHedgeDelayTracksObservedP95(t *testing.T) {
 		t.Fatalf("cold hedge delay = %v, want configured fallback", got)
 	}
 	for i := 0; i < latWindowMinSamples; i++ {
-		f.lat.observe(0.010) // 10ms
+		f.lat.Observe(0.010) // 10ms
 	}
 	got := f.hedgeDelay()
 	if got < 5*time.Millisecond || got > 20*time.Millisecond {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"pipesched/internal/server"
+	"pipesched/internal/stats"
 	"pipesched/internal/telemetry"
 )
 
@@ -182,12 +183,12 @@ type latencySummary struct {
 	Samples int     `json:"samples"`
 }
 
-func summarizeLatency(w *latencyWindow) *latencySummary {
-	n := w.samples()
+func summarizeLatency(w *stats.Window) *latencySummary {
+	n := w.Samples()
 	if n == 0 {
 		return nil
 	}
-	qs := w.quantiles(50, 95, 99)
+	qs := w.Quantiles(50, 95, 99)
 	const ms = 1e3
 	return &latencySummary{P50Ms: qs[0] * ms, P95Ms: qs[1] * ms, P99Ms: qs[2] * ms, Samples: n}
 }

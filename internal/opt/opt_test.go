@@ -324,3 +324,57 @@ func TestOptimizeIdempotentProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCSENormalizesCommutativeOperands pins CSE's operand order for
+// commutative ops: it must put both spellings of a sum or product in one
+// order, whatever the kinds and magnitudes of the operands (immediate
+// against reference, and @9 against @10, whose decimal spellings sort
+// the other way). It also pins the memory rules: a Store kills the
+// available Load of its variable and republishes the stored reference,
+// and a Store of an immediate republishes nothing.
+func TestCSENormalizesCommutativeOperands(t *testing.T) {
+	b, err := ir.ParseBlock(`c:
+  1: Load #a
+  2: Load #b
+  3: Add @1, 5
+  4: Add 5, @1
+  5: Store #x, @4
+  9: Load #c
+  10: Load #d
+  11: Mul @9, @10
+  12: Mul @10, @9
+  13: Store #y, @12
+  14: Sub @9, @10
+  15: Sub @10, @9
+  16: Store #z, @15
+  20: Load #a
+  21: Store #w, @20
+  22: Store #a, @2
+  23: Load #a
+  24: Store #v, @23
+  25: Store #b, 7
+  26: Load #b
+  27: Store #u, @26`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !CSE(b) {
+		t.Fatal("CSE reported no change")
+	}
+	want := map[string]ir.Operand{
+		"x": ir.Ref(3),  // Add 5, @1 merged into Add @1, 5
+		"y": ir.Ref(11), // Mul @10, @9 merged into Mul @9, @10
+		"z": ir.Ref(15), // Sub is not commutative
+		"w": ir.Ref(1),  // the second Load of a reuses the first
+		"v": ir.Ref(2),  // after Store #a, @2 a load of a reads @2
+		"u": ir.Ref(26), // Store #b, 7 killed Load #b and published nothing
+	}
+	for _, tp := range b.Tuples {
+		if tp.Op != ir.Store {
+			continue
+		}
+		if w, ok := want[tp.A.Var]; ok && tp.B != w {
+			t.Errorf("Store #%s reads %v, want %v:\n%s", tp.A.Var, tp.B, w, b)
+		}
+	}
+}

@@ -1,11 +1,6 @@
 package server
 
-import (
-	"sync"
-
-	"pipesched/internal/stats"
-	"pipesched/internal/telemetry"
-)
+import "pipesched/internal/telemetry"
 
 // serverMetrics is the service-layer metric set, resolved once against
 // the telemetry registry backing the pipeline metrics. With no registry
@@ -81,43 +76,8 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return m
 }
 
-// waitWindow keeps a sliding window of recent queue-wait samples and
-// answers "what is the p95 wait right now?" for deadline-aware load
-// shedding. minSamples guards the cold start: with too few samples the
+// The queue-wait window answers "what is the p95 wait right now?" for
+// deadline-aware load shedding. Below waitWindowMinSamples samples the
 // estimate is 0 and shedding stays off.
-type waitWindow struct {
-	mu  sync.Mutex
-	buf []float64 // seconds, ring buffer
-	n   int       // samples stored (<= len(buf))
-	i   int       // next write position
-}
-
 const waitWindowSize = 128
 const waitWindowMinSamples = 8
-
-func newWaitWindow() *waitWindow {
-	return &waitWindow{buf: make([]float64, waitWindowSize)}
-}
-
-func (w *waitWindow) observe(seconds float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf[w.i] = seconds
-	w.i = (w.i + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-}
-
-// p95 returns the 95th-percentile wait in seconds, or 0 while fewer
-// than minSamples samples have been observed.
-func (w *waitWindow) p95() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n < waitWindowMinSamples {
-		return 0
-	}
-	xs := make([]float64, w.n)
-	copy(xs, w.buf[:w.n])
-	return stats.Percentile(xs, 95)
-}

@@ -42,6 +42,7 @@ import (
 	"pipesched"
 	"pipesched/internal/fleet/store"
 	"pipesched/internal/machine"
+	"pipesched/internal/stats"
 	"pipesched/internal/telemetry"
 )
 
@@ -233,7 +234,7 @@ type Server struct {
 	cache   *cache
 	disk    *diskTier // nil without Config.CacheDir
 	diskErr error     // persistent tier unavailable; serving memory-only
-	waits   *waitWindow
+	waits   *stats.Window
 
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
@@ -254,7 +255,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		waits:   newWaitWindow(),
+		waits:   stats.NewWindow(waitWindowSize, waitWindowMinSamples),
 		flights: map[string]*flight{},
 		jobs:    make(chan *flight, cfg.QueueDepth),
 		rng:     rand.New(rand.NewSource(cfg.now().UnixNano())),
@@ -443,7 +444,7 @@ func (s *Server) admit(ctx context.Context, proto *flight, timeout time.Duration
 	}
 	// Deadline-aware shedding: if the p95 queue wait already eats the
 	// whole budget, the request would only time out in line.
-	if est := s.waits.p95(); est > 0 && timeout.Seconds() < est {
+	if est := s.waits.P95(); est > 0 && timeout.Seconds() < est {
 		s.mu.Unlock()
 		s.met.shed["deadline"].Inc()
 		return nil, false, nil, &OverloadError{
@@ -470,7 +471,7 @@ func (s *Server) admit(ctx context.Context, proto *flight, timeout time.Duration
 		f.qspan.End()
 		s.met.shed["full"].Inc()
 		retry := time.Second
-		if est := s.waits.p95(); est > 0 {
+		if est := s.waits.P95(); est > 0 {
 			retry = secondsToDuration(est)
 		}
 		return nil, false, nil, &OverloadError{Reason: "queue full", RetryAfter: retry}
@@ -523,7 +524,7 @@ func (s *Server) execute(f *flight) {
 	wait := s.cfg.now().Sub(f.enqueued)
 	s.met.queueDepth.Add(-1)
 	s.met.waitHist.ObserveExemplar(wait.Microseconds(), f.tc.TraceID, time.Now().Unix())
-	s.waits.observe(wait.Seconds())
+	s.waits.Observe(wait.Seconds())
 
 	if err := f.ctx.Err(); err != nil {
 		resp := &Response{Err: mapCtxErr(err), Wait: wait}

@@ -195,7 +195,7 @@ func TestDeadlineShedding(t *testing.T) {
 	s := newTestServer(t, testConfig())
 	// Seed the wait window with 200ms observed waits.
 	for i := 0; i < waitWindowMinSamples; i++ {
-		s.waits.observe(0.2)
+		s.waits.Observe(0.2)
 	}
 	req := tupleRequest(1)
 	req.TimeoutMS = 50 // cannot cover the 200ms p95 wait

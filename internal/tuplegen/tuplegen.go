@@ -18,12 +18,17 @@ import (
 // Generate lowers prog into a single basic block with the given label.
 func Generate(prog *frontend.Program, label string) (*ir.Block, error) {
 	g := &gen{block: ir.NewBlock(label), binding: map[string]int{}}
+	n := 0
+	for _, s := range prog.Stmts {
+		n += nodes(s.Expr) + 1
+	}
+	g.block.Tuples = make([]ir.Tuple, 0, n)
 	for _, s := range prog.Stmts {
 		id, err := g.expr(s.Expr)
 		if err != nil {
 			return nil, fmt.Errorf("tuplegen: line %d: %w", s.Line, err)
 		}
-		g.block.Append(ir.Store, ir.Var(s.Name), ir.Ref(id))
+		g.append(ir.Store, ir.Var(s.Name), ir.Ref(id))
 		g.binding[s.Name] = id
 	}
 	if err := g.block.Validate(); err != nil {
@@ -37,13 +42,33 @@ type gen struct {
 	binding map[string]int // variable -> tuple currently holding its value
 }
 
+// append adds a tuple numbered after the last one. IDs run 1, 2, ... in
+// program order, as ir.Block.Append would number them.
+func (g *gen) append(op ir.Op, a, b ir.Operand) int {
+	id := len(g.block.Tuples) + 1
+	g.block.Tuples = append(g.block.Tuples, ir.Tuple{ID: id, Op: op, A: a, B: b})
+	return id
+}
+
+// nodes counts the nodes of e: at least as many tuples as lowering e
+// emits, since a variable's Load is emitted at most once.
+func nodes(e frontend.Expr) int {
+	switch x := e.(type) {
+	case frontend.Unary:
+		return 1 + nodes(x.X)
+	case frontend.Binary:
+		return 1 + nodes(x.X) + nodes(x.Y)
+	}
+	return 1
+}
+
 // value returns the tuple ID holding the current value of name, emitting
 // a Load on first reference.
 func (g *gen) value(name string) int {
 	if id, ok := g.binding[name]; ok {
 		return id
 	}
-	id := g.block.Append(ir.Load, ir.Var(name), ir.None())
+	id := g.append(ir.Load, ir.Var(name), ir.None())
 	g.binding[name] = id
 	return id
 }
@@ -52,7 +77,7 @@ func (g *gen) value(name string) int {
 func (g *gen) expr(e frontend.Expr) (int, error) {
 	switch x := e.(type) {
 	case frontend.Num:
-		return g.block.Append(ir.Const, ir.Imm(x.Value), ir.None()), nil
+		return g.append(ir.Const, ir.Imm(x.Value), ir.None()), nil
 	case frontend.VarRef:
 		return g.value(x.Name), nil
 	case frontend.Unary:
@@ -60,7 +85,7 @@ func (g *gen) expr(e frontend.Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		return g.block.Append(ir.Neg, ir.Ref(id), ir.None()), nil
+		return g.append(ir.Neg, ir.Ref(id), ir.None()), nil
 	case frontend.Binary:
 		a, err := g.expr(x.X)
 		if err != nil {
@@ -85,7 +110,7 @@ func (g *gen) expr(e frontend.Expr) (int, error) {
 		default:
 			return 0, fmt.Errorf("unknown binary operator %v", x.Op)
 		}
-		return g.block.Append(op, ir.Ref(a), ir.Ref(b)), nil
+		return g.append(op, ir.Ref(a), ir.Ref(b)), nil
 	}
 	return 0, fmt.Errorf("unknown expression node %T", e)
 }
