@@ -1,6 +1,9 @@
 package frontend
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Parse parses one source block into a Program.
 func Parse(src string) (*Program, error) {
@@ -72,7 +75,7 @@ func (p *parser) parseAssign() (Assign, error) {
 	if err != nil {
 		return Assign{}, err
 	}
-	return Assign{Name: t.text, Expr: e, Line: t.line}, nil
+	return Assign{Name: t.text, Expr: e, Line: int(t.line)}, nil
 }
 
 // binding powers: +,- are 10; *,/,% are 20.
@@ -133,7 +136,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.next()
 	switch t.kind {
 	case tokNumber:
-		return Num{Value: t.num}, nil
+		n, _ := strconv.ParseInt(t.text, 10, 64) // lex checked the range
+		return Num{Value: n}, nil
 	case tokIdent:
 		return VarRef{Name: t.text}, nil
 	case tokLParen:
