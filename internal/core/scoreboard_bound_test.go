@@ -19,7 +19,7 @@ import (
 // a bound that went slack everywhere would fail too.
 func TestScoreboardBoundsAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	blocks, prefixes, exactCP, exactRes, exactRoot, rootAboveCP := 0, 0, 0, 0, 0, 0
+	blocks, prefixes, exactCP, exactRes, exactRoot, rootAboveCP, refutedAbove := 0, 0, 0, 0, 0, 0, 0
 	for i := 0; blocks < 300 && i < 5000; i++ {
 		g := randomGraph(t, rng, 7, 5000)
 		if g == nil {
@@ -76,6 +76,14 @@ func TestScoreboardBoundsAdmissible(t *testing.T) {
 		if root > 0 && root == ref.Stalls {
 			exactRoot++
 		}
+		// refute's bound, asked to refute every stall count up to a few
+		// past the optimum, must stop at or below it.
+		if lb := ev.refute(root, ref.Stalls+3); lb > ref.Stalls {
+			t.Fatalf("block %d W=%d I=%d: refuted bound %d exceeds the optimum %d (root %d)\n%s",
+				i, window, width, lb, ref.Stalls, root, g.Block)
+		} else if lb > root {
+			refutedAbove++
+		}
 		critPath := 0
 		for _, h := range ev.heightTicks {
 			critPath = max(critPath, h+1)
@@ -85,10 +93,10 @@ func TestScoreboardBoundsAdmissible(t *testing.T) {
 		}
 		blocks++
 	}
-	if blocks < 250 || exactCP < 10_000 || exactRes < 5000 || exactRoot < 100 || rootAboveCP < 30 {
-		t.Fatalf("only %d blocks; over %d prefixes cp exact %d times, res %d; root exact on %d blocks, above the critical path on %d",
-			blocks, prefixes, exactCP, exactRes, exactRoot, rootAboveCP)
+	if blocks < 250 || exactCP < 10_000 || exactRes < 5000 || exactRoot < 100 || rootAboveCP < 30 || refutedAbove == 0 {
+		t.Fatalf("only %d blocks; over %d prefixes cp exact %d times, res %d; root exact on %d blocks, above the critical path on %d; refute above root on %d",
+			blocks, prefixes, exactCP, exactRes, exactRoot, rootAboveCP, refutedAbove)
 	}
-	t.Logf("%d blocks, %d prefixes: cp exact %d times, res %d; root exact on %d blocks, above the critical path on %d",
-		blocks, prefixes, exactCP, exactRes, exactRoot, rootAboveCP)
+	t.Logf("%d blocks, %d prefixes: cp exact %d times, res %d; root exact on %d blocks, above the critical path on %d; refute above root on %d",
+		blocks, prefixes, exactCP, exactRes, exactRoot, rootAboveCP, refutedAbove)
 }
