@@ -32,7 +32,7 @@
 //	                 degradation reason)
 //	-stats-json f    write structured telemetry events as JSONL to f
 //	-metrics-addr a  serve /metrics, /debug/vars, /debug/pprof on a
-//	-trace-out f     write the search tree as Chrome trace_event JSON
+//	-trace-out f     write the compile's trace (stages + search events) as Chrome trace_event JSON
 //
 // Exit status: 0 when the emitted schedule is provably optimal and no
 // stage failed; 2 when a legal schedule was emitted but degraded (the
@@ -101,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print search statistics")
 		statsJSON = fs.String("stats-json", "", "write telemetry events as JSON lines to this file")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-		traceOut  = fs.String("trace-out", "", "write the search tree as Chrome trace_event JSON to this file")
+		traceOut  = fs.String("trace-out", "", "write the compile's trace (stage slices, search events) as Chrome trace_event JSON to this file")
 		timeline  = fs.Bool("timeline", false, "print a tick-by-tick pipeline occupancy timeline")
 		explain   = fs.Bool("explain", false, "annotate delays with their binding constraint")
 		report    = fs.Bool("report", false, "print a full compilation report instead of bare assembly")
@@ -161,10 +161,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer ts.Close()
 		fmt.Fprintf(stderr, "telemetry: serving http://%s/metrics (also /debug/vars, /debug/pprof)\n", ts.Addr())
 	}
-	var trace *pipesched.SearchTrace
+	// -trace-out traces this one compile: every stage span plus up to
+	// maxTraceEvents search events, kept in the tracer's flight recorder.
+	var tracer *pipesched.Tracer
+	traceSearch := 0
 	if *traceOut != "" {
-		trace = &pipesched.SearchTrace{Limit: 200_000}
+		traceSearch = maxTraceEvents
+		tracer = pipesched.EnableTracing(pm, pipesched.TracerConfig{RecorderSize: maxTraceEvents + 1024})
+		defer pipesched.DisableTracing()
 	}
+	ctx, root := tracer.StartRoot(ctx, "compile", pipesched.TraceContext{})
 
 	opts := pipesched.Options{
 		Sched:           sched,
@@ -175,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		AssignPipelines: *assign,
 		ExplainNOPs:     *explain,
 		Workers:         *workers,
-		Trace:           trace,
+		TraceSearch:     traceSearch,
 	}
 
 	degraded := func(err error, gap int) int {
@@ -194,11 +200,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// finish runs the end-of-compilation observability outputs shared by
-	// both input paths: the Chrome search trace, the per-stage timing
-	// line, and the degraded-exit accounting.
-	finish := func(cerr error, label string, gap int) int {
-		if trace != nil {
-			if err := writeChromeTrace(*traceOut, trace, label); err != nil {
+	// both input paths: the Chrome trace, the per-stage timing line, and
+	// the degraded-exit accounting.
+	finish := func(cerr error, gap int) int {
+		if tracer != nil {
+			root.End()
+			if err := writeChromeTrace(*traceOut, tracer); err != nil {
 				return fail(err)
 			}
 		}
@@ -227,7 +234,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(err)
 			}
 		}
-		return finish(cerr, compiled.Scheduled.Label, compiled.Gap)
+		return finish(cerr, compiled.Gap)
 	}
 	// Multi-block sources are scheduled as a sequence with pipeline
 	// state threaded across the boundaries; plain sources produce one
@@ -253,11 +260,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sequence: blocks=%d total-nops=%d total-ticks=%d optimal=%t quality=%s\n",
 			len(seq.Blocks), seq.TotalNOPs, seq.TotalTicks, seq.Optimal, seq.Quality)
 	}
-	label := "block"
-	if len(seq.Blocks) > 0 {
-		label = seq.Blocks[0].Scheduled.Label
-	}
-	return finish(cerr, label, worstGap(seq.Blocks))
+	return finish(cerr, worstGap(seq.Blocks))
 }
 
 // worstGap folds per-block gap certificates into one sequence-level
@@ -349,10 +352,14 @@ func printStageTimes(w io.Writer, pm *pipesched.Telemetry) {
 	fmt.Fprintln(w)
 }
 
-// writeChromeTrace converts the recorded search trace to Chrome
-// trace_event JSON and writes it to path.
-func writeChromeTrace(path string, tr *pipesched.SearchTrace, label string) error {
-	data, err := pipesched.ChromeTrace(tr, label)
+// maxTraceEvents bounds the search events -trace-out records per
+// compile, so a long search cannot exhaust memory.
+const maxTraceEvents = 200_000
+
+// writeChromeTrace renders the spans tr recorded as Chrome trace_event
+// JSON and writes it to path.
+func writeChromeTrace(path string, tr *pipesched.Tracer) error {
+	data, err := pipesched.ChromeTraceRequest(tr.Recorder().Snapshot())
 	if err != nil {
 		return err
 	}

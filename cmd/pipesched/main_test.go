@@ -240,43 +240,66 @@ func TestRunStatsBreakdown(t *testing.T) {
 	}
 }
 
-// TestRunTraceOut checks -trace-out writes loadable Chrome trace JSON.
+// TestRunTraceOut checks -trace-out writes the compile's request trace
+// as loadable Chrome trace JSON: a stage:search slice with the search
+// events as worker-tagged instants inside it, sequential and with a
+// parallel search.
 func TestRunTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "in.src")
 	if err := os.WriteFile(src, []byte(chainSource()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(dir, "trace.json")
-	var stdout, stderr bytes.Buffer
-	// chainSource may curtail under the default λ (exit 2); the trace is
-	// written either way.
-	if got := run([]string{"-trace-out", out, src}, &stdout, &stderr); got == 1 {
-		t.Fatalf("exit = %d (stderr: %s)", got, stderr.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatalf("trace file not JSON: %v", err)
-	}
-	if len(parsed.TraceEvents) == 0 {
-		t.Error("trace file has no events")
-	}
-	// -trace-out composes with a parallel search (satellite: the trace
-	// buffer is mutex-guarded).
-	out2 := filepath.Join(dir, "trace2.json")
-	stdout.Reset()
-	stderr.Reset()
-	if got := run([]string{"-trace-out", out2, "-workers", "4", src}, &stdout, &stderr); got == 1 {
-		t.Fatalf("parallel trace exit = %d (stderr: %s)", got, stderr.String())
-	}
-	if _, err := os.Stat(out2); err != nil {
-		t.Errorf("parallel -trace-out wrote nothing: %v", err)
+	for _, workers := range []string{"1", "4"} {
+		out := filepath.Join(dir, "trace"+workers+".json")
+		var stdout, stderr bytes.Buffer
+		// chainSource may curtail under the default λ (exit 2); the trace
+		// is written either way.
+		if got := run([]string{"-trace-out", out, "-workers", workers, src}, &stdout, &stderr); got == 1 {
+			t.Fatalf("workers=%s: exit = %d (stderr: %s)", workers, got, stderr.String())
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parsed struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Ph   string         `json:"ph"`
+				Ts   int64          `json:"ts"`
+				Dur  int64          `json:"dur"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &parsed); err != nil {
+			t.Fatalf("workers=%s: trace file not JSON: %v", workers, err)
+		}
+		var searchTs, searchEnd int64 = -1, -1
+		for _, ev := range parsed.TraceEvents {
+			if ev.Name == "stage:search" && ev.Ph == "X" {
+				searchTs, searchEnd = ev.Ts, ev.Ts+ev.Dur
+			}
+		}
+		if searchTs < 0 {
+			t.Fatalf("workers=%s: no stage:search slice", workers)
+		}
+		instants := 0
+		for _, ev := range parsed.TraceEvents {
+			if ev.Ph != "i" || ev.Args["depth"] == nil {
+				continue
+			}
+			instants++
+			if ev.Args["worker"] == nil {
+				t.Fatalf("workers=%s: search instant %s lacks its worker", workers, ev.Name)
+			}
+			if ev.Ts < searchTs || ev.Ts > searchEnd {
+				t.Fatalf("workers=%s: search instant %s at %d outside stage:search [%d, %d]",
+					workers, ev.Name, ev.Ts, searchTs, searchEnd)
+			}
+		}
+		if instants == 0 {
+			t.Errorf("workers=%s: no search instants", workers)
+		}
 	}
 }
 

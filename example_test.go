@@ -1,6 +1,8 @@
 package pipesched_test
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 
 	"pipesched"
@@ -104,4 +106,40 @@ func ExampleGreedyBaseline() {
 	fmt.Printf("greedy=%d optimal=%d\n", greedyNOPs, c.TotalNOPs)
 	// Output:
 	// greedy=3 optimal=2
+}
+
+// ExampleChromeTraceRequest traces one compile with its search events:
+// the stages become timed slices and every search event an instant
+// inside the stage:search slice.
+func ExampleChromeTraceRequest() {
+	tr := pipesched.EnableTracing(nil, pipesched.TracerConfig{RecorderSize: 8192})
+	defer pipesched.DisableTracing()
+	ctx, root := tr.StartRoot(context.Background(), "compile", pipesched.TraceContext{})
+	src := "a = x * y\na = a * y0\na = a * y1\na = a * y2\n"
+	if _, err := pipesched.CompileCtx(ctx, src, pipesched.SimulationMachine(), pipesched.Options{TraceSearch: 5000}); err != nil {
+		panic(err)
+	}
+	root.End()
+	spans := tr.Recorder().Snapshot()
+	events := 0
+	for _, s := range spans {
+		if s.Attrs["worker"] != "" {
+			events++
+		} else {
+			fmt.Println(s.Name)
+		}
+	}
+	data, err := pipesched.ChromeTraceRequest(spans)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("search events=%d json=%v\n", events, json.Valid(data))
+	// Output:
+	// compile
+	// stage:frontend
+	// stage:dag
+	// stage:search
+	// stage:regalloc
+	// stage:codegen
+	// search events=16 json=true
 }

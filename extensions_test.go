@@ -1,6 +1,7 @@
 package pipesched
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -91,16 +92,18 @@ func TestScheduleLargeHonoursOptions(t *testing.T) {
 		}
 	}
 
-	tr := &SearchTrace{Limit: 10_000}
-	c, err := ScheduleLarge(block, SimulationMachine(), 8, Options{Trace: tr})
+	var c *Compiled
+	spans := traceCompile(t, func(ctx context.Context) {
+		c, err = ScheduleLargeCtx(ctx, block, SimulationMachine(), 8, Options{TraceSearch: 10_000})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats.OmegaCalls == 0 {
 		t.Fatal("test block should make the windows search")
 	}
-	if len(tr.Snapshot()) == 0 {
-		t.Error("Trace recorded no events for the windows' searches")
+	if len(searchPoints(t, spans)) == 0 {
+		t.Error("TraceSearch recorded no events for the windows' searches")
 	}
 
 	em := ExampleMachine()

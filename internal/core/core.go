@@ -40,8 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -155,9 +153,10 @@ type Options struct {
 	// topological order of the block's DAG.
 	InitialOrder []int
 
-	// Trace, when non-nil, records the first Trace.Limit search events
-	// for inspection (debugging/teaching); it does not affect the search.
-	Trace *SearchTrace
+	// Trace, when non-nil, is called with every search event (debugging
+	// and teaching); it does not affect the search. A parallel search
+	// calls it from all of its workers at once.
+	Trace func(TraceEvent)
 
 	// Entry, when non-nil, supplies cross-block initial conditions
 	// (pipeline reservations and in-flight values from preceding code) —
@@ -597,10 +596,10 @@ func (s *searcher) offerSeed(order []int) (int, error) {
 	return sched.TotalNOPs, nil
 }
 
-// trace records a search event, reading μ only when tracing is attached.
+// trace reports a search event, reading μ only when a hook is attached.
 func (s *searcher) trace(a TraceAction, depth, node, eta int) {
 	if s.opts.Trace != nil {
-		s.opts.Trace.add(TraceEvent{Action: a, Depth: depth, Node: node, Eta: eta, Mu: s.ev.cost(), Worker: s.worker})
+		s.opts.Trace(TraceEvent{Action: a, Depth: depth, Node: node, Eta: eta, Mu: s.ev.cost(), Worker: s.worker})
 	}
 }
 
@@ -890,7 +889,7 @@ func equivalenceClasses(g *dag.Graph, pipes [][]int) []int {
 // TraceAction labels one search event.
 type TraceAction string
 
-// Search event kinds recorded by SearchTrace.
+// Search event kinds reported to Options.Trace.
 const (
 	TracePlace      TraceAction = "place"             // node priced at a position
 	TraceImprove    TraceAction = "improve"           // new incumbent best schedule
@@ -906,81 +905,12 @@ const (
 	TraceCurtail    TraceAction = "curtail"           // λ reached
 )
 
-// TraceEvent is one recorded search step.
+// TraceEvent is one search step, as reported to Options.Trace.
 type TraceEvent struct {
 	Action TraceAction
 	Depth  int // schedule position being filled
 	Node   int // candidate node (DAG numbering)
 	Eta    int // NOPs priced for the placement (TracePlace/TraceImprove)
 	Mu     int // μ(Φ) after the event, where meaningful
-	Worker int // parallel-search worker that recorded the event (0 for sequential)
-}
-
-// String renders the event on one line.
-func (e TraceEvent) String() string {
-	return fmt.Sprintf("w=%-2d d=%-3d n=%-3d %-18s eta=%d mu=%d", e.Worker, e.Depth, e.Node, e.Action, e.Eta, e.Mu)
-}
-
-// SearchTrace records the first Limit events of a search when attached
-// to Options.Trace. It exists for debugging and teaching: the recorded
-// prefix shows exactly how the pruning rules interact on a block.
-//
-// A SearchTrace is safe to share between the workers of a parallel
-// search: once the limit is reached, a lock-free full check keeps the
-// hot path cheap; until then recording takes a mutex, so worker events
-// interleave but never race. Read Events only after the search returns
-// (or via Snapshot, which locks).
-type SearchTrace struct {
-	Limit  int // maximum events kept (0 = 1000)
-	Events []TraceEvent
-
-	mu   sync.Mutex
-	full atomic.Bool
-}
-
-func (t *SearchTrace) add(e TraceEvent) {
-	if t.full.Load() {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	limit := t.Limit
-	if limit <= 0 {
-		limit = 1000
-	}
-	if len(t.Events) < limit {
-		t.Events = append(t.Events, e)
-	}
-	if len(t.Events) >= limit {
-		t.full.Store(true)
-	}
-}
-
-// Snapshot returns a copy of the recorded events, safe to call while a
-// search is still running.
-func (t *SearchTrace) Snapshot() []TraceEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceEvent(nil), t.Events...)
-}
-
-// String renders the recorded prefix, one event per line.
-func (t *SearchTrace) String() string {
-	var sb strings.Builder
-	for _, e := range t.Snapshot() {
-		sb.WriteString(e.String())
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-// Count returns how many recorded events have the given action.
-func (t *SearchTrace) Count(a TraceAction) int {
-	n := 0
-	for _, e := range t.Snapshot() {
-		if e.Action == a {
-			n++
-		}
-	}
-	return n
+	Worker int // parallel-search worker that reported the event (0 for sequential)
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -502,44 +502,78 @@ func TestDisableGreedySeedStillOptimal(t *testing.T) {
 	}
 }
 
+// recordTrace returns an Options.Trace hook for a sequential search and
+// the events it has seen.
+func recordTrace() (func(TraceEvent), *[]TraceEvent) {
+	var events []TraceEvent
+	return func(e TraceEvent) { events = append(events, e) }, &events
+}
+
+// countTrace counts the events with action a.
+func countTrace(events []TraceEvent, a TraceAction) int64 {
+	n := int64(0)
+	for _, e := range events {
+		if e.Action == a {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSearchTrace(t *testing.T) {
 	g := fig3Graph(t)
-	trace := &SearchTrace{Limit: 500}
-	sched, err := Find(g, machine.SimulationMachine(), Options{Trace: trace})
+	hook, events := recordTrace()
+	sched, err := Find(g, machine.SimulationMachine(), Options{Trace: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Events) == 0 {
-		t.Fatal("no events recorded")
+	if len(*events) == 0 {
+		t.Fatal("no events reported")
 	}
-	if trace.Count(TracePlace) == 0 {
-		t.Error("no placements recorded")
+	for _, c := range []struct {
+		a    TraceAction
+		want int64
+	}{
+		{TracePlace, sched.Stats.OmegaCalls},
+		{TraceImprove, sched.Stats.Improvements},
+		{TraceAlphaBeta, sched.Stats.PrunedAlphaBeta},
+	} {
+		if got := countTrace(*events, c.a); got != c.want {
+			t.Errorf("%s events %d != stats %d", c.a, got, c.want)
+		}
 	}
-	if trace.Count(TraceImprove) != int(sched.Stats.Improvements) {
-		t.Errorf("improve events %d != stats %d",
-			trace.Count(TraceImprove), sched.Stats.Improvements)
-	}
-	if got := int64(trace.Count(TraceAlphaBeta)); got != sched.Stats.PrunedAlphaBeta {
-		t.Errorf("alphabeta events %d != stats %d", got, sched.Stats.PrunedAlphaBeta)
-	}
-	// Rendering is line-per-event and mentions the actions.
-	out := trace.String()
-	if !strings.Contains(out, "place") {
-		t.Errorf("trace rendering missing actions:\n%s", out)
-	}
-	if strings.Count(out, "\n") != len(trace.Events) {
-		t.Error("one line per event expected")
+	for _, e := range *events {
+		if e.Worker != 0 || e.Depth < 0 || e.Depth >= g.N {
+			t.Fatalf("sequential event out of range: %+v", e)
+		}
 	}
 }
 
+// TestSearchTraceLimit checks that a hook which stops recording — as the
+// per-compile bound of a traced compile does — leaves the search alone:
+// same schedule, same statistics as an untraced search.
 func TestSearchTraceLimit(t *testing.T) {
 	g := fig3Graph(t)
-	trace := &SearchTrace{Limit: 3}
-	if _, err := Find(g, machine.SimulationMachine(), Options{Trace: trace}); err != nil {
+	m := machine.SimulationMachine()
+	n := 0
+	traced, err := Find(g, m, Options{Trace: func(TraceEvent) {
+		if n < 3 {
+			n++
+		}
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Events) != 3 {
-		t.Errorf("limit not honored: %d events", len(trace.Events))
+	plain, err := Find(g, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Errorf("hook saw %d events, want at least 3", n)
+	}
+	traced.Stats.Elapsed, plain.Stats.Elapsed = 0, 0
+	if !reflect.DeepEqual(traced.Order, plain.Order) || traced.Stats != plain.Stats {
+		t.Errorf("trace hook changed the search: %+v vs %+v", traced.Stats, plain.Stats)
 	}
 }
 
@@ -552,15 +586,15 @@ func TestSearchTraceCurtailEvent(t *testing.T) {
   5: Mul @2, @3
   6: Add @4, @5
   7: Store #r, @6`)
-	trace := &SearchTrace{}
-	sched, err := Find(g, machine.SimulationMachine(), Options{Lambda: 4, Trace: trace})
+	hook, events := recordTrace()
+	sched, err := Find(g, machine.SimulationMachine(), Options{Lambda: 4, Trace: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sched.Optimal {
 		t.Fatal("λ=4 should curtail")
 	}
-	if trace.Count(TraceCurtail) != 1 {
-		t.Errorf("expected exactly one curtail event, got %d", trace.Count(TraceCurtail))
+	if got := countTrace(*events, TraceCurtail); got != 1 {
+		t.Errorf("expected exactly one curtail event, got %d", got)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // search space is fixed; only its traversal interleaves), but WHICH
 // optimal schedule is returned may differ between runs and from Find
 // when several optima exist, and the Ω-call total varies with timing.
-// Options.Trace is honored: SearchTrace is mutex-guarded, so worker
-// events interleave (in nondeterministic order) but never race.
+// Options.Trace is honored: every worker calls the hook, stamping its
+// index on the event, so the hook must be safe for concurrent use.
 // workers <= 0 selects GOMAXPROCS.
 //
 // Setup and result assembly are Find's (InitialNOPs and RootLB agree

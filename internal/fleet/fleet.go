@@ -110,8 +110,15 @@ func (e *NoReplicasError) Error() string {
 	return fmt.Sprintf("%v (last: %v)", ErrNoReplicas, e.Last)
 }
 
-// Unwrap makes errors.Is(err, ErrNoReplicas) hold.
-func (e *NoReplicasError) Unwrap() error { return ErrNoReplicas }
+// Unwrap makes errors.Is(err, ErrNoReplicas) hold, and lets errors.As
+// reach the last replica's outcome — an *server.OverloadError's retry
+// hint among them.
+func (e *NoReplicasError) Unwrap() []error {
+	if e.Last == nil {
+		return []error{ErrNoReplicas}
+	}
+	return []error{ErrNoReplicas, e.Last}
+}
 
 // Fleet routes compile requests across a ring of Backends. Create with
 // New, populate with AddNode/AddBackend, submit with Submit (or serve

@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"pipesched/internal/server"
 	"pipesched/internal/stats"
@@ -38,26 +36,6 @@ func httpStatus(resp *server.Response, err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return server.HTTPStatus(resp, err)
-}
-
-// writeOutcome renders one single-request outcome like
-// server.WriteWireOutcome, with the fleet error codes and their HTTP
-// statuses: the trace-ID stamp on wire errors and the typed-5xx
-// flight-recorder trigger.
-func writeOutcome(w http.ResponseWriter, req *server.Request, resp *server.Response, serr error, traceID string) {
-	wire := server.ToWire(req.ID, resp, serr)
-	if req.WireSchedule {
-		wire.AttachSchedule(resp)
-	}
-	if wire.Error != nil {
-		wire.Error.Code = ErrorCode(serr)
-	}
-	wire.StampTrace(traceID)
-	status := httpStatus(resp, serr)
-	if status >= 500 {
-		telemetry.ActiveTracer().Trigger(fmt.Sprintf("http_%d", status))
-	}
-	server.WriteJSON(w, status, wire)
 }
 
 // Handler returns the fleet's HTTP front door — the same API shape as a
@@ -117,45 +95,7 @@ func (f *Fleet) handleCompile(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(telemetry.TraceHeader, root.Context().String())
 		defer root.End()
 	}
-	if batch {
-		f.serveBatch(ctx, w, reqs, traceID)
-		return
-	}
-	req := reqs[0]
-	resp, serr := f.Submit(ctx, req)
-	writeOutcome(w, req, resp, serr, traceID)
-}
-
-// serveBatch fans a batch out through the router; each item routes,
-// fails over and hedges independently, all under the same trace root.
-func (f *Fleet) serveBatch(ctx context.Context, w http.ResponseWriter, reqs []*server.Request, traceID string) {
-	type batchOut struct {
-		Responses []*server.WireResponse `json:"responses"`
-	}
-	out := batchOut{Responses: make([]*server.WireResponse, len(reqs))}
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		if req == nil {
-			out.Responses[i] = &server.WireResponse{Error: &server.WireError{Code: "invalid_request", Message: "null request"}}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, req *server.Request) {
-			defer wg.Done()
-			resp, err := f.Submit(ctx, req)
-			wire := server.ToWire(req.ID, resp, err)
-			if req.WireSchedule {
-				wire.AttachSchedule(resp)
-			}
-			if wire.Error != nil {
-				wire.Error.Code = ErrorCode(err)
-			}
-			wire.StampTrace(traceID)
-			out.Responses[i] = wire
-		}(i, req)
-	}
-	wg.Wait()
-	server.WriteJSON(w, http.StatusOK, out)
+	server.Front{Submit: f.Submit, Code: ErrorCode, Status: httpStatus}.Serve(ctx, w, reqs, batch, traceID)
 }
 
 // fleetStatus is the /fleet endpoint's JSON shape.

@@ -142,8 +142,9 @@ type wireBatchResponse struct {
 	Responses []*WireResponse `json:"responses"`
 }
 
-// ToWire flattens a Submit outcome into the wire shape.
-func ToWire(id string, resp *Response, err error) *WireResponse {
+// toWire flattens a Submit outcome into the wire shape; code names the
+// error on the wire.
+func toWire(id string, resp *Response, err error, code func(error) string) *WireResponse {
 	w := &WireResponse{ID: id}
 	if resp != nil {
 		w.Cached = resp.Cached
@@ -172,7 +173,7 @@ func ToWire(id string, resp *Response, err error) *WireResponse {
 		}
 	}
 	if err != nil {
-		w.Error = &WireError{Code: ErrorCode(err), Message: err.Error()}
+		w.Error = &WireError{Code: code(err), Message: err.Error()}
 		var oe *OverloadError
 		if errors.As(err, &oe) {
 			w.Error.RetryAfterMS = oe.RetryAfter.Milliseconds()
@@ -264,36 +265,68 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(telemetry.TraceHeader, root.Context().String())
 		defer root.End()
 	}
-	if batch {
-		s.serveBatch(ctx, w, reqs, traceID)
-		return
-	}
-	req := reqs[0]
-	resp, serr := s.Submit(ctx, req)
-	wire := ToWire(req.ID, resp, serr)
-	if req.WireSchedule {
-		wire.AttachSchedule(resp)
-	}
-	WriteWireOutcome(w, wire, resp, serr, traceID)
+	Front{Submit: s.Submit, Code: ErrorCode, Status: HTTPStatus}.Serve(ctx, w, reqs, batch, traceID)
 }
 
-// WriteWireOutcome renders one single-request outcome: status from
-// HTTPStatus, Retry-After on overload, and the wire JSON body with the
-// trace ID stamped on its error. A typed 5xx outcome triggers a
-// flight-recorder dump so the black box captures the spans that led to
-// it. The wire body is built by the caller, so it can carry
-// per-request decoration (e.g. AttachSchedule).
-func WriteWireOutcome(w http.ResponseWriter, wire *WireResponse, resp *Response, serr error, traceID string) {
-	status := HTTPStatus(resp, serr)
-	var oe *OverloadError
-	if errors.As(serr, &oe) {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64(oe.RetryAfter.Seconds()+0.999), 10))
+// Front is one /compile front door: how it submits a request and how it
+// names an outcome on the wire. A lone server uses Submit, ErrorCode and
+// HTTPStatus; the fleet router passes its routing and its extended error
+// taxonomy through the same writer, so both doors answer in one shape,
+// Retry-After included.
+type Front struct {
+	Submit func(context.Context, *Request) (*Response, error)
+	Code   func(error) string
+	Status func(*Response, error) int
+}
+
+// Serve answers one decoded /compile body. A single request maps its
+// outcome onto the HTTP status, with Retry-After on overload, and a
+// typed 5xx triggers a flight-recorder dump so the black box captures
+// the spans that led to it. A batch fans out through Submit
+// concurrently — each request passes admission control individually,
+// so a batch cannot bypass the queue bound — and answers 200 with
+// per-item outcomes.
+func (f Front) Serve(ctx context.Context, w http.ResponseWriter, reqs []*Request, batch bool, traceID string) {
+	if !batch {
+		resp, err := f.Submit(ctx, reqs[0])
+		status := f.Status(resp, err)
+		var oe *OverloadError
+		if errors.As(err, &oe) {
+			w.Header().Set("Retry-After", strconv.FormatInt(int64(oe.RetryAfter.Seconds()+0.999), 10))
+		}
+		if status >= 500 {
+			telemetry.ActiveTracer().Trigger(fmt.Sprintf("http_%d", status))
+		}
+		WriteJSON(w, status, f.wire(reqs[0], resp, err, traceID))
+		return
 	}
-	if status >= 500 {
-		telemetry.ActiveTracer().Trigger(fmt.Sprintf("http_%d", status))
+	out := wireBatchResponse{Responses: make([]*WireResponse, len(reqs))}
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		if req == nil {
+			out.Responses[i] = &WireResponse{Error: &WireError{Code: "invalid_request", Message: "null request"}}
+			continue
+		}
+		wg.Add(1)
+		go func(i int, req *Request) {
+			defer wg.Done()
+			resp, err := f.Submit(ctx, req)
+			out.Responses[i] = f.wire(req, resp, err, traceID)
+		}(i, req)
 	}
-	wire.StampTrace(traceID)
-	WriteJSON(w, status, wire)
+	wg.Wait()
+	WriteJSON(w, http.StatusOK, out)
+}
+
+// wire builds one request's wire body: the outcome, the raw schedule
+// payload when the request asked for it, and the trace ID on its error.
+func (f Front) wire(req *Request, resp *Response, err error, traceID string) *WireResponse {
+	w := toWire(req.ID, resp, err, f.Code)
+	if req.WireSchedule {
+		w.AttachSchedule(resp)
+	}
+	w.StampTrace(traceID)
+	return w
 }
 
 // StampTrace records the request's trace ID on the wire error, if any.
@@ -341,32 +374,6 @@ func DecodeCompileBody(body []byte) (reqs []*Request, batch bool, err error) {
 		return nil, false, fmt.Errorf("malformed request: %w", err)
 	}
 	return []*Request{&req}, false, nil
-}
-
-// serveBatch fans the batch out through Submit concurrently — each
-// request passes admission control individually, so a batch cannot
-// bypass the queue bound — and answers 200 with per-item outcomes.
-func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, reqs []*Request, traceID string) {
-	out := wireBatchResponse{Responses: make([]*WireResponse, len(reqs))}
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		if req == nil {
-			out.Responses[i] = &WireResponse{Error: &WireError{Code: "invalid_request", Message: "null request"}}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, req *Request) {
-			defer wg.Done()
-			resp, err := s.Submit(ctx, req)
-			out.Responses[i] = ToWire(req.ID, resp, err)
-			if req.WireSchedule {
-				out.Responses[i].AttachSchedule(resp)
-			}
-			out.Responses[i].StampTrace(traceID)
-		}(i, req)
-	}
-	wg.Wait()
-	WriteJSON(w, http.StatusOK, out)
 }
 
 func WriteJSON(w http.ResponseWriter, status int, v any) {

@@ -133,7 +133,7 @@ func TestWireRoundTripSched(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Submit(%q): %v", sched, err)
 		}
-		w := ToWire("rt", resp, nil)
+		w := toWire("rt", resp, nil, ErrorCode)
 		w.AttachSchedule(resp)
 		raw, err := json.Marshal(w)
 		if err != nil {

@@ -1,11 +1,10 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"pipesched/internal/core"
 )
 
 // chromeEvent is one entry of the Chrome trace_event format (the JSON
@@ -22,115 +21,6 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// ChromeTrace converts a recorded search trace into Chrome trace_event
-// JSON, so one block's search tree can be opened in chrome://tracing.
-//
-// The search has no wall-clock timestamps — events are steps — so the
-// converter uses the event index as a synthetic microsecond clock. Each
-// "place" opens a duration slice; the DFS structure is reconstructed
-// from the event depths, so the flame graph IS the explored search tree.
-// Prunes, improvements and the curtail point render as instant events
-// inside the slice that triggered them, with the node, η and μ values in
-// the event args.
-//
-// Parallel searches interleave events from several workers in one
-// mutex-ordered stream. Each worker's own events stay in program order
-// (the trace mutex preserves per-goroutine ordering), so the converter
-// keeps an independent DFS stack per worker and renders worker w on
-// thread id w+1 — one flame row per worker, sharing the global synthetic
-// clock so cross-worker interleaving stays visible.
-func ChromeTrace(t *core.SearchTrace, block string) ([]byte, error) {
-	if t == nil {
-		return nil, fmt.Errorf("telemetry: nil search trace")
-	}
-	if block == "" {
-		block = "block"
-	}
-	const pid = 1
-	events := t.Snapshot()
-
-	// Stable tid mapping: workers sorted ascending, tid = worker+1, with
-	// one thread_name metadata row each.
-	seen := map[int]bool{}
-	var workers []int
-	for _, e := range events {
-		if !seen[e.Worker] {
-			seen[e.Worker] = true
-			workers = append(workers, e.Worker)
-		}
-	}
-	sort.Ints(workers)
-
-	out := chromeTrace{DisplayTimeUnit: "ms"}
-	out.TraceEvents = append(out.TraceEvents,
-		chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": "pipesched branch-and-bound"}})
-	for _, w := range workers {
-		name := fmt.Sprintf("search: %s (worker %d)", block, w)
-		if len(workers) == 1 {
-			name = "search: " + block
-		}
-		out.TraceEvents = append(out.TraceEvents,
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: w + 1,
-				Args: map[string]any{"name": name}})
-	}
-
-	// open[w] holds the depths of worker w's currently-open "place"
-	// slices (a strictly increasing stack mirroring that worker's DFS
-	// descent).
-	open := map[int][]int{}
-	ts := int64(0)
-	closeDownTo := func(w, depth int) {
-		stack := open[w]
-		for len(stack) > 0 && stack[len(stack)-1] >= depth {
-			out.TraceEvents = append(out.TraceEvents,
-				chromeEvent{Name: "place", Ph: "E", Ts: ts, Pid: pid, Tid: w + 1})
-			stack = stack[:len(stack)-1]
-		}
-		open[w] = stack
-	}
-	for _, e := range events {
-		tid := e.Worker + 1
-		args := map[string]any{"depth": e.Depth, "node": e.Node, "eta": e.Eta, "mu": e.Mu, "worker": e.Worker}
-		switch e.Action {
-		case core.TracePlace:
-			closeDownTo(e.Worker, e.Depth)
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: fmt.Sprintf("place n%d", e.Node), Cat: string(e.Action),
-				Ph: "B", Ts: ts, Pid: pid, Tid: tid, Args: args,
-			})
-			open[e.Worker] = append(open[e.Worker], e.Depth)
-		case core.TraceImprove, core.TraceAlphaBeta, core.TraceLowerBound, core.TraceCurtail:
-			// Emitted inside the placement at the same depth: keep that
-			// slice open so the instant renders within it.
-			closeDownTo(e.Worker, e.Depth+1)
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: fmt.Sprintf("%s n%d", e.Action, e.Node), Cat: string(e.Action),
-				Ph: "i", Ts: ts, Pid: pid, Tid: tid, S: "t", Args: args,
-			})
-		default:
-			// Candidate rejections happen while filling position Depth,
-			// i.e. inside the slice for Depth-1; the rejected candidate
-			// never opened a slice of its own.
-			closeDownTo(e.Worker, e.Depth)
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: fmt.Sprintf("%s n%d", e.Action, e.Node), Cat: string(e.Action),
-				Ph: "i", Ts: ts, Pid: pid, Tid: tid, S: "t", Args: args,
-			})
-		}
-		ts++
-	}
-	for _, w := range workers {
-		closeDownTo(w, 0)
-	}
-	return json.MarshalIndent(out, "", " ")
-}
-
 // ChromeTraceRequest converts completed distributed-trace spans (from a
 // JSONL sink file or a flight-recorder dump — see `pipesched trace`)
 // into Chrome trace_event JSON rendering one request's full fleet
@@ -140,10 +30,10 @@ func ChromeTrace(t *core.SearchTrace, block string) ([]byte, error) {
 // degradations, failover skips) render in place.
 //
 // Spans without a node of their own inherit the nearest ancestor's, so
-// pipeline stages group under the node that executed them. The pid/tid
-// assignment is deterministic for a given span set: processes are
-// ordered front-door-first then by node name, rows greedily by start
-// time.
+// pipeline stages group under the node that executed them. The output
+// is deterministic for a given span set: processes are ordered
+// front-door-first then by node name, and within a process spans are
+// ordered, and packed greedily onto rows, by start time.
 func ChromeTraceRequest(spans []SpanRecord) ([]byte, error) {
 	if len(spans) == 0 {
 		return nil, fmt.Errorf("telemetry: no trace spans")
@@ -197,82 +87,93 @@ func ChromeTraceRequest(spans []SpanRecord) ([]byte, error) {
 		}
 	}
 
-	out := chromeTrace{DisplayTimeUnit: "ms"}
-	for _, n := range order {
-		name := n
-		if n == "" {
-			name = "front door / router"
-		}
-		out.TraceEvents = append(out.TraceEvents,
-			chromeEvent{Name: "process_name", Ph: "M", Pid: pidOf[n],
-				Args: map[string]any{"name": name}})
-	}
-
 	// Within each process, pack spans onto rows: sort by start, assign
 	// each span the lowest row whose previous occupant has ended.
 	type placed struct {
-		idx int
-		pid int
+		idx, pid, tid int
+		ts, dur       int64
 	}
-	byPid := map[int][]placed{}
+	ps := make([]placed, len(spans))
 	for i := range spans {
-		p := pidOf[resolved[i]]
-		byPid[p] = append(byPid[p], placed{idx: i, pid: p})
+		ps[i] = placed{idx: i, pid: pidOf[resolved[i]]}
 	}
-	for pid, ps := range byPid {
-		sort.Slice(ps, func(a, b int) bool {
-			sa, sb := spans[ps[a].idx], spans[ps[b].idx]
-			if !sa.Start.Equal(sb.Start) {
-				return sa.Start.Before(sb.Start)
-			}
-			return sa.SpanID < sb.SpanID
-		})
-		var rowEnd []int64 // per-row end timestamp, µs
-		for _, pl := range ps {
-			s := spans[pl.idx]
-			ts := s.Start.Sub(base).Microseconds()
-			dur := s.Dur.Microseconds()
-			row := -1
-			for r, end := range rowEnd {
-				if end <= ts {
-					row = r
-					break
-				}
-			}
-			if row == -1 {
-				row = len(rowEnd)
-				rowEnd = append(rowEnd, 0)
-			}
-			rowEnd[row] = ts + dur
-			args := map[string]any{"trace_id": s.TraceID, "span_id": s.SpanID}
-			for k, v := range s.Attrs {
-				args[k] = v
-			}
-			if s.Err != "" {
-				args["err"] = s.Err
-			}
-			ev := chromeEvent{
-				Name: s.Name, Cat: "trace",
-				Ts: ts, Pid: pid, Tid: row + 1, Args: args,
-			}
-			if s.Dur > 0 {
-				ev.Ph, ev.Dur = "X", dur
-			} else {
-				ev.Ph, ev.S = "i", "t"
-			}
-			out.TraceEvents = append(out.TraceEvents, ev)
+	sort.Slice(ps, func(a, b int) bool {
+		sa, sb := &spans[ps[a].idx], &spans[ps[b].idx]
+		switch {
+		case ps[a].pid != ps[b].pid:
+			return ps[a].pid < ps[b].pid
+		case !sa.Start.Equal(sb.Start):
+			return sa.Start.Before(sb.Start)
 		}
-	}
-	// Deterministic output order: by pid, then timestamp, then tid.
-	sort.SliceStable(out.TraceEvents, func(a, b int) bool {
-		ea, eb := out.TraceEvents[a], out.TraceEvents[b]
-		if ea.Pid != eb.Pid {
-			return ea.Pid < eb.Pid
-		}
-		if ea.Ts != eb.Ts {
-			return ea.Ts < eb.Ts
-		}
-		return ea.Tid < eb.Tid
+		return sa.SpanID < sb.SpanID
 	})
-	return json.MarshalIndent(out, "", " ")
+	var rowEnd []int64 // per-row end timestamp, µs, of the current process
+	for i := range ps {
+		if i == 0 || ps[i].pid != ps[i-1].pid {
+			rowEnd = rowEnd[:0]
+		}
+		s := &spans[ps[i].idx]
+		// End is floored like start, so an instant recorded inside a
+		// span never renders past the span's end.
+		ts := s.Start.Sub(base).Microseconds()
+		dur := s.Start.Add(s.Dur).Sub(base).Microseconds() - ts
+		row := -1
+		for r, end := range rowEnd {
+			if end <= ts {
+				row = r
+				break
+			}
+		}
+		if row == -1 {
+			row = len(rowEnd)
+			rowEnd = append(rowEnd, 0)
+		}
+		rowEnd[row] = ts + dur
+		ps[i].tid, ps[i].ts, ps[i].dur = row+1, ts, dur
+	}
+	// Encode one event at a time: a trace of many search points then
+	// costs little beyond its spans and the JSON itself.
+	var buf bytes.Buffer
+	buf.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	enc := json.NewEncoder(&buf)
+	more := false
+	put := func(ev chromeEvent) error {
+		if more {
+			buf.WriteByte(',')
+		}
+		more = true
+		return enc.Encode(ev)
+	}
+	for i, p := range ps {
+		if i == 0 || p.pid != ps[i-1].pid {
+			name := order[p.pid-1]
+			if name == "" {
+				name = "front door / router"
+			}
+			if err := put(chromeEvent{Name: "process_name", Ph: "M", Pid: p.pid,
+				Args: map[string]any{"name": name}}); err != nil {
+				return nil, err
+			}
+		}
+		s := &spans[p.idx]
+		args := make(map[string]any, len(s.Attrs)+3)
+		args["trace_id"], args["span_id"] = s.TraceID, s.SpanID
+		for k, v := range s.Attrs {
+			args[k] = v
+		}
+		if s.Err != "" {
+			args["err"] = s.Err
+		}
+		ev := chromeEvent{Name: s.Name, Cat: "trace", Ts: p.ts, Pid: p.pid, Tid: p.tid, Args: args}
+		if s.Dur > 0 {
+			ev.Ph, ev.Dur = "X", p.dur
+		} else {
+			ev.Ph, ev.S = "i", "t"
+		}
+		if err := put(ev); err != nil {
+			return nil, err
+		}
+	}
+	buf.WriteString("]}\n")
+	return buf.Bytes(), nil
 }

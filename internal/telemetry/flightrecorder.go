@@ -78,7 +78,7 @@ func (r *FlightRecorder) Snapshot() []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	out := make([]SpanRecord, 0, len(r.slots))
+	out := make([]SpanRecord, 0, r.Len())
 	for i := range r.slots {
 		if p := r.slots[i].Load(); p != nil {
 			out = append(out, *p)

@@ -21,11 +21,11 @@ var PruneKinds = []string{"bounds", "illegal", "equivalence", "strong", "alphabe
 var QualityRungs = []string{"optimal", "incumbent", "heuristic", "baseline"}
 
 // Event is one structured observability event, delivered to the
-// registered Sink. Kind is "span" for stage timings, "search" for one
-// branch-and-bound completion, "gap" for one certified optimality gap
-// (RecordGap), "compile" for one finished block, "trace" for one
-// completed distributed-trace span, and "flight_dump" for a
-// flight-recorder dump header.
+// registered Sink. Kind is "span" for an untraced stage's timing,
+// "search" for one branch-and-bound completion, "gap" for one certified
+// optimality gap (RecordGap), "compile" for one finished block, "trace"
+// for one completed distributed-trace span (a traced stage's timing
+// among them), and "flight_dump" for a flight-recorder dump header.
 type Event struct {
 	Time    time.Time        `json:"time"`
 	Kind    string           `json:"kind"`
@@ -36,9 +36,7 @@ type Event struct {
 	Err     string           `json:"err,omitempty"`     // span/compile failure, if any
 	Fields  map[string]int64 `json:"fields,omitempty"`  // numeric payload (Ω calls, NOPs, prunes)
 
-	// Distributed-trace fields. Trace is set on "trace" events and on
-	// any span/search/compile event that ran under a traced request, so
-	// sink records are joinable to their traces.
+	// Distributed-trace fields, set on "trace" events.
 	Trace     string            `json:"trace_id,omitempty"`
 	Span      uint64            `json:"span_id,omitempty"`
 	Parent    uint64            `json:"parent_id,omitempty"`
@@ -173,73 +171,6 @@ func (m *Metrics) StageDuration(stage string) *Histogram {
 		return nil
 	}
 	return m.stageDur[stage]
-}
-
-// CompileDuration returns the end-to-end wall-time histogram.
-func (m *Metrics) CompileDuration() *Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.compileDur
-}
-
-// Span is one named timed region (a pipeline stage for one block). A nil
-// Span is a no-op, so instrumentation can unconditionally defer End.
-type Span struct {
-	m     *Metrics
-	stage string
-	block string
-	start time.Time
-	err   error
-	trace TraceContext
-}
-
-// StartSpan opens a timed region for one stage of one block's pipeline.
-func (m *Metrics) StartSpan(stage, block string) *Span {
-	if m == nil {
-		return nil
-	}
-	return &Span{m: m, stage: stage, block: block, start: time.Now()}
-}
-
-// WithTrace tags the span with the request's trace so the emitted sink
-// event is joinable to the distributed trace. Returns s for chaining;
-// nil-safe.
-func (s *Span) WithTrace(tc TraceContext) *Span {
-	if s != nil {
-		s.trace = tc
-	}
-	return s
-}
-
-// Fail records the error the spanned stage ended with (shown in the
-// emitted event; the duration is recorded either way).
-func (s *Span) Fail(err error) {
-	if s == nil {
-		return
-	}
-	s.err = err
-}
-
-// End closes the span: the duration lands in the stage histogram and, if
-// a sink is registered, a "span" event is emitted.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	d := time.Since(s.start)
-	if h := s.m.stageDur[s.stage]; h != nil {
-		h.Observe(d.Microseconds())
-	}
-	e := Event{Kind: "span", Stage: s.stage, Block: s.block, Nanos: d.Nanoseconds()}
-	if s.err != nil {
-		e.Err = s.err.Error()
-	}
-	if s.trace.Valid() {
-		e.Trace = s.trace.TraceID
-		e.Parent = s.trace.SpanID
-	}
-	s.m.emit(e)
 }
 
 // active is the globally installed metric set; nil by default, so every

@@ -1,6 +1,7 @@
 // Package telemetry is the zero-dependency observability layer of the
 // scheduler pipeline: an atomic metrics registry (counters, gauges,
-// histograms with fixed log2 buckets), named per-stage spans, and a Sink
+// histograms with fixed log2 buckets), one span per pipeline stage
+// (StartStage), request tracing with a flight recorder, and a Sink
 // interface for structured events.
 //
 // The layer is nil-by-default: until Install is called, every
@@ -12,7 +13,7 @@
 //
 // Exporters live in sibling files: Prometheus text + expvar + pprof over
 // HTTP (Serve), a JSONL event sink (NewJSONLSink), and a Chrome
-// trace_event converter for search traces (ChromeTrace).
+// trace_event converter for request traces (ChromeTraceRequest).
 package telemetry
 
 import (
@@ -73,9 +74,6 @@ func (g *Gauge) Add(delta int64) {
 
 // Inc moves the gauge up by one.
 func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec moves the gauge down by one.
-func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 {

@@ -257,8 +257,8 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	if !tc.Valid() {
 		return ctx, nil
 	}
-	s := t.startFrom(tc, name)
-	return WithTraceContext(ctx, s.Context()), s
+	s := t.span(tc, name)
+	return WithTraceContext(ctx, s.Context()), &s
 }
 
 // StartSpanFrom opens a child of an explicitly carried TraceContext —
@@ -268,11 +268,13 @@ func (t *Tracer) StartSpanFrom(tc TraceContext, name string) *TraceSpan {
 	if t == nil || !tc.Valid() {
 		return nil
 	}
-	return t.startFrom(tc, name)
+	s := t.span(tc, name)
+	return &s
 }
 
-func (t *Tracer) startFrom(tc TraceContext, name string) *TraceSpan {
-	return &TraceSpan{t: t, rec: SpanRecord{
+// span opens a child of tc, by value.
+func (t *Tracer) span(tc TraceContext, name string) TraceSpan {
+	return TraceSpan{t: t, rec: SpanRecord{
 		TraceID: tc.TraceID,
 		SpanID:  t.nextID(),
 		Parent:  tc.SpanID,
@@ -283,17 +285,20 @@ func (t *Tracer) startFrom(tc TraceContext, name string) *TraceSpan {
 }
 
 // Point records an instant event (a zero-duration span) under tc:
-// breaker decisions, degradation-rung fallbacks, failover skips.
-// attrs are key/value pairs; odd tails are dropped.
+// breaker decisions, degradation-rung fallbacks, failover skips, search
+// events. attrs are key/value pairs; odd tails are dropped.
 func (t *Tracer) Point(tc TraceContext, name string, attrs ...string) {
 	if t == nil || !tc.Valid() {
 		return
 	}
-	s := t.startFrom(tc, name)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		s.SetAttr(attrs[i], attrs[i+1])
+	rec := t.span(tc, name).rec
+	if len(attrs) > 1 {
+		rec.Attrs = make(map[string]string, len(attrs)/2)
+		for i := 0; i+1 < len(attrs); i += 2 {
+			rec.Attrs[attrs[i]] = attrs[i+1]
+		}
 	}
-	s.finish(0)
+	t.finish(&rec)
 }
 
 // finish lands a completed record in the ring, the sink, and the span
@@ -304,13 +309,45 @@ func (t *Tracer) finish(rec *SpanRecord) {
 	t.m.emit(rec.Event())
 }
 
+// StartStage opens the one span of a pipeline stage boundary. Under a
+// traced request (an installed tracer and a trace on ctx) it is a child
+// span named "stage:<stage>", and the returned context parents the
+// stage's own work under it. Otherwise, with telemetry on, it is an
+// untraced span that ends in a "span" sink record. Either way End feeds
+// the stage-duration histogram; with telemetry and tracing both off the
+// span is the zero value, a no-op. The span is returned by value so the
+// caller can keep it on its stack: an untraced stage allocates nothing.
+func StartStage(ctx context.Context, stage, block string) (context.Context, TraceSpan) {
+	m := Active()
+	if t := ActiveTracer(); t != nil {
+		if tc := TraceContextOf(ctx); tc.Valid() {
+			s := t.span(tc, "stage:"+stage)
+			if block != "" {
+				s.SetAttr("block", block)
+			}
+			s.m, s.stage = m, stage
+			return WithTraceContext(ctx, s.Context()), s
+		}
+	}
+	if m == nil {
+		return ctx, TraceSpan{}
+	}
+	return ctx, TraceSpan{m: m, stage: stage, block: block, rec: SpanRecord{Start: time.Now()}}
+}
+
 // TraceSpan is one in-flight span. A nil TraceSpan is a no-op for every
-// method. A span belongs to the goroutine that started it until End;
-// none of its methods are safe for concurrent use on one span.
+// method, and so are Fail and End on the zero value. A span belongs to
+// the goroutine that started it until End; none of its methods are safe
+// for concurrent use on one span.
 type TraceSpan struct {
-	t    *Tracer
+	t    *Tracer // nil for an untraced stage span
 	rec  SpanRecord
 	done bool
+
+	// Stage spans (StartStage) only: the metric set whose histogram
+	// times the stage, and the labels of the untraced "span" record.
+	m            *Metrics
+	stage, block string
 }
 
 // Context returns the TraceContext children should parent under.
@@ -343,7 +380,7 @@ func (s *TraceSpan) SetNode(node string) {
 
 // Fail records the error the span ended with. Fail(nil) is a no-op.
 func (s *TraceSpan) Fail(err error) {
-	if s == nil || err == nil {
+	if s == nil || err == nil || s.t == nil && s.m == nil {
 		return
 	}
 	s.rec.Err = err.Error()
@@ -352,10 +389,19 @@ func (s *TraceSpan) Fail(err error) {
 // End completes the span. End is idempotent; only the first call
 // records.
 func (s *TraceSpan) End() {
-	if s == nil || s.done {
+	if s == nil || s.done || s.t == nil && s.m == nil {
 		return
 	}
-	s.finish(time.Since(s.rec.Start))
+	d := time.Since(s.rec.Start)
+	if h := s.m.StageDuration(s.stage); h != nil {
+		h.Observe(d.Microseconds())
+	}
+	if s.t == nil {
+		s.done = true
+		s.m.emit(Event{Kind: "span", Stage: s.stage, Block: s.block, Nanos: d.Nanoseconds(), Err: s.rec.Err})
+		return
+	}
+	s.finish(d)
 }
 
 func (s *TraceSpan) finish(d time.Duration) {

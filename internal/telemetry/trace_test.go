@@ -14,11 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pipesched/internal/core"
-	"pipesched/internal/dag"
-	"pipesched/internal/ir"
-	"pipesched/internal/machine"
 )
 
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -332,92 +327,47 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	}
 }
 
-// TestChromeTraceConcurrentWorkers drives a real multi-worker parallel
-// search and checks the converter's contract on the interleaved stream:
-// valid JSON, one stable tid per worker (worker+1), per-worker B/E
-// stack discipline, and a thread_name metadata row per worker.
-func TestChromeTraceConcurrentWorkers(t *testing.T) {
-	// Six independent expressions give the depth-0 fan-out several
-	// distinct subtrees, so multiple workers emit trace events.
-	src := `b:
-  1: Load #a
-  2: Load #b
-  3: Mul @1, @2
-  4: Load #c
-  5: Load #d
-  6: Mul @4, @5
-  7: Add @3, @6
-  8: Load #e
-  9: Load #f
-  10: Mul @8, @9
-  11: Store #x, @7
-  12: Store #y, @10`
-	blk, err := ir.ParseBlock(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := dag.Build(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := &core.SearchTrace{Limit: 50_000}
-	if _, err := core.FindParallel(g, machine.SimulationMachine(), core.Options{Trace: trace}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Snapshot()) == 0 {
-		t.Fatal("search recorded no events")
-	}
+// TestStageSpanOneRecord checks that a stage boundary is one span: the
+// stage histogram counts it either way, and it ends in exactly one sink
+// record — a "span" record when untraced, a "trace" record under a
+// traced request, whose context then parents the stage's own work.
+func TestStageSpanOneRecord(t *testing.T) {
+	pm := Install(NewMetrics(NewRegistry()))
+	defer Uninstall()
+	var events []Event
+	pm.SetSink(sinkFunc(func(e Event) { events = append(events, e) }))
 
-	data, err := ChromeTrace(trace, "blk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("output not valid JSON: %v", err)
-	}
+	_, sp := StartStage(context.Background(), "dag", "b0")
+	sp.Fail(fmt.Errorf("boom"))
+	sp.End()
+	sp.End() // idempotent
 
-	depth := map[int]int{} // per-tid open-slice depth
-	threadNames := map[int]bool{}
-	for _, ev := range out.TraceEvents {
-		if ev.Pid != 1 {
-			t.Fatalf("event pid = %d, want stable pid 1", ev.Pid)
-		}
-		switch ev.Ph {
-		case "M":
-			if ev.Name == "thread_name" {
-				threadNames[ev.Tid] = true
-			}
-			continue
-		case "B":
-			depth[ev.Tid]++
-		case "E":
-			depth[ev.Tid]--
-			if depth[ev.Tid] < 0 {
-				t.Fatalf("tid %d: E without matching B", ev.Tid)
-			}
-		}
-		if ev.Args != nil {
-			if w, ok := ev.Args["worker"].(float64); ok && int(w)+1 != ev.Tid {
-				t.Fatalf("event on tid %d carries worker %v: unstable mapping", ev.Tid, w)
-			}
+	tr := InstallTracer(NewTracer(pm, TracerConfig{}))
+	defer UninstallTracer()
+	ctx, root := tr.StartRoot(context.Background(), "req", TraceContext{})
+	sctx, st := StartStage(ctx, "search", "b1")
+	tr.Point(TraceContextOf(sctx), "place", "worker", "0")
+	st.End()
+	root.End()
+
+	for _, stage := range []string{"dag", "search"} {
+		if got := pm.StageDuration(stage).Count(); got != 1 {
+			t.Errorf("stage %s histogram count = %d, want 1", stage, got)
 		}
 	}
-	for tid, d := range depth {
-		if d != 0 {
-			t.Fatalf("tid %d: %d slices left open", tid, d)
-		}
-		if tid != 0 && !threadNames[tid] {
-			t.Fatalf("tid %d has events but no thread_name metadata", tid)
-		}
+	if len(events) != 4 {
+		t.Fatalf("got %d sink records, want 4 (span, place, stage, root): %+v", len(events), events)
+	}
+	if e := events[0]; e.Kind != "span" || e.Stage != "dag" || e.Block != "b0" || e.Err != "boom" || e.Trace != "" {
+		t.Errorf("untraced stage record = %+v", e)
+	}
+	place, _ := SpanFromEvent(events[1])
+	stage, ok := SpanFromEvent(events[2])
+	if !ok || stage.Name != "stage:search" || stage.Attrs["block"] != "b1" || stage.Parent != root.Context().SpanID {
+		t.Errorf("traced stage record = %+v", events[2])
+	}
+	if place.Name != "place" || place.Parent != stage.SpanID || place.Attrs["worker"] != "0" {
+		t.Errorf("point under the stage = %+v, want parent %d", place, stage.SpanID)
 	}
 }
 

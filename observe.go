@@ -1,5 +1,5 @@
-// Observability surface: search tracing, the telemetry metric registry,
-// and the live introspection endpoints. Telemetry is off by default —
+// Observability surface: the telemetry metric registry, request tracing
+// (with search events inside it), and the live introspection endpoints. Telemetry is off by default —
 // every instrumentation point in the pipeline costs one atomic pointer
 // load until EnableTelemetry is called (BenchmarkTelemetryDisabled
 // guards that overhead).
@@ -14,11 +14,15 @@
 //	// curl addr/debug/vars    → expvar JSON
 //	// curl addr/debug/pprof/  → live profiles
 //
-// Typical single-block search debugging:
+// Typical single-block search debugging — one traced compile, its stage
+// slices and up to 5000 search events rendered as one Chrome trace:
 //
-//	tr := &pipesched.SearchTrace{Limit: 5000}
-//	c, _ := pipesched.Compile(src, m, pipesched.Options{Trace: tr})
-//	data, _ := pipesched.ChromeTrace(tr, c.Scheduled.Label)
+//	tr := pipesched.EnableTracing(nil, pipesched.TracerConfig{RecorderSize: 8192})
+//	defer pipesched.DisableTracing()
+//	ctx, root := tr.StartRoot(context.Background(), "compile", pipesched.TraceContext{})
+//	pipesched.CompileCtx(ctx, src, m, pipesched.Options{TraceSearch: 5000})
+//	root.End()
+//	data, _ := pipesched.ChromeTraceRequest(tr.Recorder().Snapshot())
 //	os.WriteFile("search.json", data, 0o644) // open in chrome://tracing
 package pipesched
 
@@ -26,20 +30,8 @@ import (
 	"io"
 	"net/http"
 
-	"pipesched/internal/core"
 	"pipesched/internal/telemetry"
 )
-
-// SearchTrace records the first Limit events of one search when attached
-// to Options.Trace; safe to share with a parallel search.
-type SearchTrace = core.SearchTrace
-
-// TraceEvent is one recorded search step.
-type TraceEvent = core.TraceEvent
-
-// TraceAction labels one search event (place, improve, the prune
-// classes, curtail).
-type TraceAction = core.TraceAction
 
 // Telemetry is the pipeline's resolved metric set: counters for every
 // search action and quality rung, per-stage duration histograms, and the
@@ -89,20 +81,16 @@ func NewJSONLTelemetrySink(w io.Writer) TelemetrySink {
 	return telemetry.NewJSONLSink(w)
 }
 
-// ChromeTrace converts a recorded search trace into Chrome trace_event
-// JSON: the flame graph is the explored search tree, with prunes and
-// incumbent improvements as instant events. Open the output in
-// chrome://tracing or https://ui.perfetto.dev.
-func ChromeTrace(t *SearchTrace, block string) ([]byte, error) {
-	return telemetry.ChromeTrace(t, block)
-}
-
 // Tracer mints and finishes distributed-trace spans; see EnableTracing.
 type Tracer = telemetry.Tracer
 
 // TracerConfig sizes a Tracer: node identity, flight-recorder ring
 // capacity, and the dump directory/rate-limit for black-box dumps.
 type TracerConfig = telemetry.TracerConfig
+
+// TraceContext names a position in a request trace; its zero value
+// starts a fresh trace at Tracer.StartRoot.
+type TraceContext = telemetry.TraceContext
 
 // TraceSpanRecord is one completed distributed-trace span, as stored in
 // the flight-recorder ring and the JSONL sink (Kind "trace").

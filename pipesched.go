@@ -171,7 +171,7 @@ type Options struct {
 	// StrongEquivalence enables the extended interchangeable-instruction
 	// pruning filter (never sacrifices optimality; usually shrinks the
 	// search further than the paper's [5c]). Like AssignPipelines and
-	// Trace, it applies to ScheduleLarge's windows too.
+	// TraceSearch, it applies to ScheduleLarge's windows too.
 	StrongEquivalence bool
 
 	// HeuristicOnly skips the branch-and-bound search entirely and
@@ -190,14 +190,17 @@ type Options struct {
 	// always searched sequentially.
 	Workers int
 
-	// Trace, when non-nil, records the first Trace.Limit search events
-	// (placements, prunes by class, incumbent improvements, the curtail
-	// point) for inspection — see ChromeTrace for rendering the recorded
-	// search tree in chrome://tracing. The trace is mutex-guarded, so it
-	// works with Workers > 1; it does not affect the search result. Under
-	// ScheduleLarge every window's search records into the same trace,
-	// with node numbers local to the window.
-	Trace *SearchTrace
+	// TraceSearch, when positive, records up to this many search events
+	// per compile (placements, prunes by class, incumbent improvements,
+	// the curtail point) as trace points under the stage:search span, each
+	// carrying depth, node, eta, mu and the reporting worker. It takes
+	// effect only when a tracer is installed (EnableTracing) and ctx
+	// carries a trace (Tracer.StartRoot); ChromeTraceRequest renders the
+	// points inside the stage slices. 0 (the default) records none. It
+	// does not affect the search result; the bound holds across Workers
+	// and across ScheduleLarge's windows, whose node numbers are local to
+	// the window.
+	TraceSearch int
 }
 
 // Compiled is the result of compiling or scheduling one block.
@@ -287,7 +290,7 @@ func suppressDegraded[T any](r *T, err error) (*T, error) {
 // Compiled.Gap certifies the result against the whole-block root bound.
 //
 // Every window's search honours the same Options as Schedule's —
-// Lambda (per window), AssignPipelines, StrongEquivalence, Trace and
+// Lambda (per window), AssignPipelines, StrongEquivalence, TraceSearch and
 // HeuristicOnly — except Workers: windows are small and always searched
 // sequentially.
 func ScheduleLarge(block *Block, m *Machine, window int, o Options) (*Compiled, error) {

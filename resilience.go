@@ -26,6 +26,8 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"pipesched/internal/bound"
@@ -51,46 +53,32 @@ import (
 // non-nil *StageError; an ordinary error from fn comes back as err and
 // keeps its legacy hard-failure semantics.
 //
-// Every call is also a telemetry span boundary: the stage's wall time
-// lands in the pipesched_stage_duration_seconds histogram and, when a
-// sink is registered, a "span" event is emitted. When the request runs
-// under a distributed trace (ctx carries a telemetry.TraceContext and a
-// tracer is installed), the stage additionally becomes a child trace
-// span and the metric event carries the trace ID. With telemetry and
-// tracing off (the default) this is two atomic loads and nil-receiver
-// calls (BenchmarkTracingDisabled).
-func runStage(ctx context.Context, stage faultinject.Stage, label string, fn func() error) (fault *StageError, err error) {
-	var tc telemetry.TraceContext
-	var ts *telemetry.TraceSpan
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		if tc = telemetry.TraceContextOf(ctx); tc.Valid() {
-			ts = tr.StartSpanFrom(tc, "stage:"+string(stage))
-			if label != "" {
-				ts.SetAttr("block", label)
-			}
-		}
-	}
-	sp := telemetry.Active().StartSpan(string(stage), label).WithTrace(tc)
+// Every call is also one telemetry span (telemetry.StartStage): the
+// stage's wall time lands in the pipesched_stage_duration_seconds
+// histogram, and the span ends in one sink record — a "trace" record
+// when the request runs under a distributed trace, else a "span" record
+// when a sink is registered. fn runs under the span's context, so work
+// inside the stage (search events) parents under it. With telemetry and
+// tracing off (the default) this is two atomic loads and no-op calls on
+// a zero span kept on the stack (BenchmarkTracingDisabled).
+func runStage(ctx context.Context, stage faultinject.Stage, label string, fn func(context.Context) error) (fault *StageError, err error) {
+	ctx, sp := telemetry.StartStage(ctx, string(stage), label)
 	defer func() {
 		if r := recover(); r != nil {
 			fault = &StageError{Stage: string(stage), Block: label, Panic: r, Stack: debug.Stack()}
 			err = nil
 		}
-		switch {
-		case fault != nil:
+		if fault != nil {
 			sp.Fail(fault)
-			ts.Fail(fault)
-		case err != nil:
+		} else {
 			sp.Fail(err)
-			ts.Fail(err)
 		}
 		sp.End()
-		ts.End()
 	}()
 	if ferr := faultinject.Fire(stage); ferr != nil {
 		return &StageError{Stage: string(stage), Block: label, Err: ferr}, nil
 	}
-	return nil, fn()
+	return nil, fn(ctx)
 }
 
 // tracePoint records an instant trace event (degradation-rung fallback,
@@ -173,6 +161,8 @@ func assignMode(o Options) nopins.AssignMode {
 }
 
 // searchOptions maps the public Options onto the core search options.
+// Search events parent under ctx's span, so a search stage passes its
+// own context.
 // When the fault injector forces a curtail point, the root-bound
 // certificate and the dominance table are switched off as well: both can
 // finish a tight block before any Ω budget is spent, which would let the
@@ -186,13 +176,37 @@ func searchOptions(ctx context.Context, o Options) core.Options {
 		AssignSearch:      o.AssignPipelines,
 		StrongEquivalence: o.StrongEquivalence,
 		SeedPriority:      listsched.ByHeight,
-		Trace:             o.Trace,
+		Trace:             searchTrace(ctx, o.TraceSearch),
 	}
 	if faultinject.CurtailLambda() > 0 {
 		copts.DisableLowerBound = true
 		copts.DisableMemo = true
 	}
 	return copts
+}
+
+// searchTrace bridges the search's event hook to the request trace. When
+// the caller asked for search events (bound > 0) and ctx carries a
+// trace, each event becomes a trace point under ctx's span — the
+// stage:search span — until bound points were recorded for this
+// compile, across every worker and window. Otherwise it returns nil and
+// the search pays one nil check per event site.
+func searchTrace(ctx context.Context, bound int) func(core.TraceEvent) {
+	if bound <= 0 {
+		return nil
+	}
+	tr, tc := telemetry.ActiveTracer(), telemetry.TraceContextOf(ctx)
+	if tr == nil || !tc.Valid() {
+		return nil
+	}
+	var n atomic.Int64
+	return func(e core.TraceEvent) {
+		if n.Load() >= int64(bound) || n.Add(1) > int64(bound) {
+			return
+		}
+		tr.Point(tc, string(e.Action), "depth", strconv.Itoa(e.Depth), "node", strconv.Itoa(e.Node),
+			"eta", strconv.Itoa(e.Eta), "mu", strconv.Itoa(e.Mu), "worker", strconv.Itoa(e.Worker))
+	}
 }
 
 // CompileCtx is Compile with cooperative cancellation and the full
@@ -207,7 +221,7 @@ func CompileCtx(ctx context.Context, src string, m *Machine, o Options) (*Compil
 	}
 	done := beginCompile()
 	var block *Block
-	fault, err := runStage(ctx, faultinject.Frontend, "block", func() error {
+	fault, err := runStage(ctx, faultinject.Frontend, "block", func(context.Context) error {
 		var e error
 		block, e = tuplegen.Compile(src, "block")
 		return e
@@ -255,7 +269,7 @@ func optimizeStage(ctx context.Context, block *Block, o Options) (*Block, *Stage
 		return block, nil
 	}
 	optimized := block
-	fault, _ := runStage(ctx, faultinject.Opt, block.Label, func() error {
+	fault, _ := runStage(ctx, faultinject.Opt, block.Label, func(context.Context) error {
 		if o.Reassociate {
 			optimized = opt.OptimizeReassoc(block)
 		} else {
@@ -326,7 +340,7 @@ func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, searc
 	label := block.Label
 
 	var g *dag.Graph
-	fault, err := runStage(ctx, faultinject.DAG, label, func() error {
+	fault, err := runStage(ctx, faultinject.DAG, label, func(context.Context) error {
 		var e error
 		g, e = dag.Build(block)
 		return e
@@ -345,7 +359,7 @@ func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, searc
 	}
 
 	var sched *core.Schedule
-	fault, err = runStage(ctx, faultinject.Search, label, func() error {
+	fault, err = runStage(ctx, faultinject.Search, label, func(ctx context.Context) error {
 		var e error
 		sched, e = search(g, m, searchOptions(ctx, o))
 		return e
@@ -494,7 +508,7 @@ func baselineBlock(ctx context.Context, block *Block, m *Machine, o Options, dra
 // schedule itself is unaffected.
 func allocateIsolated(ctx context.Context, scheduled *Block, label string, limit int, faults *[]*StageError) (*regalloc.Assignment, error) {
 	var regs *regalloc.Assignment
-	fault, err := runStage(ctx, faultinject.Regalloc, label, func() error {
+	fault, err := runStage(ctx, faultinject.Regalloc, label, func(context.Context) error {
 		var e error
 		regs, e = regalloc.Allocate(scheduled, limit)
 		return e
@@ -520,7 +534,7 @@ func allocateIsolated(ctx context.Context, scheduled *Block, label string, limit
 // assembly is simply empty.
 func emitIsolated(ctx context.Context, prog codegen.Program, mode DelayMode, label string, faults *[]*StageError) (string, error) {
 	var asm string
-	fault, err := runStage(ctx, faultinject.Codegen, label, func() error {
+	fault, err := runStage(ctx, faultinject.Codegen, label, func(context.Context) error {
 		var e error
 		asm, e = codegen.Emit(prog, mode)
 		return e
@@ -695,13 +709,12 @@ func ScheduleSequenceCtx(ctx context.Context, blocks []*Block, m *Machine, o Opt
 			return nil, err
 		}
 	}
-	copts := searchOptions(ctx, o)
 	heuristic := false
 	var faults []*StageError
 	var r *seqsched.Result
-	fault, err := runStage(ctx, faultinject.Search, "", func() error {
+	fault, err := runStage(ctx, faultinject.Search, "", func(ctx context.Context) error {
 		var e error
-		r, e = seqsched.Schedule(blocks, m, copts)
+		r, e = seqsched.Schedule(blocks, m, searchOptions(ctx, o))
 		return e
 	})
 	switch {
@@ -710,7 +723,7 @@ func ScheduleSequenceCtx(ctx context.Context, blocks []*Block, m *Machine, o Opt
 		heuristic = true
 		if f, e := isolate(faultinject.Search, "", func() error {
 			var e error
-			r, e = seqsched.ScheduleSeed(blocks, m, copts)
+			r, e = seqsched.ScheduleSeed(blocks, m, searchOptions(ctx, o))
 			return e
 		}); f != nil || e != nil {
 			sr, serr := sequenceBaseline(ctx, blocks, m, o, faults)
@@ -819,7 +832,7 @@ func CompileSequenceCtx(ctx context.Context, src string, m *Machine, o Options) 
 		return nil, err
 	}
 	var blocks []*Block
-	fault, err := runStage(ctx, faultinject.Frontend, "", func() error {
+	fault, err := runStage(ctx, faultinject.Frontend, "", func(context.Context) error {
 		parsed, err := frontend.ParseFile(src)
 		if err != nil {
 			return err

@@ -69,27 +69,170 @@ func TestTelemetryConcurrentCompiles(t *testing.T) {
 	}
 }
 
-// TestTelemetryParallelTrace shares one SearchTrace across a parallel
-// search (Workers > 1); under -race this proves the mutex-guarded trace
-// buffer is safe, which is what makes -trace-out usable with -workers.
+// traceCompile runs fn under an installed tracer (bound to the active
+// telemetry, if any) and one root span, and returns the spans recorded.
+func traceCompile(t *testing.T, fn func(ctx context.Context)) []TraceSpanRecord {
+	t.Helper()
+	tr := EnableTracing(ActiveTelemetry(), TracerConfig{RecorderSize: 1 << 16})
+	defer DisableTracing()
+	ctx, root := tr.StartRoot(context.Background(), "test", TraceContext{})
+	fn(ctx)
+	root.End()
+	return tr.Recorder().Snapshot()
+}
+
+// searchPoints returns the search events among spans, checking that each
+// is an instant under a stage:search span carrying the event's fields.
+func searchPoints(t *testing.T, spans []TraceSpanRecord) []TraceSpanRecord {
+	t.Helper()
+	stages := map[uint64]bool{}
+	for _, s := range spans {
+		if s.Name == "stage:search" {
+			stages[s.SpanID] = true
+		}
+	}
+	var points []TraceSpanRecord
+	for _, s := range spans {
+		if _, ok := s.Attrs["worker"]; !ok {
+			continue
+		}
+		if !stages[s.Parent] || s.Dur != 0 {
+			t.Fatalf("search event %+v is not an instant under stage:search", s)
+		}
+		for _, k := range []string{"depth", "node", "eta", "mu"} {
+			if _, ok := s.Attrs[k]; !ok {
+				t.Fatalf("search event %+v lacks %s", s, k)
+			}
+		}
+		points = append(points, s)
+	}
+	return points
+}
+
+// TestTelemetryParallelTrace runs a traced CompileCtx whose search fans
+// out over four workers; under -race this proves the search-event bridge
+// (the hook every worker calls) is safe, which is what makes -trace-out
+// usable with -workers.
 func TestTelemetryParallelTrace(t *testing.T) {
-	tr := &SearchTrace{Limit: 10_000}
-	c, err := Compile(telemetrySrc, SimulationMachine(), Options{Workers: 4, Trace: tr})
+	var c *Compiled
+	spans := traceCompile(t, func(ctx context.Context) {
+		var err error
+		if c, err = CompileCtx(ctx, telemetrySrc, SimulationMachine(), Options{Workers: 4, TraceSearch: 10_000}); err != nil {
+			t.Error(err)
+		}
+	})
+	points := searchPoints(t, spans)
+	if len(points) == 0 {
+		t.Fatal("parallel search recorded no search events")
+	}
+	places := 0
+	for _, p := range points {
+		if p.Name == "place" {
+			places++
+		}
+	}
+	if c != nil && int64(places) != c.Stats.OmegaCalls {
+		t.Errorf("place events %d != Ω-calls %d", places, c.Stats.OmegaCalls)
+	}
+	data, err := ChromeTraceRequest(spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := tr.Snapshot()
-	if len(events) == 0 {
-		t.Fatal("parallel search recorded no trace events")
-	}
-	data, err := ChromeTrace(tr, c.Scheduled.Label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"traceEvents"`) {
-		t.Error("ChromeTrace output malformed")
+	if !strings.Contains(string(data), `"stage:search"`) {
+		t.Error("Chrome trace lacks the stage:search slice")
 	}
 }
+
+// TestTraceSearchBound checks that Options.TraceSearch bounds the search
+// events of one compile as a whole: across the workers of a parallel
+// search and across ScheduleLarge's windows.
+func TestTraceSearchBound(t *testing.T) {
+	const bound = 100
+	spans := traceCompile(t, func(ctx context.Context) {
+		if _, err := ScheduleCtx(ctx, tangleBlock(6), SimulationMachine(), Options{Workers: 4, TraceSearch: bound}); err != nil {
+			t.Error(err)
+		}
+	})
+	if got := len(searchPoints(t, spans)); got != bound {
+		t.Errorf("parallel search recorded %d events, want the bound %d", got, bound)
+	}
+
+	// Count every window's events, then bound one short of that total: a
+	// bound per window instead of per compile would record them all.
+	windowed := func(bound int) int {
+		spans := traceCompile(t, func(ctx context.Context) {
+			if _, err := ScheduleLargeCtx(ctx, tangleBlock(6), SimulationMachine(), 8, Options{TraceSearch: bound}); err != nil {
+				t.Error(err)
+			}
+		})
+		return len(searchPoints(t, spans))
+	}
+	all := windowed(1 << 15)
+	if all < 2 || all >= 1<<15 {
+		t.Fatalf("windows recorded %d events; the test needs a search that fits the recorder", all)
+	}
+	if got := windowed(all - 1); got != all-1 {
+		t.Errorf("windows recorded %d events, want the bound %d", got, all-1)
+	}
+}
+
+// TestTracedCompileOneRecordPerStage checks the one-span-per-stage rule
+// end to end: with telemetry on, a traced compile writes exactly one
+// sink record per stage (its "trace" record, no "span" twin) and an
+// untraced one its "span" record, while the stage histograms count each
+// stage once per compile either way.
+func TestTracedCompileOneRecordPerStage(t *testing.T) {
+	pm := EnableTelemetry()
+	defer DisableTelemetry()
+	var mu sync.Mutex
+	var events []TelemetryEvent
+	pm.SetSink(sinkFunc(func(e TelemetryEvent) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}))
+	stageRecords := func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := map[string]int{}
+		for _, e := range events {
+			switch {
+			case e.Kind == "span":
+				n["span:"+e.Stage]++
+			case e.Kind == "trace" && strings.HasPrefix(e.Name, "stage:"):
+				n[e.Name]++
+			}
+		}
+		events = nil
+		return n
+	}
+	opts := Options{Optimize: true}
+	traceCompile(t, func(ctx context.Context) {
+		if _, err := CompileCtx(ctx, telemetrySrc, SimulationMachine(), opts); err != nil {
+			t.Error(err)
+		}
+	})
+	traced := stageRecords()
+	if _, err := CompileCtx(context.Background(), telemetrySrc, SimulationMachine(), opts); err != nil {
+		t.Fatal(err)
+	}
+	untraced := stageRecords()
+	for _, stage := range telemetry.Stages {
+		if traced["stage:"+stage] != 1 || traced["span:"+stage] != 0 {
+			t.Errorf("traced compile, stage %s: records %v, want one trace record", stage, traced)
+		}
+		if untraced["span:"+stage] != 1 || untraced["stage:"+stage] != 0 {
+			t.Errorf("untraced compile, stage %s: records %v, want one span record", stage, untraced)
+		}
+		if got := pm.StageDuration(stage).Count(); got != 2 {
+			t.Errorf("stage %s histogram count = %d, want 2", stage, got)
+		}
+	}
+}
+
+type sinkFunc func(TelemetryEvent)
+
+func (f sinkFunc) Emit(e TelemetryEvent) { f(e) }
 
 // BenchmarkTelemetryDisabled is the guard for the "nil-by-default"
 // contract: with no telemetry installed every instrumentation point must
