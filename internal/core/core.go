@@ -141,9 +141,10 @@ type Options struct {
 
 	// DisableGreedySeed stops the search from also pricing the
 	// Gross-style greedy schedule and seeding with the cheaper of the two
-	// candidates. The paper notes any scheduling technique may provide
-	// the initial schedule (section 3.2); taking the better of both makes
-	// the curtailed search never lose to the greedy baseline and
+	// candidates, and in scoreboard mode from offering the root
+	// refutation's window order. The paper notes any scheduling technique
+	// may provide the initial schedule (section 3.2); taking the best
+	// makes the curtailed search never lose to the greedy baseline and
 	// tightens α–β from the first node. Disable for a paper-faithful
 	// list-schedule-only seed (ablation).
 	DisableGreedySeed bool
@@ -265,9 +266,11 @@ var newTable = memo.NewTable
 // refuter is the optional part of the evaluator contract: a mode that can
 // raise its root bound by refutation (scoreboard.go). refute returns a
 // proven bound in [lb, incumbent], lb itself when it proves nothing more,
-// and must leave the evaluator's prefix state as it found it.
+// and must leave the evaluator's prefix state as it found it. Below the
+// incumbent it also returns a legal order built from what the refutation
+// learned, valid until the next refute.
 type refuter interface {
-	refute(lb, incumbent int) int
+	refute(lb, incumbent int) (int, []int)
 }
 
 // refuteRoot lets find ask a refuter to raise the root bound; a test
@@ -385,6 +388,10 @@ func (p *problem) newSearcher(ev evaluator, perm []int) *searcher {
 	s := &searcher{problem: p, ev: ev, perm: append([]int(nil), perm...), bestCost: noIncumbent}
 	if k, ok := ev.(stateKeyer); ok && !p.opts.DisableMemo {
 		s.keyer, s.table, s.kw = k, newTable(k.memoBound()), k.keyWords()
+		// n² entries (SizeFirst caps them at 512) hold every table the
+		// paper-example bench corpus fills but its three largest, so
+		// most searches never resize.
+		s.table.SizeFirst(p.g.N * p.g.N)
 	}
 	if p.opts.Sched.NeedsPressure() {
 		s.lt = newLiveTracker(p.g)
@@ -520,7 +527,7 @@ func find(g *dag.Graph, m *machine.Machine, opts Options, workers int) (*Schedul
 	// Optionally also price the greedy baseline's order and keep the
 	// cheaper incumbent (the search explores the same space either way;
 	// a tighter incumbent only prunes more).
-	if opts.InitialOrder == nil && !opts.DisableGreedySeed && s.bestCost > 0 {
+	if s.extraSeeds() && s.bestCost > 0 {
 		_, _ = s.offerSeed(gross.Schedule(g, m, opts.Assign).Order) // an order that fails to price is not offered
 	}
 	if len(s.best.Order) == g.N {
@@ -573,6 +580,13 @@ func find(g *dag.Graph, m *machine.Machine, opts Options, workers int) (*Schedul
 	res.Stopped = s.stopErr
 	res.Stats = s.stats
 	return &res, nil
+}
+
+// extraSeeds reports whether the search may offer seeds of its own
+// beside the first: not when the caller gave the seed, nor under
+// DisableGreedySeed's list-schedule-only ablation.
+func (p *problem) extraSeeds() bool {
+	return p.opts.InitialOrder == nil && !p.opts.DisableGreedySeed
 }
 
 // offerSeed prices one complete order before the search, makes it the
@@ -816,15 +830,21 @@ func (s *searcher) expand(i, xi, eta int) bool {
 
 // raiseRoot asks a refuter evaluator to refute its root bound, makes a
 // raised bound the root bound (so the result's RootLB and Gap carry it),
-// and reports whether the incumbent now meets it, which proves it optimal.
-// It never runs under DisableLowerBound, so forced curtailment still bites.
+// offers the refutation's order as a seed wherever the greedy seed would
+// be offered, and reports whether the incumbent now meets the bound, which
+// proves it optimal. It never runs under DisableLowerBound, so forced
+// curtailment still bites.
 func (s *searcher) raiseRoot() bool {
 	r, ok := s.ev.(refuter)
 	if !ok || !refuteRoot || s.opts.DisableLowerBound {
 		return false
 	}
-	if lb := r.refute(s.rootLB, int(s.bestCost)); lb > s.rootLB {
+	lb, order := r.refute(s.rootLB, int(s.bestCost))
+	if lb > s.rootLB {
 		s.rootLB, s.rootCost = lb, s.packCost(lb, 0)
+	}
+	if order != nil && s.extraSeeds() {
+		_, _ = s.offerSeed(order) // a scoreboard order always prices
 	}
 	return s.certify && s.bestCost <= s.rootCost
 }

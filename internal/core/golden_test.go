@@ -99,22 +99,22 @@ var goldenEffort = map[string]effort{
 	"minreg-lex/simulation":                      {TotalNOPs: 75, InitialNOPs: 92, RootLB: 69, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 6029, SeedOmegaCalls: 1014, SchedulesExamined: 181, Improvements: 61, PrunedBounds: 4541, PrunedIllegal: 4546, PrunedEquivalence: 24, PrunedStrongEq: 0, PrunedAlphaBeta: 2755, PrunedLowerBound: 684, PrunedResource: 184, PrunedPressure: 0, MemoHits: 581},
 	"minreg-k=3/example":                         {TotalNOPs: 160, InitialNOPs: 185, RootLB: 116, Optimal: 59, Curtailed: 0, Infeasible: 1, OmegaCalls: 7143, SeedOmegaCalls: 973, SchedulesExamined: 204, Improvements: 92, PrunedBounds: 4419, PrunedIllegal: 6144, PrunedEquivalence: 56, PrunedStrongEq: 0, PrunedAlphaBeta: 656, PrunedLowerBound: 727, PrunedResource: 116, PrunedPressure: 2533, MemoHits: 850},
 	"minreg-k=3/simulation":                      {TotalNOPs: 84, InitialNOPs: 113, RootLB: 61, Optimal: 59, Curtailed: 0, Infeasible: 1, OmegaCalls: 4323, SeedOmegaCalls: 941, SchedulesExamined: 188, Improvements: 80, PrunedBounds: 2768, PrunedIllegal: 3823, PrunedEquivalence: 20, PrunedStrongEq: 0, PrunedAlphaBeta: 472, PrunedLowerBound: 445, PrunedResource: 34, PrunedPressure: 1441, MemoHits: 431},
-	"scoreboard=8x2/example":                     {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 1761, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 1321, PrunedIllegal: 2548, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 644, PrunedResource: 35, PrunedPressure: 0, MemoHits: 405},
-	"scoreboard=8x2/simulation":                  {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3262, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 1994, PrunedIllegal: 5025, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 1371, PrunedResource: 70, PrunedPressure: 0, MemoHits: 707},
-	"scoreboard=8x2-lambda40/example":            {TotalNOPs: 340, InitialNOPs: 348, RootLB: 336, Optimal: 56, Curtailed: 4, Infeasible: 0, OmegaCalls: 257, SeedOmegaCalls: 1011, SchedulesExamined: 125, Improvements: 6, PrunedBounds: 81, PrunedIllegal: 196, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 71, PrunedResource: 28, PrunedPressure: 0, MemoHits: 16},
-	"scoreboard=8x2-lambda40/simulation":         {TotalNOPs: 242, InitialNOPs: 251, RootLB: 237, Optimal: 56, Curtailed: 4, Infeasible: 0, OmegaCalls: 262, SeedOmegaCalls: 999, SchedulesExamined: 125, Improvements: 7, PrunedBounds: 57, PrunedIllegal: 178, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 64, PrunedResource: 26, PrunedPressure: 0, MemoHits: 18},
-	"scoreboard=4x2-strong/example":              {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 903, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 592, PrunedIllegal: 936, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 355, PrunedResource: 35, PrunedPressure: 0, MemoHits: 165},
-	"scoreboard=4x2-strong/simulation":           {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 1152, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 754, PrunedIllegal: 1148, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 532, PrunedResource: 34, PrunedPressure: 0, MemoHits: 174},
-	"scoreboard=1x1/example":                     {TotalNOPs: 136, InitialNOPs: 161, RootLB: 136, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 462, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 46, PrunedIllegal: 117, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 8, PrunedLowerBound: 108, PrunedResource: 63, PrunedPressure: 0, MemoHits: 3},
-	"scoreboard=1x1/simulation":                  {TotalNOPs: 75, InitialNOPs: 92, RootLB: 74, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 829, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 606, PrunedIllegal: 715, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 7, PrunedLowerBound: 199, PrunedResource: 211, PrunedPressure: 0, MemoHits: 74},
-	"scoreboard=8x2-nomemo/example":              {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 8610, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 6053, PrunedIllegal: 19287, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 4669, PrunedResource: 75, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=8x2-nomemo/simulation":           {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 20986, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 10516, PrunedIllegal: 38601, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 12940, PrunedResource: 265, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=8x2-lambda40-nomemo/example":     {TotalNOPs: 340, InitialNOPs: 348, RootLB: 336, Optimal: 55, Curtailed: 5, Infeasible: 0, OmegaCalls: 270, SeedOmegaCalls: 1011, SchedulesExamined: 125, Improvements: 6, PrunedBounds: 96, PrunedIllegal: 225, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 86, PrunedResource: 31, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=8x2-lambda40-nomemo/simulation":  {TotalNOPs: 242, InitialNOPs: 251, RootLB: 237, Optimal: 56, Curtailed: 4, Infeasible: 0, OmegaCalls: 267, SeedOmegaCalls: 999, SchedulesExamined: 125, Improvements: 7, PrunedBounds: 57, PrunedIllegal: 201, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 74, PrunedResource: 29, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=4x2-strong-nomemo/example":       {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 2940, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 1552, PrunedIllegal: 4411, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 1819, PrunedResource: 75, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=4x2-strong-nomemo/simulation":    {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 3344, SeedOmegaCalls: 999, SchedulesExamined: 130, Improvements: 12, PrunedBounds: 1761, PrunedIllegal: 4794, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 2126, PrunedResource: 76, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=1x1-nomemo/example":              {TotalNOPs: 136, InitialNOPs: 161, RootLB: 136, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 507, SeedOmegaCalls: 970, SchedulesExamined: 137, Improvements: 25, PrunedBounds: 46, PrunedIllegal: 136, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 8, PrunedLowerBound: 133, PrunedResource: 73, PrunedPressure: 0, MemoHits: 0},
-	"scoreboard=1x1-nomemo/simulation":           {TotalNOPs: 75, InitialNOPs: 92, RootLB: 74, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 1408, SeedOmegaCalls: 912, SchedulesExamined: 122, Improvements: 17, PrunedBounds: 1059, PrunedIllegal: 1628, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 7, PrunedLowerBound: 428, PrunedResource: 463, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2/example":                     {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 20, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 3, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 4, PrunedResource: 2, PrunedPressure: 0, MemoHits: 1},
+	"scoreboard=8x2/simulation":                  {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 20, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 3, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 4, PrunedResource: 2, PrunedPressure: 0, MemoHits: 1},
+	"scoreboard=8x2-lambda40/example":            {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 20, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 3, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 4, PrunedResource: 2, PrunedPressure: 0, MemoHits: 1},
+	"scoreboard=8x2-lambda40/simulation":         {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 20, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 3, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 4, PrunedResource: 2, PrunedPressure: 0, MemoHits: 1},
+	"scoreboard=4x2-strong/example":              {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=4x2-strong/simulation":           {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=1x1/example":                     {TotalNOPs: 136, InitialNOPs: 161, RootLB: 136, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 308, SeedOmegaCalls: 1172, SchedulesExamined: 144, Improvements: 14, PrunedBounds: 7, PrunedIllegal: 73, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 67, PrunedResource: 55, PrunedPressure: 0, MemoHits: 3},
+	"scoreboard=1x1/simulation":                  {TotalNOPs: 75, InitialNOPs: 92, RootLB: 74, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 737, SeedOmegaCalls: 1079, SchedulesExamined: 128, Improvements: 9, PrunedBounds: 605, PrunedIllegal: 709, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 6, PrunedLowerBound: 187, PrunedResource: 206, PrunedPressure: 0, MemoHits: 74},
+	"scoreboard=8x2-nomemo/example":              {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2-nomemo/simulation":           {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2-lambda40-nomemo/example":     {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=8x2-lambda40-nomemo/simulation":  {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=4x2-strong-nomemo/example":       {TotalNOPs: 336, InitialNOPs: 348, RootLB: 336, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=4x2-strong-nomemo/simulation":    {TotalNOPs: 237, InitialNOPs: 251, RootLB: 237, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 21, SeedOmegaCalls: 1126, SchedulesExamined: 129, Improvements: 1, PrunedBounds: 1, PrunedIllegal: 4, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 0, PrunedLowerBound: 5, PrunedResource: 2, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=1x1-nomemo/example":              {TotalNOPs: 136, InitialNOPs: 161, RootLB: 136, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 353, SeedOmegaCalls: 1172, SchedulesExamined: 144, Improvements: 14, PrunedBounds: 7, PrunedIllegal: 92, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 2, PrunedLowerBound: 92, PrunedResource: 65, PrunedPressure: 0, MemoHits: 0},
+	"scoreboard=1x1-nomemo/simulation":           {TotalNOPs: 75, InitialNOPs: 92, RootLB: 74, Optimal: 60, Curtailed: 0, Infeasible: 0, OmegaCalls: 1316, SeedOmegaCalls: 1079, SchedulesExamined: 128, Improvements: 9, PrunedBounds: 1058, PrunedIllegal: 1622, PrunedEquivalence: 0, PrunedStrongEq: 0, PrunedAlphaBeta: 6, PrunedLowerBound: 416, PrunedResource: 458, PrunedPressure: 0, MemoHits: 0},
 	"scoreboard=8x2-nobound/example":             {TotalNOPs: 336, InitialNOPs: 348, RootLB: 0, Optimal: 55, Curtailed: 5, Infeasible: 0, OmegaCalls: 154865, SeedOmegaCalls: 1011, SchedulesExamined: 129, Improvements: 10, PrunedBounds: 30731, PrunedIllegal: 146786, PrunedEquivalence: 330, PrunedStrongEq: 0, PrunedAlphaBeta: 16911, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 83926},
 	"scoreboard=8x2-nobound/simulation":          {TotalNOPs: 238, InitialNOPs: 251, RootLB: 0, Optimal: 55, Curtailed: 5, Infeasible: 0, OmegaCalls: 143726, SeedOmegaCalls: 999, SchedulesExamined: 129, Improvements: 11, PrunedBounds: 28578, PrunedIllegal: 135395, PrunedEquivalence: 222, PrunedStrongEq: 0, PrunedAlphaBeta: 14601, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 78939},
 	"scoreboard=8x2-lambda40-nobound/example":    {TotalNOPs: 343, InitialNOPs: 348, RootLB: 0, Optimal: 21, Curtailed: 39, Infeasible: 0, OmegaCalls: 1780, SeedOmegaCalls: 1011, SchedulesExamined: 122, Improvements: 3, PrunedBounds: 389, PrunedIllegal: 248, PrunedEquivalence: 5, PrunedStrongEq: 0, PrunedAlphaBeta: 360, PrunedLowerBound: 0, PrunedResource: 0, PrunedPressure: 0, MemoHits: 435},

@@ -70,12 +70,15 @@ import (
 // starts, by Find and FindParallel alike: each stall count below the
 // incumbent is tested by resource-aware windows, interval overload and
 // shaving, and the first one that survives becomes the root bound, which
-// proves the incumbent when none does. FindParallel otherwise fans the
-// search out like any other mode. The paper's bound engine stays OFF: its
-// NOP arithmetic assumes in-order issue and is inadmissible here. The dominance table runs, under a key of the
-// window state relative to the window's base tick (see key) and a
-// byte-bounded table that evicts its lighter half, by subtree Ω-calls,
-// when full (scoreboardMemoBytes).
+// proves the incumbent when none does. The windows that count's test left
+// then give one more seed, their earliest-deadline list schedule
+// (windowOrder), which proves the block without search when it meets the
+// raised bound. FindParallel otherwise fans the search out like any other
+// mode. The paper's bound engine stays OFF: its NOP arithmetic assumes
+// in-order issue and is inadmissible here. The dominance table runs,
+// under a key of the window state relative to the window's base tick (see
+// key) and a byte-bounded table that evicts its lighter half, by subtree
+// Ω-calls, when full (scoreboardMemoBytes).
 //
 // Unsupported options (ErrScoreboardOption): Entry state — the window
 // model has no cross-block reservation semantics yet — and any pipeline
@@ -140,12 +143,13 @@ type scoreboardEval struct {
 	// rootTicks' release pass; refute sharpens it and tail in place. lo
 	// and hi are the issue windows under a target makespan, tlo and thi a
 	// trial copy; byLo and byHi order the nodes by window start and end;
-	// dist and related serve sharpen; sweep holds 2·(pipelines+1)
-	// counters.
+	// dist and related serve sharpen, then windowOrder; sweep holds
+	// 2·(pipelines+1) counters.
 	rel, tail, lo, hi, tlo, thi []int
 	byLo, byHi, dist, related   []int
 	sweep                       []int
 	tests                       int  // overload tests the last refute ran
+	maxTests                    int  // the block's share of refuteWork, in tests
 	spent                       bool // the last refute ran out of budget or time
 }
 
@@ -221,6 +225,7 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 			*f, slab = slab[:n:n], slab[n:]
 		}
 		e.sweep = slab
+		e.maxTests = refuteWork / (max(n, 32) * max(n, 32))
 		for u := range e.byHi {
 			e.byHi[u] = u
 		}
@@ -278,10 +283,12 @@ func (e *scoreboardEval) rootTicks() int {
 	return lb
 }
 
-// refuteTests caps the overload tests one refute runs. Past it, refute
-// stops raising the bound. On the scoreboard bench corpus
+// refuteWork caps the work one refute does. An overload test over n nodes
+// costs O(n²), so each test charges max(n, 32)² against it: a block of up
+// to 32 nodes runs at most 2,048 tests, a 128-node block 128. Past the
+// cap, refute stops raising the bound. On the scoreboard bench corpus
 // (scoreboard=8x2, simulation machine) a refutation runs 20–210 tests.
-const refuteTests = 2048
+const refuteWork = 2048 * 32 * 32
 
 // refute is destructive lower bounding at the root: it returns the least
 // stall count c in [lb, incumbent) that its relaxation cannot refute, or
@@ -301,10 +308,17 @@ const refuteTests = 2048
 //     no end moves; an empty window fails T.
 //
 // Refuting T refutes every smaller T (its windows only shrink), so c
-// rises one at a time. Past refuteTests overload tests, or once
-// Options.Ctx is done, every further test answers "not refuted", so refute
-// returns the bound it proved so far. It allocates nothing.
-func (e *scoreboardEval) refute(lb, incumbent int) int {
+// rises one at a time. Past refuteWork, or once Options.Ctx is done, every
+// further test answers "not refuted", so refute returns the bound it
+// proved so far.
+//
+// When c stays below the incumbent, refute also returns windowOrder's list
+// schedule of the windows the test of T = ⌈N/I⌉ + c left, a candidate
+// incumbent; it is nil when refute proves the incumbent, and when the
+// budget or the context stopped it, since those windows may be only partly
+// tightened. It allocates nothing: the order lives in refute's slab until
+// the next refute.
+func (e *scoreboardEval) refute(lb, incumbent int) (int, []int) {
 	e.tests, e.spent = 0, false
 	copy(e.tail, e.heightTicks)
 	e.sharpen(e.rel, true)
@@ -313,7 +327,38 @@ func (e *scoreboardEval) refute(lb, incumbent int) int {
 	for c < incumbent && e.refuted(e.minTicks+c) {
 		c++
 	}
-	return c
+	if c == incumbent || e.spent {
+		return c, nil
+	}
+	return c, e.windowOrder()
+}
+
+// windowOrder list-schedules the windows [lo, hi] an unrefuted test left:
+// it repeatedly takes the ready node whose window ends first, then the one
+// that starts first, then the lowest-numbered. Those windows are
+// precedence-tight and shaved, so their ends are deadlines every order
+// meeting T keeps, and earliest deadline first is the list rule for
+// deadlines (DESIGN.md §11, "Window seed"). It builds the order in
+// related, counting each node's unplaced predecessors in dist (−1 once
+// placed).
+func (e *scoreboardEval) windowOrder() []int {
+	lo, hi, left, order := e.lo, e.hi, e.dist, e.related[:0]
+	for v := range left {
+		left[v] = len(e.g.Preds[v])
+	}
+	for range left {
+		x := -1
+		for v, k := range left {
+			if k == 0 && (x < 0 || hi[v] < hi[x] || hi[v] == hi[x] && lo[v] < lo[x]) {
+				x = v
+			}
+		}
+		order, left[x] = append(order, x), -1
+		for _, d := range e.g.Succs[x] {
+			left[d.Node]--
+		}
+	}
+	return order
 }
 
 // spend charges one overload test against refute's budget, polling
@@ -321,7 +366,7 @@ func (e *scoreboardEval) refute(lb, incumbent int) int {
 // context is done it reports false from then on, and every test answers
 // "not refuted", which is always sound.
 func (e *scoreboardEval) spend() bool {
-	if !e.spent && (e.tests == refuteTests ||
+	if !e.spent && (e.tests == e.maxTests ||
 		e.opts.Ctx != nil && e.tests%ctxCheckEvery == 0 && e.opts.Ctx.Err() != nil) {
 		e.spent = true
 	}

@@ -78,7 +78,7 @@ func TestScoreboardBoundsAdmissible(t *testing.T) {
 		}
 		// refute's bound, asked to refute every stall count up to a few
 		// past the optimum, must stop at or below it.
-		if lb := ev.refute(root, ref.Stalls+3); lb > ref.Stalls {
+		if lb, _ := ev.refute(root, ref.Stalls+3); lb > ref.Stalls {
 			t.Fatalf("block %d W=%d I=%d: refuted bound %d exceeds the optimum %d (root %d)\n%s",
 				i, window, width, lb, ref.Stalls, root, g.Block)
 		} else if lb > root {

@@ -304,13 +304,14 @@ func (g *Graph) IsLegalOrder(order []int) bool {
 	if len(order) != g.N {
 		return false
 	}
-	pos := make([]int, g.N)
-	seen := make([]bool, g.N)
+	pos := make([]int, g.N) // node -> position in order, -1 until seen
+	for u := range pos {
+		pos[u] = -1
+	}
 	for p, u := range order {
-		if u < 0 || u >= g.N || seen[u] {
+		if u < 0 || u >= g.N || pos[u] >= 0 {
 			return false
 		}
-		seen[u] = true
 		pos[u] = p
 	}
 	for u := 0; u < g.N; u++ {

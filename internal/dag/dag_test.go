@@ -183,6 +183,9 @@ func TestIsLegalOrder(t *testing.T) {
 			t.Errorf("order %v should be illegal", o)
 		}
 	}
+	if allocs := testing.AllocsPerRun(10, func() { g.IsLegalOrder(legal[0]) }); allocs != 1 {
+		t.Errorf("IsLegalOrder allocated %.0f times, want 1", allocs)
+	}
 }
 
 func TestCountTopologicalOrders(t *testing.T) {

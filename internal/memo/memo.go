@@ -211,9 +211,11 @@ func (e *Encoder) Key() []uint64 {
 // The in-order searches never come near it.
 const DefaultCap = 1 << 18
 
-// minEntries is how many entries a table makes room for at its first
-// Store.
-const minEntries = 32
+// minEntries is the fewest entries a table makes room for at its first
+// Store, maxFirst the most: a table sized for more starts at maxFirst
+// and doubles from there, so a large block's first Store costs at most
+// maxFirst entries, their slots and keys.
+const minEntries, maxFirst = 32, 512
 
 // entryBytes is what one entry costs beyond its key words: the entry
 // itself and two uint32 slots (the slot array stays at most half full).
@@ -287,6 +289,7 @@ type Table struct {
 	arena []uint64
 
 	maxEntries, maxWords int
+	first                int // entries the first Store makes room for
 	hash                 func([]uint64) uint64
 
 	hits      int64
@@ -312,7 +315,14 @@ func NewTableHash(capEntries, capWords int, hash func(key []uint64) uint64) *Tab
 	if capWords <= 0 {
 		capWords = math.MaxInt
 	}
-	return &Table{maxEntries: capEntries, maxWords: capWords, hash: hash}
+	return &Table{maxEntries: capEntries, maxWords: capWords, first: min(minEntries, capEntries), hash: hash}
+}
+
+// SizeFirst makes the table's first Store make room for the given number
+// of entries (within [minEntries, maxFirst] and the bound), each with a
+// key as long as the first one, instead of doubling up to them.
+func (t *Table) SizeFirst(entries int) {
+	t.first = min(max(entries, minEntries), maxFirst, t.maxEntries)
 }
 
 // hashWords mixes the key's length and words.
@@ -376,7 +386,7 @@ func (t *Table) Store(key []uint64, cost, live int, weight int64) {
 	rec := record{cost: int32(cost), live: int32(live)}
 	h, class := t.hash(key), weightClass(weight)
 	if t.slots == nil {
-		t.resize(min(minEntries, t.maxEntries))
+		t.resize(t.first)
 	}
 	slot, i := t.find(key, h)
 	if i >= 0 {
@@ -398,7 +408,7 @@ func (t *Table) Store(key []uint64, cost, live int, weight int64) {
 		slot, _ = t.find(key, h)
 	}
 	if need := len(t.arena) + len(key); need > cap(t.arena) {
-		arena := make([]uint64, len(t.arena), min(max(2*cap(t.arena), 4*minEntries, need), t.maxWords))
+		arena := make([]uint64, len(t.arena), min(max(2*cap(t.arena), t.first*len(key), need), t.maxWords))
 		copy(arena, t.arena)
 		t.arena = arena
 		t.noteBytes()

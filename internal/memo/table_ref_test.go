@@ -69,9 +69,18 @@ func TestTableMatchesReference(t *testing.T) {
 	bounds := [][2]int{{0, 0}, {2, 0}, {4, 0}, {8, 6}, {8, 12}, {16, 0}, {16, 24}, {32, 0}}
 	for _, h := range hashes {
 		for _, bd := range bounds {
-			t.Run(fmt.Sprintf("%s/%dx%d", h.name, bd[0], bd[1]), func(t *testing.T) {
-				checkAgainstReference(t, NewTableHash(bd[0], bd[1], h.hash), rand.New(rand.NewSource(int64(bd[0]*31+bd[1]))))
-			})
+			// A table sized up front for every key answers as one that grows.
+			for _, first := range []int{0, refKeys} {
+				name := fmt.Sprintf("%s/%dx%d", h.name, bd[0], bd[1])
+				if first > 0 {
+					name += "/sized"
+				}
+				t.Run(name, func(t *testing.T) {
+					tb := NewTableHash(bd[0], bd[1], h.hash)
+					tb.SizeFirst(first)
+					checkAgainstReference(t, tb, rand.New(rand.NewSource(int64(bd[0]*31+bd[1]))))
+				})
+			}
 		}
 	}
 }
@@ -165,5 +174,43 @@ func TestTableEvictionAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, storeThroughEviction); allocs != 0 {
 		t.Fatalf("stores through an eviction allocated %.1f times", allocs)
+	}
+}
+
+// TestTableSizeFirst: a table sized for its keys before its first Store
+// allocates its entries, slots and arena once, never past its bound nor
+// past maxFirst entries.
+func TestTableSizeFirst(t *testing.T) {
+	keys := make([][]uint64, 300)
+	for i := range keys {
+		keys[i] = k(uint64(i), uint64(i)*7)
+	}
+	fill := func(first, bound int) *Table {
+		tb := NewTable(bound, 0)
+		tb.SizeFirst(first)
+		for _, key := range keys {
+			tb.Store(key, 1, 0, 1)
+		}
+		return tb
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fill(len(keys), 0) }); allocs != 4 {
+		t.Fatalf("a table sized for its %d keys allocated %.0f times, want 4: the table, its entries, slots and arena", len(keys), allocs)
+	}
+	if grown := testing.AllocsPerRun(10, func() { fill(0, 0) }); grown <= 4 {
+		t.Fatalf("a table grown to %d keys allocated only %.0f times", len(keys), grown)
+	}
+	const bound = 64
+	if tb, grown := fill(1<<20, bound), fill(0, bound); tb.Len() > bound || tb.Bytes() > grown.Bytes() {
+		t.Fatalf("a table bounded to %d entries and sized for 2²⁰ holds %d entries in %d bytes, grown %d bytes",
+			bound, tb.Len(), tb.Bytes(), grown.Bytes())
+	}
+	first := func(entries int) int {
+		tb := NewTable(0, 0)
+		tb.SizeFirst(entries)
+		tb.Store(keys[0], 1, 0, 1)
+		return tb.Bytes()
+	}
+	if huge, capped := first(1<<20), first(maxFirst); huge != capped {
+		t.Fatalf("a table sized for 2²⁰ entries took %d bytes at its first Store, one sized for %d took %d", huge, maxFirst, capped)
 	}
 }
