@@ -45,7 +45,7 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		timeoutMS   = fs.Int64("timeout-ms", 0, "per-compile budget in ms for the front door (0 = server default)")
 		jsonOut     = fs.Bool("json", false, "print the report as JSON instead of a table")
 	)
-	if err := fs.Parse(args); err != nil {
+	if !parseFlags(fs, args, stderr) {
 		return 1
 	}
 	fail := func(err error) int {
@@ -54,9 +54,6 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	}
 	if *dir == "" {
 		return fail(fmt.Errorf("-dir is required"))
-	}
-	if fs.NArg() > 0 {
-		return fail(fmt.Errorf("unexpected arguments %v", fs.Args()))
 	}
 
 	m, err := pickMachine(*preset, *machFile)
@@ -85,8 +82,8 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 			}
 			spec = server.MachineSpec{Text: string(text)}
 		}
-		comp = &campaign.HTTPCompiler{
-			BaseURL: *httpURL,
+		comp = &campaign.SubmitCompiler{
+			Sub:     &server.Client{URL: *httpURL},
 			Machine: spec,
 			Options: server.RequestOptions{
 				Lambda: *lambda, Optimize: *optimize, Sched: *schedName,

@@ -21,9 +21,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"pipesched"
@@ -62,11 +60,7 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		statsJSON    = fs.String("stats-json", "", "write telemetry events (including trace spans) as JSON lines to this file")
 		flightDir    = fs.String("flight-dir", "", "write flight-recorder dumps (panic, typed 5xx, SIGQUIT) to this directory")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "pipesched fleet: unexpected arguments %v\n", fs.Args())
+	if !parseFlags(fs, args, stderr) {
 		return 1
 	}
 
@@ -80,68 +74,25 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		fmt.Fprintf(stderr, "pipesched fleet: durable caches under %s (pass -cache-dir to persist across runs)\n", base)
 	}
-	pm := pipesched.EnableTelemetry()
-	defer pipesched.DisableTelemetry()
-	if *statsJSON != "" {
-		sf, err := os.Create(*statsJSON)
-		if err != nil {
-			fmt.Fprintf(stderr, "pipesched fleet: %v\n", err)
-			return 1
-		}
-		defer sf.Close()
-		pm.SetSink(pipesched.NewJSONLTelemetrySink(sf))
-	}
 	// Distributed tracing is always on in fleet mode: the front door
 	// mints (or joins) each request's trace, nodes attribute their spans
 	// via server.Config.Node, and the flight recorder keeps the recent
 	// window for black-box dumps.
-	tr := pipesched.EnableTracing(pm, pipesched.TracerConfig{DumpDir: *flightDir})
-	defer pipesched.DisableTracing()
-	defer watchSIGQUIT(tr, *flightDir, "pipesched fleet", stderr)()
-
-	f := fleet.New(fleet.Config{Replicas: *replicas, Metrics: pm})
-	for i := 0; i < *nodes; i++ {
-		id := fmt.Sprintf("node-%d", i)
-		cfg := fleetNodeConfig(*workers)
-		cfg.Metrics = pm
-		f.AddNode(fleet.NewNode(id, filepath.Join(base, id), cfg))
+	d := daemon{
+		name: "pipesched fleet", addr: *addr, statsJSON: *statsJSON,
+		flightDir: *flightDir, sigquit: true, drain: *drainTimeout, ready: fleetReady,
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pipesched fleet: %v\n", err)
-		f.Close()
-		return 1
-	}
-	hs := &http.Server{Handler: f.Handler()}
-	fmt.Fprintf(stderr, "pipesched fleet: %d nodes, %d replicas, listening on http://%s (POST /compile, GET /healthz, GET /fleet, GET /metrics)\n",
-		*nodes, *replicas, ln.Addr())
-	if fleetReady != nil {
-		fleetReady(ln.Addr().String())
-	}
-
-	sigCtx, stop := signal.NotifyContext(ctx, syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(stderr, "pipesched fleet: %v\n", err)
-		f.Close()
-		return 1
-	case <-sigCtx.Done():
-	}
-
-	fmt.Fprintf(stderr, "pipesched fleet: draining (budget %s)\n", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	drainErr := f.Shutdown(drainCtx)
-	_ = hs.Shutdown(drainCtx)
-	if drainErr != nil {
-		fmt.Fprintf(stderr, "pipesched fleet: drain budget expired, in-flight work degraded\n")
-	} else {
-		fmt.Fprintf(stderr, "pipesched fleet: drained cleanly\n")
-	}
-	return 0
+	return d.run(ctx, stderr, func(pm *pipesched.Telemetry) (service, http.Handler) {
+		f := fleet.New(fleet.Config{Replicas: *replicas, Metrics: pm})
+		for i := 0; i < *nodes; i++ {
+			id := fmt.Sprintf("node-%d", i)
+			cfg := fleetNodeConfig(*workers)
+			cfg.Metrics = pm
+			f.AddNode(fleet.NewNode(id, filepath.Join(base, id), cfg))
+		}
+		return f, f.Handler()
+	}, func(a net.Addr) {
+		fmt.Fprintf(stderr, "pipesched fleet: %d nodes, %d replicas, listening on http://%s (POST /compile, GET /healthz, GET /fleet, GET /metrics)\n",
+			*nodes, *replicas, a)
+	})
 }

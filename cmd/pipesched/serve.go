@@ -21,10 +21,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"path/filepath"
-	"syscall"
 	"time"
 
 	"pipesched"
@@ -34,35 +30,6 @@ import (
 // serveReady, when non-nil, receives the bound address once the
 // listener is up (test hook).
 var serveReady func(addr string)
-
-// watchSIGQUIT dumps the flight recorder on SIGQUIT — the operator's
-// "what was this process just doing?" signal — and returns a stop
-// function. Dumps go to dir, or the OS temp dir when no -flight-dir
-// was given (an explicit ask always produces a file).
-func watchSIGQUIT(tr *pipesched.Tracer, dir, prog string, stderr io.Writer) func() {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGQUIT)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-ch:
-				path := filepath.Join(dir, fmt.Sprintf("flightrecorder-%d-sigquit.jsonl", time.Now().UnixNano()))
-				if err := tr.DumpNow(path, "sigquit"); err != nil {
-					fmt.Fprintf(stderr, "%s: flight-recorder dump: %v\n", prog, err)
-				} else {
-					fmt.Fprintf(stderr, "%s: flight recorder dumped to %s\n", prog, path)
-				}
-			}
-		}
-	}()
-	return func() { signal.Stop(ch); close(done) }
-}
 
 // runServe is the testable body of `pipesched serve`; ctx cancellation
 // acts like SIGTERM.
@@ -83,83 +50,28 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		statsJSON    = fs.String("stats-json", "", "write telemetry events as JSON lines to this file")
 		flightDir    = fs.String("flight-dir", "", "write flight-recorder dumps (panic, typed 5xx, SIGQUIT) to this directory")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "pipesched serve: unexpected arguments %v\n", fs.Args())
+	if !parseFlags(fs, args, stderr) {
 		return 1
 	}
 
-	// A service always runs with telemetry: the whole point of the
-	// layer is observable robustness.
-	pm := pipesched.EnableTelemetry()
-	defer pipesched.DisableTelemetry()
-	if *statsJSON != "" {
-		f, err := os.Create(*statsJSON)
-		if err != nil {
-			fmt.Fprintf(stderr, "pipesched serve: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		pm.SetSink(pipesched.NewJSONLTelemetrySink(f))
+	d := daemon{
+		name: "pipesched serve", addr: *addr, statsJSON: *statsJSON,
+		flightDir: *flightDir, sigquit: true, drain: *drainTimeout, ready: serveReady,
 	}
-	// A service also always runs with distributed tracing: every request
-	// gets a trace (served back in X-Pipesched-Trace), spans land in the
-	// sink, and the flight recorder keeps the recent window for dumps.
-	tr := pipesched.EnableTracing(pm, pipesched.TracerConfig{DumpDir: *flightDir})
-	defer pipesched.DisableTracing()
-	defer watchSIGQUIT(tr, *flightDir, "pipesched serve", stderr)()
-
-	srv := server.New(server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *defTimeout,
-		MaxTimeout:       *maxTimeout,
-		MaxRetries:       *retries,
-		BreakerThreshold: *brThreshold,
-		BreakerCooldown:  *brCooldown,
-		CacheEntries:     *cacheSize,
-		Metrics:          pm,
+	return d.run(ctx, stderr, func(pm *pipesched.Telemetry) (service, http.Handler) {
+		srv := server.New(server.Config{
+			Workers:          *workers,
+			QueueDepth:       *queue,
+			DefaultTimeout:   *defTimeout,
+			MaxTimeout:       *maxTimeout,
+			MaxRetries:       *retries,
+			BreakerThreshold: *brThreshold,
+			BreakerCooldown:  *brCooldown,
+			CacheEntries:     *cacheSize,
+			Metrics:          pm,
+		})
+		return srv, srv.Handler()
+	}, func(a net.Addr) {
+		fmt.Fprintf(stderr, "pipesched serve: listening on http://%s (POST /compile, GET /healthz, GET /metrics)\n", a)
 	})
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pipesched serve: %v\n", err)
-		return 1
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(stderr, "pipesched serve: listening on http://%s (POST /compile, GET /healthz, GET /metrics)\n", ln.Addr())
-	if serveReady != nil {
-		serveReady(ln.Addr().String())
-	}
-
-	sigCtx, stop := signal.NotifyContext(ctx, syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(stderr, "pipesched serve: %v\n", err)
-		srv.Close()
-		return 1
-	case <-sigCtx.Done():
-	}
-
-	// Graceful drain, in dependency order: stop admitting compile work
-	// first so /healthz flips to draining, then let the HTTP layer
-	// finish in-flight responses, then drain the worker pool, and only
-	// then take down telemetry (the sink file closes via defer).
-	fmt.Fprintf(stderr, "pipesched serve: draining (budget %s)\n", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	drainErr := srv.Shutdown(drainCtx)
-	_ = hs.Shutdown(drainCtx)
-	if drainErr != nil {
-		fmt.Fprintf(stderr, "pipesched serve: drain budget expired, in-flight work degraded\n")
-	} else {
-		fmt.Fprintf(stderr, "pipesched serve: drained cleanly\n")
-	}
-	return 0
 }

@@ -37,11 +37,7 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 		mode      = fs.String("mode", "", "scheduler mode to soak: paper|minreg-lex|minreg-k=<k>|scoreboard[=<window>x<width>] (empty = paper)")
 		progress  = fs.Bool("progress", false, "report progress to stderr every 10% of blocks")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "pipesched verify: unexpected arguments %v\n", fs.Args())
+	if !parseFlags(fs, args, stderr) {
 		return 1
 	}
 

@@ -25,9 +25,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"pipesched"
@@ -57,11 +55,7 @@ func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
 		statsJSON    = fs.String("stats-json", "", "write telemetry events as JSON lines to this file")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "pipesched worker: unexpected arguments %v\n", fs.Args())
+	if !parseFlags(fs, args, stderr) {
 		return 1
 	}
 	if *node == "" {
@@ -69,85 +63,40 @@ func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		return 1
 	}
 
-	pm := pipesched.EnableTelemetry()
-	defer pipesched.DisableTelemetry()
-	if *statsJSON != "" {
-		f, err := os.Create(*statsJSON)
-		if err != nil {
-			fmt.Fprintf(stderr, "pipesched worker: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		pm.SetSink(pipesched.NewJSONLTelemetrySink(f))
-	}
 	// Workers always trace: their spans join the router's trace through
 	// the X-Pipesched-Trace header on forwarded requests.
-	pipesched.EnableTracing(pm, pipesched.TracerConfig{})
-	defer pipesched.DisableTracing()
-
-	srv := server.New(server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		DefaultTimeout: *defTimeout,
-		MaxTimeout:     *maxTimeout,
-		CacheEntries:   *cacheSize,
-		CacheDir:       *cacheDir,
-		Metrics:        pm,
-		Node:           *node,
-	})
-
 	pid := os.Getpid()
-	mux := http.NewServeMux()
-	mux.Handle("/", stampPID(pid, srv.Handler()))
-	mux.HandleFunc("/workerz", func(w http.ResponseWriter, r *http.Request) {
-		st := fleet.WorkerStatus{Node: *node, PID: pid, Draining: srv.Draining()}
-		if ds := srv.DiskStore(); ds != nil {
-			st.DiskEntries = ds.Len()
-		}
-		rep := srv.DiskRecovery()
-		st.Recovered, st.Quarantined = rep.Recovered, rep.Quarantined
-		w.Header().Set(fleet.WorkerPIDHeader, strconv.Itoa(pid))
-		server.WriteJSON(w, http.StatusOK, st)
+	d := daemon{name: "pipesched worker", addr: *addr, statsJSON: *statsJSON, drain: *drainTimeout, ready: workerReady}
+	return d.run(ctx, stderr, func(pm *pipesched.Telemetry) (service, http.Handler) {
+		srv := server.New(server.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			DefaultTimeout: *defTimeout,
+			MaxTimeout:     *maxTimeout,
+			CacheEntries:   *cacheSize,
+			CacheDir:       *cacheDir,
+			Metrics:        pm,
+			Node:           *node,
+		})
+		mux := http.NewServeMux()
+		mux.Handle("/", stampPID(pid, srv.Handler()))
+		mux.HandleFunc("/workerz", func(w http.ResponseWriter, r *http.Request) {
+			st := fleet.WorkerStatus{Node: *node, PID: pid, Draining: srv.Draining()}
+			if ds := srv.DiskStore(); ds != nil {
+				st.DiskEntries = ds.Len()
+			}
+			rep := srv.DiskRecovery()
+			st.Recovered, st.Quarantined = rep.Recovered, rep.Quarantined
+			w.Header().Set(fleet.WorkerPIDHeader, strconv.Itoa(pid))
+			server.WriteJSON(w, http.StatusOK, st)
+		})
+		return srv, mux
+	}, func(a net.Addr) {
+		// The ready line is the supervisor protocol: stdout, one line,
+		// then the worker is quiet there (logs go to stderr).
+		fmt.Fprintln(stdout, supervisor.FormatReady(a.String(), pid))
+		fmt.Fprintf(stderr, "pipesched worker: node %s pid %d listening on http://%s\n", *node, pid, a)
 	})
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pipesched worker: %v\n", err)
-		return 1
-	}
-	hs := &http.Server{Handler: mux}
-	// The ready line is the supervisor protocol: stdout, one line, then
-	// the worker is quiet there (logs go to stderr).
-	fmt.Fprintln(stdout, supervisor.FormatReady(ln.Addr().String(), pid))
-	fmt.Fprintf(stderr, "pipesched worker: node %s pid %d listening on http://%s\n", *node, pid, ln.Addr())
-	if workerReady != nil {
-		workerReady(ln.Addr().String())
-	}
-
-	sigCtx, stop := signal.NotifyContext(ctx, syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(stderr, "pipesched worker: %v\n", err)
-		srv.Close()
-		return 1
-	case <-sigCtx.Done():
-	}
-
-	fmt.Fprintf(stderr, "pipesched worker: draining (budget %s)\n", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	drainErr := srv.Shutdown(drainCtx)
-	_ = hs.Shutdown(drainCtx)
-	if drainErr != nil {
-		fmt.Fprintf(stderr, "pipesched worker: drain budget expired, in-flight work degraded\n")
-	} else {
-		fmt.Fprintf(stderr, "pipesched worker: drained cleanly\n")
-	}
-	return 0
 }
 
 // stampPID adds the worker-PID header to every response, so routers and

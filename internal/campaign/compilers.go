@@ -1,14 +1,10 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,14 +53,15 @@ func (lc *LocalCompiler) Stats() CompileStats {
 	return CompileStats{Requests: lc.requests.Load()}
 }
 
-// Submitter is the front-door surface the campaign runner drives: both
-// server.Server and fleet.Fleet satisfy it, so a campaign runs
-// unchanged against one service or a whole fleet.
+// Submitter is the front-door surface the campaign runner drives:
+// server.Server, fleet.Fleet and the HTTP server.Client all satisfy it,
+// so a campaign runs unchanged against one service or a whole fleet, in
+// process or over the wire.
 type Submitter interface {
 	Submit(ctx context.Context, req *server.Request) (*server.Response, error)
 }
 
-// SubmitCompiler drives an in-process Submitter (service or fleet).
+// SubmitCompiler drives a Submitter (service, fleet or HTTP client).
 type SubmitCompiler struct {
 	Sub       Submitter
 	Machine   server.MachineSpec
@@ -106,83 +103,6 @@ func (sc *SubmitCompiler) Stats() CompileStats {
 	return CompileStats{
 		Requests: sc.requests.Load(), Cached: sc.cached.Load(),
 		DiskHits: sc.diskHits.Load(), Deduped: sc.deduped.Load(),
-	}
-}
-
-// HTTPCompiler posts single-request compiles to a service or fleet
-// front door over HTTP and rebuilds the verifiable Compiled from the
-// wire schedule (server.CompiledFromWire — the same decoder the
-// fleet's remote transport uses).
-type HTTPCompiler struct {
-	BaseURL   string // e.g. "http://127.0.0.1:8080"
-	Client    *http.Client
-	Machine   server.MachineSpec
-	Options   server.RequestOptions
-	TimeoutMS int64
-
-	requests, cached, diskHits, deduped atomic.Int64
-}
-
-func (hc *HTTPCompiler) Compile(ctx context.Context, b *ir.Block) (*pipesched.Compiled, error) {
-	hc.requests.Add(1)
-	body, err := json.Marshal(&server.Request{
-		Tuples: b.String(), Machine: hc.Machine, Options: hc.Options,
-		TimeoutMS: hc.TimeoutMS, WireSchedule: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(hc.BaseURL, "/")+"/compile", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	client := hc.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: front door: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("campaign: front door body: %w", err)
-	}
-	var wire server.WireResponse
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return nil, fmt.Errorf("campaign: front door status %d: %w", resp.StatusCode, err)
-	}
-	if wire.Cached {
-		hc.cached.Add(1)
-	}
-	if wire.DiskHit {
-		hc.diskHits.Add(1)
-	}
-	if wire.Deduped {
-		hc.deduped.Add(1)
-	}
-	c, err := server.CompiledFromWire(&wire)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: front door schedule: %w", err)
-	}
-	if c == nil {
-		if wire.Error != nil {
-			return nil, fmt.Errorf("campaign: front door %s: %s", wire.Error.Code, wire.Error.Message)
-		}
-		return nil, fmt.Errorf("campaign: front door status %d without schedule", resp.StatusCode)
-	}
-	// A degraded-but-delivered answer arrives as 200 + error field; keep
-	// the schedule, surface no error (trace accounting tracks Optimal).
-	return c, nil
-}
-
-func (hc *HTTPCompiler) Stats() CompileStats {
-	return CompileStats{
-		Requests: hc.requests.Load(), Cached: hc.cached.Load(),
-		DiskHits: hc.diskHits.Load(), Deduped: hc.deduped.Load(),
 	}
 }
 

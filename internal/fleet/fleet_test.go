@@ -84,7 +84,7 @@ func TestFleetInvalidRequestRejectedAtRouter(t *testing.T) {
 	if !errors.Is(err, server.ErrInvalidRequest) {
 		t.Fatalf("err = %v, want ErrInvalidRequest", err)
 	}
-	if code := ErrorCode(err); code != "invalid_request" {
+	if code := server.ErrorCode(err); code != "invalid_request" {
 		t.Fatalf("ErrorCode = %q", code)
 	}
 }
@@ -122,7 +122,7 @@ func TestFleetNoReplicasWhenChainDead(t *testing.T) {
 	if !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("err = %v, want ErrNoReplicas", err)
 	}
-	if code := ErrorCode(err); code != "no_replicas" {
+	if code := server.ErrorCode(err); code != "no_replicas" {
 		t.Fatalf("ErrorCode = %q", code)
 	}
 	// The third node is alive, so other keys still compile.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -10,32 +9,13 @@ import (
 	"pipesched/internal/telemetry"
 )
 
-// ErrorCode extends the server's error taxonomy with the fleet layer's
-// codes. Fleet routing failures are transient availability problems,
-// so both map onto 503s on the wire.
-func ErrorCode(err error) string {
-	var wf *WireFailure
-	switch {
-	case errors.Is(err, ErrNoReplicas):
-		return "no_replicas"
-	case errors.Is(err, ErrNodeDown):
-		return "node_down"
-	case errors.Is(err, ErrNodeSlow):
-		return "node_slow"
-	case errors.As(err, &wf):
-		// A remote worker answered a code this tier has no typed mapping
-		// for: pass it through instead of collapsing to "error".
-		return wf.Code
-	}
-	return server.ErrorCode(err)
-}
-
-// httpStatus maps a fleet outcome onto an HTTP status.
-func httpStatus(resp *server.Response, err error) int {
-	if errors.Is(err, ErrNoReplicas) || errors.Is(err, ErrNodeDown) || errors.Is(err, ErrNodeSlow) {
-		return http.StatusServiceUnavailable
-	}
-	return server.HTTPStatus(resp, err)
+// Fleet routing failures are transient availability problems: each
+// is a 503 on the wire. no_replicas goes first because it wraps the
+// last replica's outcome, which may itself be a node_down.
+func init() {
+	server.RegisterCode("no_replicas", ErrNoReplicas, http.StatusServiceUnavailable)
+	server.RegisterCode("node_down", ErrNodeDown, http.StatusServiceUnavailable)
+	server.RegisterCode("node_slow", ErrNodeSlow, http.StatusServiceUnavailable)
 }
 
 // Handler returns the fleet's HTTP front door — the same API shape as a
@@ -54,7 +34,10 @@ func (f *Fleet) Handler() http.Handler {
 	if reg := f.cfg.Metrics.Registry(); reg != nil {
 		mux.Handle("/", telemetry.Handler(reg))
 	}
-	mux.HandleFunc("/compile", f.handleCompile)
+	// The fleet front door is where a trace is born (or joined, when the
+	// client sent its own TraceHeader): every routing decision, replica
+	// attempt and node-side span below hangs off its root.
+	mux.Handle("/compile", server.Front{Submit: f.Submit})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		for _, n := range f.snapshot() {
 			if n.Healthy() {
@@ -66,36 +49,6 @@ func (f *Fleet) Handler() http.Handler {
 	})
 	mux.HandleFunc("/fleet", f.handleFleet)
 	return mux
-}
-
-func (f *Fleet) handleCompile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, ok := server.ReadBody(w, r)
-	if !ok {
-		return
-	}
-	reqs, batch, err := server.DecodeCompileBody(body)
-	if err != nil {
-		server.WriteJSONError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	// The fleet front door is where a trace is born (or joined, when the
-	// client sent its own TraceHeader): every routing decision, replica
-	// attempt and node-side span below hangs off this root.
-	ctx := r.Context()
-	var traceID string
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		parent, _ := telemetry.ExtractTrace(r.Header)
-		var root *telemetry.TraceSpan
-		ctx, root = tr.StartRoot(ctx, "front_door", parent)
-		traceID = root.Context().TraceID
-		w.Header().Set(telemetry.TraceHeader, root.Context().String())
-		defer root.End()
-	}
-	server.Front{Submit: f.Submit, Code: ErrorCode, Status: httpStatus}.Serve(ctx, w, reqs, batch, traceID)
 }
 
 // fleetStatus is the /fleet endpoint's JSON shape.

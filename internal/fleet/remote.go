@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -108,18 +107,6 @@ func (e *TransportError) Is(target error) bool {
 	return target == ErrNodeDown
 }
 
-// WireFailure preserves a wire error code the client has no typed
-// mapping for, so the code round-trips through a routing tier instead
-// of collapsing to "error".
-type WireFailure struct {
-	Code    string
-	Message string
-}
-
-func (e *WireFailure) Error() string {
-	return fmt.Sprintf("remote %s: %s", e.Code, e.Message)
-}
-
 // remoteMetrics is the RemoteNode metric set; nil fields are no-ops.
 type remoteMetrics struct {
 	calls *telemetry.Counter                        // pipesched_fleet_remote_calls_total
@@ -138,8 +125,6 @@ func newRemoteMetrics(reg *telemetry.Registry) *remoteMetrics {
 	}
 	return m
 }
-
-func (m *remoteMetrics) transportError(k TransportErrorKind) { m.terr[k].Inc() }
 
 // RemoteConfig tunes one RemoteNode. The zero value is usable.
 type RemoteConfig struct {
@@ -220,13 +205,6 @@ func (r *RemoteNode) PID() int {
 	return r.pid
 }
 
-// Addr returns the current target address.
-func (r *RemoteNode) Addr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.addr
-}
-
 // SetTarget points the backend at a new worker address (workers bind
 // :0, so every restart lands on a fresh port) and marks it up. Idle
 // pooled connections to the old target are dropped.
@@ -246,8 +224,6 @@ func (r *RemoteNode) MarkDown() {
 	r.down = true
 	r.mu.Unlock()
 }
-
-func (r *RemoteNode) markDown() { r.MarkDown() }
 
 // notePID records the PID observed on a response or probe.
 func (r *RemoteNode) notePID(pid int) {
@@ -299,57 +275,40 @@ func (r *RemoteNode) Submit(ctx context.Context, req *server.Request) (*server.R
 }
 
 // submitRPC is Submit after target resolution: one POST /compile with
-// the per-attempt timeout applied.
+// the per-attempt timeout applied, decoded by the server's one decoder.
 func (r *RemoteNode) submitRPC(ctx context.Context, addr string, req *server.Request, sp *telemetry.TraceSpan) (*server.Response, error) {
-	// Ask the worker for the full schedule so the response can be
-	// rebuilt into a verifiable Compiled. Copy: req may be shared.
-	wreq := *req
-	wreq.WireSchedule = true
-	body, err := json.Marshal(&wreq)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encode request: %w", server.ErrInvalidRequest, err)
-	}
-
 	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, "http://"+addr+"/compile", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("%w: build request: %w", server.ErrInvalidRequest, err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	// Propagate the trace so the worker's spans join this trace, parented
-	// under the RPC span when there is one.
+	// The worker's spans join this trace, parented under the RPC span
+	// when there is one.
+	pctx := actx
 	if tc := sp.Context(); tc.Valid() {
-		telemetry.InjectTrace(hreq.Header, tc)
-	} else if tc := telemetry.TraceContextOf(ctx); tc.Valid() {
-		telemetry.InjectTrace(hreq.Header, tc)
+		pctx = telemetry.WithTraceContext(actx, tc)
 	}
-
-	hresp, err := r.hc.Do(hreq)
-	if err != nil {
-		return nil, r.transportFailure(ctx, actx, err, sp)
-	}
-	defer hresp.Body.Close()
-	if pid, _ := strconv.Atoi(hresp.Header.Get(WorkerPIDHeader)); pid > 0 {
+	hdr, raw, err := (&server.Client{URL: "http://" + addr, HTTP: r.hc}).Post(pctx, req)
+	if pid, _ := strconv.Atoi(hdr.Get(WorkerPIDHeader)); pid > 0 {
 		r.notePID(pid)
 		sp.SetAttr("pid", strconv.Itoa(pid))
 	}
-	raw, err := io.ReadAll(io.LimitReader(hresp.Body, 16<<20))
-	if err != nil {
+	switch {
+	case errors.Is(err, server.ErrInvalidRequest):
+		return nil, err
+	case err != nil:
 		return nil, r.transportFailure(ctx, actx, err, sp)
 	}
-	var wire server.WireResponse
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		// A response arrived but is not a whole JSON document: the body
-		// was truncated by the network (or the worker died mid-write).
-		// The answer is lost — fail over — but the process may well be
-		// alive, so the health verdict is the prober's.
-		r.met.transportError(TransportTruncated)
-		sp.SetAttr("transport_error", TransportTruncated.String())
-		return nil, &TransportError{Node: r.id, Kind: TransportTruncated, Err: fmt.Errorf("decode %d-byte body: %w", len(raw), err)}
+	resp, err := server.DecodeResponse(raw)
+	if errors.Is(err, server.ErrMalformedResponse) {
+		// An answer arrived but is not a whole one: the body was
+		// truncated by the network, the worker died mid-write, or it
+		// carries neither a schedule nor an error. The answer is lost —
+		// fail over — but the process may well be alive, so the health
+		// verdict is the prober's.
+		return nil, r.transportError(TransportTruncated, err, sp)
 	}
-
-	return r.responseFromWire(&wire, sp)
+	if resp != nil && err != nil {
+		sp.SetAttr("degraded", "true")
+	}
+	return resp, err
 }
 
 // transportFailure classifies one failed RPC and applies its health
@@ -365,13 +324,19 @@ func (r *RemoteNode) transportFailure(ctx, actx context.Context, err error, sp *
 		return fmt.Errorf("%w: caller abandoned worker RPC: %w", pipesched.ErrCanceled, err)
 	}
 	kind := classifyTransport(actx, err)
-	r.met.transportError(kind)
-	sp.SetAttr("transport_error", kind.String())
 	if kind != TransportDeadline && kind != TransportTruncated {
 		// Refused/reset/EOF: the process (or its socket) is gone; stop
 		// routing to it until a probe or the supervisor revives it.
-		r.markDown()
+		r.MarkDown()
 	}
+	return r.transportError(kind, err, sp)
+}
+
+// transportError counts one transport failure and marks it on the RPC
+// span.
+func (r *RemoteNode) transportError(kind TransportErrorKind, err error, sp *telemetry.TraceSpan) *TransportError {
+	r.met.terr[kind].Inc()
+	sp.SetAttr("transport_error", kind.String())
 	return &TransportError{Node: r.id, Kind: kind, Err: err}
 }
 
@@ -399,87 +364,6 @@ func classifyTransport(actx context.Context, err error) TransportErrorKind {
 	return TransportEOF
 }
 
-// responseFromWire rebuilds a server.Response from the worker's wire
-// answer: flags copy over, the schedule (when present) becomes a
-// verifiable pipesched.Compiled, and the wire error decodes back into
-// the typed taxonomy.
-func (r *RemoteNode) responseFromWire(wire *server.WireResponse, sp *telemetry.TraceSpan) (*server.Response, error) {
-	resp := &server.Response{
-		ID:       wire.ID,
-		Cached:   wire.Cached,
-		DiskHit:  wire.DiskHit,
-		Deduped:  wire.Deduped,
-		FastPath: wire.FastPath,
-		Retries:  wire.Retries,
-	}
-	var serr error
-	if wire.Error != nil {
-		serr = errorFromWire(wire.Error)
-	}
-	c, err := compiledFromWire(wire)
-	if err != nil {
-		// The worker attached a schedule we cannot parse back: the answer
-		// is unusable, treat it like a truncated body.
-		r.met.transportError(TransportTruncated)
-		sp.SetAttr("transport_error", TransportTruncated.String())
-		return nil, &TransportError{Node: r.id, Kind: TransportTruncated, Err: err}
-	}
-	resp.Compiled = c
-	resp.Err = serr
-	if c == nil {
-		// Pure rejection (overload, draining, invalid, …): the Submit
-		// contract reports it as (nil, err) — never executed.
-		return nil, serr
-	}
-	if serr != nil {
-		sp.SetAttr("degraded", "true")
-	}
-	return resp, serr
-}
-
-// compiledFromWire rebuilds a Compiled from the wire schedule; nil when
-// the response carries no schedule (rejections, legacy peers). The
-// decoding itself lives in server.CompiledFromWire so the campaign
-// front-door client and this transport can never drift apart.
-func compiledFromWire(wire *server.WireResponse) (*pipesched.Compiled, error) {
-	return server.CompiledFromWire(wire)
-}
-
-// errorFromWire decodes a wire error code back into the typed failure
-// taxonomy, so errors.Is works identically on both sides of the wire.
-func errorFromWire(we *server.WireError) error {
-	if we == nil {
-		return nil
-	}
-	switch we.Code {
-	case "":
-		return nil
-	case "overloaded":
-		return &server.OverloadError{Reason: we.Message, RetryAfter: time.Duration(we.RetryAfterMS) * time.Millisecond}
-	case "draining":
-		return fmt.Errorf("%w (remote): %s", server.ErrDraining, we.Message)
-	case "invalid_request":
-		return fmt.Errorf("%w (remote): %s", server.ErrInvalidRequest, we.Message)
-	case "internal":
-		return fmt.Errorf("%w (remote): %s", server.ErrInternal, we.Message)
-	case "curtailed":
-		return fmt.Errorf("%w (remote): %s", pipesched.ErrCurtailed, we.Message)
-	case "deadline":
-		return fmt.Errorf("%w (remote): %s", pipesched.ErrDeadline, we.Message)
-	case "canceled":
-		return fmt.Errorf("%w (remote): %s", pipesched.ErrCanceled, we.Message)
-	case "stage_failure":
-		return &pipesched.StageError{Stage: "remote", Err: errors.New(we.Message)}
-	case "node_down":
-		return fmt.Errorf("%w (remote): %s", ErrNodeDown, we.Message)
-	case "node_slow":
-		return fmt.Errorf("%w (remote): %s", ErrNodeSlow, we.Message)
-	case "no_replicas":
-		return fmt.Errorf("%w (remote): %s", ErrNoReplicas, we.Message)
-	}
-	return &WireFailure{Code: we.Code, Message: we.Message}
-}
-
 // Probe is the fleet probe loop's failure detector for this backend:
 // one GET /workerz. A transport failure marks the node down; success
 // marks it up, refreshes the PID and draining state, and reports
@@ -498,13 +382,13 @@ func (r *RemoteNode) Probe(ctx context.Context) (WorkerStatus, bool, error) {
 	}
 	hresp, err := r.hc.Do(hreq)
 	if err != nil {
-		r.markDown()
+		r.MarkDown()
 		return WorkerStatus{}, false, err
 	}
 	defer hresp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
 	if err != nil || hresp.StatusCode != http.StatusOK {
-		r.markDown()
+		r.MarkDown()
 		if err == nil {
 			err = fmt.Errorf("workerz: status %d", hresp.StatusCode)
 		}
@@ -512,7 +396,7 @@ func (r *RemoteNode) Probe(ctx context.Context) (WorkerStatus, bool, error) {
 	}
 	var st WorkerStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
-		r.markDown()
+		r.MarkDown()
 		return WorkerStatus{}, false, fmt.Errorf("workerz: %w", err)
 	}
 	r.mu.Lock()

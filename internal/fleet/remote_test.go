@@ -244,7 +244,7 @@ func TestRemoteNodeSlowNotKilled(t *testing.T) {
 	if got := rpcSpanAttr(col, "transport_error"); got != "deadline" {
 		t.Fatalf("span transport_error = %q, want deadline", got)
 	}
-	if got := ErrorCode(err); got != "node_slow" {
+	if got := server.ErrorCode(err); got != "node_slow" {
 		t.Fatalf("ErrorCode = %q, want node_slow", got)
 	}
 }

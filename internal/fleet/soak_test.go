@@ -137,7 +137,7 @@ func TestSoakFleetChaos(t *testing.T) {
 	typed := map[string]int{}
 	for o := range results {
 		if o.err != nil {
-			code := ErrorCode(o.err)
+			code := server.ErrorCode(o.err)
 			if code == "error" {
 				t.Fatalf("untyped error escaped the taxonomy: %v", o.err)
 			}

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync"
 
-	"pipesched"
 	"pipesched/internal/telemetry"
 )
 
@@ -65,8 +64,7 @@ type WireSchedule struct {
 }
 
 // AttachSchedule copies resp's schedule onto the wire response when the
-// compiled result carries one. InitialNOPs rides along so the rebuilt
-// Compiled reports the same seed cost.
+// compiled result carries one, so DecodeResponse can rebuild it.
 func (w *WireResponse) AttachSchedule(resp *Response) {
 	if w == nil || resp == nil || resp.Compiled == nil || resp.Compiled.Original == nil {
 		return
@@ -79,48 +77,6 @@ func (w *WireResponse) AttachSchedule(resp *Response) {
 		Pipes:      c.Pipes,
 		IssueTicks: c.IssueTicks,
 	}
-}
-
-// CompiledFromWire rebuilds a sim-verifiable pipesched.Compiled from a
-// wire response's schedule payload — the inverse of AttachSchedule +
-// ToWire. It returns nil (no error) when the response carries no
-// schedule (rejections, legacy peers). Both the fleet's remote-node
-// transport and the campaign runner's HTTP front-door client rebuild
-// answers through this one decoder, so any drift in the wire shape
-// breaks both loudly.
-func CompiledFromWire(wire *WireResponse) (*pipesched.Compiled, error) {
-	s := wire.Schedule
-	if s == nil {
-		return nil, nil
-	}
-	blk, err := pipesched.ParseBlock(s.Tuples)
-	if err != nil {
-		return nil, fmt.Errorf("wire schedule tuples: %w", err)
-	}
-	q, err := pipesched.ParseQuality(wire.Quality)
-	if err != nil {
-		return nil, fmt.Errorf("wire schedule: %w", err)
-	}
-	sched, err := pipesched.ParseSchedMode(wire.Sched)
-	if err != nil {
-		return nil, fmt.Errorf("wire schedule: %w", err)
-	}
-	return &pipesched.Compiled{
-		Original:   blk,
-		Order:      s.Order,
-		Eta:        s.Eta,
-		Pipes:      s.Pipes,
-		TotalNOPs:  wire.NOPs,
-		Ticks:      wire.Ticks,
-		Optimal:    wire.Optimal,
-		Gap:        wire.Gap,
-		RootLB:     wire.RootLB,
-		Quality:    q,
-		Assembly:   wire.Assembly,
-		Sched:      sched,
-		MaxLive:    wire.MaxLive,
-		IssueTicks: s.IssueTicks,
-	}, nil
 }
 
 // WireError is the JSON shape of a typed failure. TraceID joins a
@@ -142,9 +98,8 @@ type wireBatchResponse struct {
 	Responses []*WireResponse `json:"responses"`
 }
 
-// toWire flattens a Submit outcome into the wire shape; code names the
-// error on the wire.
-func toWire(id string, resp *Response, err error, code func(error) string) *WireResponse {
+// toWire flattens a Submit outcome into the wire shape.
+func toWire(id string, resp *Response, err error) *WireResponse {
 	w := &WireResponse{ID: id}
 	if resp != nil {
 		w.Cached = resp.Cached
@@ -173,7 +128,7 @@ func toWire(id string, resp *Response, err error, code func(error) string) *Wire
 		}
 	}
 	if err != nil {
-		w.Error = &WireError{Code: code(err), Message: err.Error()}
+		w.Error = &WireError{Code: ErrorCode(err), Message: err.Error()}
 		var oe *OverloadError
 		if errors.As(err, &oe) {
 			w.Error.RetryAfterMS = oe.RetryAfter.Milliseconds()
@@ -181,28 +136,6 @@ func toWire(id string, resp *Response, err error, code func(error) string) *Wire
 		w.Degraded = resp != nil && resp.Compiled != nil
 	}
 	return w
-}
-
-// HTTPStatus maps one outcome onto an HTTP status for the single-
-// request endpoint. Degraded-but-legal results are 200: the caller got
-// a schedule; the error field explains the rung.
-func HTTPStatus(resp *Response, err error) int {
-	if err == nil || (resp != nil && resp.Compiled != nil) {
-		return http.StatusOK
-	}
-	switch {
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrInvalidRequest),
-		errors.Is(err, pipesched.ErrInvalidMachine),
-		errors.Is(err, pipesched.ErrInvalidBlock):
-		return http.StatusBadRequest
-	case errors.Is(err, pipesched.ErrDeadline):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, pipesched.ErrCanceled):
-		return 499 // client closed request (nginx convention)
-	}
-	return http.StatusInternalServerError
 }
 
 // Handler returns the service's HTTP API:
@@ -220,7 +153,7 @@ func (s *Server) Handler() http.Handler {
 	if reg := s.cfg.Metrics.Registry(); reg != nil {
 		mux.Handle("/", telemetry.Handler(reg))
 	}
-	mux.HandleFunc("/compile", s.handleCompile)
+	mux.Handle("/compile", Front{Submit: s.Submit, Node: s.cfg.Node, Hop: "server.http"})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -231,65 +164,68 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, ok := ReadBody(w, r)
-	if !ok {
-		return
-	}
-	reqs, batch, err := DecodeCompileBody(body)
-	if err != nil {
-		WriteJSONError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	ctx := r.Context()
-	var traceID string
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		// A request arriving with X-Pipesched-Trace (from the fleet
-		// router, or a traced client) joins that trace; otherwise this
-		// hop is the front door and mints one.
-		parent, _ := telemetry.ExtractTrace(r.Header)
-		name := "front_door"
-		if parent.Valid() {
-			name = "server.http"
-		}
-		var root *telemetry.TraceSpan
-		ctx, root = tr.StartRoot(ctx, name, parent)
-		if s.cfg.Node != "" {
-			root.SetNode(s.cfg.Node)
-		}
-		traceID = root.Context().TraceID
-		w.Header().Set(telemetry.TraceHeader, root.Context().String())
-		defer root.End()
-	}
-	Front{Submit: s.Submit, Code: ErrorCode, Status: HTTPStatus}.Serve(ctx, w, reqs, batch, traceID)
-}
-
-// Front is one /compile front door: how it submits a request and how it
-// names an outcome on the wire. A lone server uses Submit, ErrorCode and
-// HTTPStatus; the fleet router passes its routing and its extended error
-// taxonomy through the same writer, so both doors answer in one shape,
-// Retry-After included.
+// Front is the one POST /compile handler: the method check, the
+// bounded body read, single/batch decode, the request's trace root and
+// the outcome writer. A lone server and the fleet router both mount it,
+// so both doors answer in one shape, Retry-After included.
 type Front struct {
 	Submit func(context.Context, *Request) (*Response, error)
-	Code   func(error) string
-	Status func(*Response, error) int
+	// Node attributes the trace root to a fleet node ("" = none).
+	Node string
+	// Hop names the trace root of a request that arrives inside a trace
+	// (from the fleet router, or a traced client); "" keeps "front_door".
+	Hop string
 }
 
-// Serve answers one decoded /compile body. A single request maps its
+// ServeHTTP answers one /compile request. A single request maps its
 // outcome onto the HTTP status, with Retry-After on overload, and a
 // typed 5xx triggers a flight-recorder dump so the black box captures
 // the spans that led to it. A batch fans out through Submit
 // concurrently — each request passes admission control individually,
 // so a batch cannot bypass the queue bound — and answers 200 with
 // per-item outcomes.
-func (f Front) Serve(ctx context.Context, w http.ResponseWriter, reqs []*Request, batch bool, traceID string) {
+func (f Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	if err != nil {
+		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(body) > maxBodyBytes {
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+		return
+	}
+	reqs, batch, err := decodeCompileBody(body)
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, &WireResponse{Error: &WireError{Code: "invalid_request", Message: err.Error()}})
+		return
+	}
+	ctx := r.Context()
+	var traceID string
+	if tr := telemetry.ActiveTracer(); tr != nil {
+		// A request arriving with X-Pipesched-Trace joins that trace;
+		// otherwise this hop is the front door and mints one.
+		parent, _ := telemetry.ExtractTrace(r.Header)
+		name := "front_door"
+		if parent.Valid() && f.Hop != "" {
+			name = f.Hop
+		}
+		var root *telemetry.TraceSpan
+		ctx, root = tr.StartRoot(ctx, name, parent)
+		if f.Node != "" {
+			root.SetNode(f.Node)
+		}
+		traceID = root.Context().TraceID
+		w.Header().Set(telemetry.TraceHeader, root.Context().String())
+		defer root.End()
+	}
+
 	if !batch {
 		resp, err := f.Submit(ctx, reqs[0])
-		status := f.Status(resp, err)
+		status := HTTPStatus(resp, err)
 		var oe *OverloadError
 		if errors.As(err, &oe) {
 			w.Header().Set("Retry-After", strconv.FormatInt(int64(oe.RetryAfter.Seconds()+0.999), 10))
@@ -297,7 +233,7 @@ func (f Front) Serve(ctx context.Context, w http.ResponseWriter, reqs []*Request
 		if status >= 500 {
 			telemetry.ActiveTracer().Trigger(fmt.Sprintf("http_%d", status))
 		}
-		WriteJSON(w, status, f.wire(reqs[0], resp, err, traceID))
+		WriteJSON(w, status, wireOutcome(reqs[0], resp, err, traceID))
 		return
 	}
 	out := wireBatchResponse{Responses: make([]*WireResponse, len(reqs))}
@@ -311,51 +247,32 @@ func (f Front) Serve(ctx context.Context, w http.ResponseWriter, reqs []*Request
 		go func(i int, req *Request) {
 			defer wg.Done()
 			resp, err := f.Submit(ctx, req)
-			out.Responses[i] = f.wire(req, resp, err, traceID)
+			out.Responses[i] = wireOutcome(req, resp, err, traceID)
 		}(i, req)
 	}
 	wg.Wait()
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// wire builds one request's wire body: the outcome, the raw schedule
-// payload when the request asked for it, and the trace ID on its error.
-func (f Front) wire(req *Request, resp *Response, err error, traceID string) *WireResponse {
-	w := toWire(req.ID, resp, err, f.Code)
+// wireOutcome builds one request's wire body: the outcome, the raw
+// schedule payload when the request asked for it, and the trace ID on
+// its error.
+func wireOutcome(req *Request, resp *Response, err error, traceID string) *WireResponse {
+	w := toWire(req.ID, resp, err)
 	if req.WireSchedule {
 		w.AttachSchedule(resp)
 	}
-	w.StampTrace(traceID)
+	if w.Error != nil && traceID != "" {
+		w.Error.TraceID = traceID
+	}
 	return w
 }
 
-// StampTrace records the request's trace ID on the wire error, if any.
-func (w *WireResponse) StampTrace(traceID string) {
-	if w != nil && w.Error != nil && traceID != "" {
-		w.Error.TraceID = traceID
-	}
-}
-
-// ReadBody reads one bounded request body, answering the appropriate
-// error status itself; ok reports whether the caller should proceed.
-func ReadBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if len(body) > maxBodyBytes {
-		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-		return nil, false
-	}
-	return body, true
-}
-
-// DecodeCompileBody parses one /compile body: a body with a "requests"
+// decodeCompileBody parses one /compile body: a body with a "requests"
 // array is a batch (batch = true, one element per item, nils preserved);
 // anything else is a single request object (reqs has exactly one
 // element). The error is user-caused and maps to a 400.
-func DecodeCompileBody(body []byte) (reqs []*Request, batch bool, err error) {
+func decodeCompileBody(body []byte) (reqs []*Request, batch bool, err error) {
 	var probe struct {
 		Requests json.RawMessage `json:"requests"`
 	}
@@ -382,8 +299,4 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-func WriteJSONError(w http.ResponseWriter, status int, code, msg string) {
-	WriteJSON(w, status, &WireResponse{Error: &WireError{Code: code, Message: msg}})
 }

@@ -81,12 +81,24 @@ func (h *HazardError) Error() string {
 		h.Kind, h.Position, h.Node, h.Detail)
 }
 
-// Run simulates the block under the given mechanism.
+// Run simulates the block under the given mechanism. ImplicitInterlock
+// is RunActual with every result arriving at its declared latency.
 func Run(in Input, mech Mechanism) (*Trace, error) {
 	n := len(in.Order)
 	if len(in.Eta) != n || len(in.Pipes) != n {
 		return nil, fmt.Errorf("sim: order/eta/pipes lengths differ: %d/%d/%d",
 			n, len(in.Eta), len(in.Pipes))
+	}
+	switch mech {
+	case NOPPadding, ExplicitInterlock:
+	case ImplicitInterlock:
+		lat := make([]int, n)
+		for i, p := range in.Pipes {
+			lat[i] = in.M.Latency(p)
+		}
+		return RunActual(in, mech, lat)
+	default:
+		return nil, fmt.Errorf("sim: unknown mechanism %d", mech)
 	}
 	if !in.Graph.IsLegalOrder(in.Order) {
 		return nil, fmt.Errorf("sim: order violates dependences")
@@ -100,37 +112,11 @@ func Run(in Input, mech Mechanism) (*Trace, error) {
 	lastEnqueue := map[int]int{} // pipeline -> last issue tick
 	tick := 0
 	for i, u := range in.Order {
-		switch mech {
-		case NOPPadding, ExplicitInterlock:
-			tick += in.Eta[i] + 1
-			if err := checkHazards(in, pos, tr, i, u, tick, lastEnqueue); err != nil {
-				return nil, err
-			}
-			tr.Delays += in.Eta[i]
-		case ImplicitInterlock:
-			// Stall until every constraint admits issue.
-			earliest := tick + 1
-			for _, d := range in.Graph.Preds[u] {
-				if !d.Kind.CarriesLatency() {
-					continue
-				}
-				jp := pos[d.Node]
-				if need := tr.IssueTick[jp] + in.M.Latency(in.Pipes[jp]); need > earliest {
-					earliest = need
-				}
-			}
-			if p := in.Pipes[i]; p != machine.NoPipeline {
-				if last, ok := lastEnqueue[p]; ok {
-					if need := last + in.M.EnqueueTime(p); need > earliest {
-						earliest = need
-					}
-				}
-			}
-			tr.Delays += earliest - tick - 1
-			tick = earliest
-		default:
-			return nil, fmt.Errorf("sim: unknown mechanism %d", mech)
+		tick += in.Eta[i] + 1
+		if err := checkHazards(in, pos, tr, i, u, tick, lastEnqueue); err != nil {
+			return nil, err
 		}
+		tr.Delays += in.Eta[i]
 		tr.IssueTick[i] = tick
 		if p := in.Pipes[i]; p != machine.NoPipeline {
 			lastEnqueue[p] = tick

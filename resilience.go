@@ -637,26 +637,20 @@ func lower(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Option
 }
 
 // emit lowers a schedule of one block that starts from cold pipelines
-// and, whenever a dependence graph exists, re-verifies it with the
-// independent simulator: the in-order hazard check for NOP-padded
-// schedules, the window-machine replay for search-produced scoreboard
-// schedules. Defense in depth: no schedule leaves the library unchecked.
+// and, whenever a dependence graph exists, re-verifies a NOP-padded
+// schedule with the independent simulator's in-order hazard check. A
+// search-produced scoreboard schedule is not replayed here: scheduleCtx
+// has already replayed it on the window machine, claimed issue ticks
+// and stalls included. Defense in depth: no schedule leaves the library
+// unchecked.
 func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options,
 	order, eta, pipes []int, quality Quality, faults []*StageError) (*Compiled, error) {
 	c, err := lower(ctx, block, g, m, o, order, eta, pipes, quality, faults)
 	if err != nil {
 		return nil, err
 	}
-	if g != nil {
-		if interlocked(o, quality) {
-			_, err = sim.RunScoreboard(sim.ScoreboardInput{
-				Input:  sim.Input{Graph: g, M: m, Order: order, Pipes: pipes},
-				Window: o.Sched.Window, Width: o.Sched.Width,
-			})
-		} else {
-			_, err = sim.Run(sim.Input{Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes}, sim.NOPPadding)
-		}
-		if err != nil {
+	if g != nil && !interlocked(o, quality) {
+		if _, err := sim.Run(sim.Input{Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes}, sim.NOPPadding); err != nil {
 			return nil, fmt.Errorf("pipesched: schedule failed verification: %w", err)
 		}
 	}

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"pipesched/internal/core"
+	"pipesched/internal/dag"
 	"pipesched/internal/faultinject"
 	"pipesched/internal/ir"
 )
@@ -421,5 +424,47 @@ func TestReportShowsQuality(t *testing.T) {
 	}
 	if !strings.Contains(rep, "[search]") {
 		t.Errorf("report missing fault note:\n%s", rep)
+	}
+}
+
+// TestScoreboardClaimsReplayedOnce: a scoreboard search result is
+// replayed once, on the window machine, against its claimed issue ticks
+// and stall count. A search that lies about either, or returns an order
+// the window machine cannot run, is refused with the verification error
+// instead of being lowered.
+func TestScoreboardClaimsReplayedOnce(t *testing.T) {
+	m, o := SimulationMachine(), Options{Sched: Scoreboard(4, 2)}
+	honest := blockSearch(1)
+	cases := []struct {
+		name string
+		lie  func(s *core.Schedule)
+	}{
+		{"honest", func(*core.Schedule) {}},
+		{"issue ticks", func(s *core.Schedule) {
+			s.IssueTicks = append([]int(nil), s.IssueTicks...)
+			s.IssueTicks[len(s.IssueTicks)-1]++
+		}},
+		{"stalls", func(s *core.Schedule) { s.TotalNOPs++ }},
+		{"illegal order", func(s *core.Schedule) { slices.Reverse(s.Order) }},
+	}
+	for _, tc := range cases {
+		search := func(g *dag.Graph, m *Machine, copts core.Options) (*core.Schedule, error) {
+			s, err := honest(g, m, copts)
+			if err == nil {
+				s.Order = slices.Clone(s.Order)
+				tc.lie(s)
+			}
+			return s, err
+		}
+		c, err := scheduleCtx(context.Background(), chainBlock(8), m, o, search, nil)
+		if tc.name == "honest" {
+			if err != nil || c == nil || c.Quality != Optimal {
+				t.Fatalf("honest search: c=%v err=%v", c, err)
+			}
+			continue
+		}
+		if c != nil || err == nil || !strings.Contains(err.Error(), "scoreboard schedule failed verification") {
+			t.Errorf("%s: c=%v err=%v, want refused by the scoreboard verification", tc.name, c, err)
+		}
 	}
 }
