@@ -3,9 +3,9 @@ package campaign
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -106,18 +106,44 @@ func (sc *SubmitCompiler) Stats() CompileStats {
 	}
 }
 
-// ContentKey fingerprints a block's tuple content with the label line
-// stripped, so identical code in differently-named blocks (across
-// programs, or the same program compiled twice) collapses onto one
-// compile. The machine and mode are bound into the compiler, so they
-// are deliberately not part of this key.
+// ContentKey fingerprints a block's tuple content with the label left
+// out, so identical code in differently-named blocks (across programs,
+// or the same program compiled twice) collapses onto one compile. The
+// machine and mode are bound into the compiler, so they are
+// deliberately not part of this key.
 func ContentKey(b *ir.Block) string {
-	text := b.String()
-	if nl := strings.IndexByte(text, '\n'); nl >= 0 && strings.HasSuffix(strings.TrimSpace(text[:nl]), ":") {
-		text = text[nl+1:]
-	}
-	sum := sha256.Sum256([]byte(text))
+	sum := contentSum(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// contentSum hashes the fields Block.String renders, without rendering
+// them: each tuple's ID, its op and only the operands the op uses. IDs,
+// ops, operand kinds, references and immediates are fixed-width and
+// variable names are length-prefixed, so the encoding is
+// self-delimiting: two blocks hash alike exactly when their
+// label-stripped texts are equal (variable names being the identifiers
+// the frontend and the tuple parser produce).
+func contentSum(b *ir.Block) [sha256.Size]byte {
+	var scratch [512]byte // a block of up to ~18 tuples hashes without allocating
+	buf := scratch[:0]
+	for _, t := range b.Tuples {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.ID))
+		buf = append(buf, byte(t.Op))
+		ops, n := t.Operands()
+		for _, o := range ops[:n] {
+			buf = append(buf, byte(o.Kind))
+			switch o.Kind {
+			case ir.VarOperand:
+				buf = binary.AppendUvarint(buf, uint64(len(o.Var)))
+				buf = append(buf, o.Var...)
+			case ir.RefOperand:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Ref))
+			case ir.ImmOperand:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Imm))
+			}
+		}
+	}
+	return sha256.Sum256(buf)
 }
 
 // DedupCompiler collapses content-identical blocks onto a single inner

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pipesched/internal/machine"
@@ -56,7 +57,8 @@ type Config struct {
 	// Manifest enables incremental recompilation; nil runs cold with no
 	// durable state.
 	Manifest *Manifest
-	// Concurrency bounds how many traces compile at once; 0 selects 4.
+	// Concurrency bounds how many programs parse, or traces compile, at
+	// once; 0 selects 4.
 	Concurrency int
 	// Optimize runs the traditional optimizations when lowering blocks.
 	Optimize bool
@@ -96,7 +98,6 @@ type traceJob struct {
 }
 
 type traceOutcome struct {
-	program int
 	res     *TraceResult
 	hit     bool
 	err     error
@@ -104,10 +105,12 @@ type traceOutcome struct {
 }
 
 // Run compiles every program: parse → trace formation → per-trace
-// manifest lookup or compile, bounded to cfg.Concurrency in-flight
-// traces across the whole campaign. Every delivered schedule has been
-// sim-verified (fresh compiles in ScheduleTrace, manifest hits in
-// Lookup). Per-trace hard failures are recorded in the report and the
+// manifest lookup or compile. Both phases run on a fixed pool of
+// cfg.Concurrency workers (forEach), so at most that many programs
+// parse, or traces compile, at once across the whole campaign. Every
+// delivered schedule has been sim-verified (fresh compiles in
+// ScheduleTrace, manifest hits in Lookup). Report rows follow the input
+// order. Per-trace hard failures are recorded in the report and the
 // first one is returned alongside it; parse failures of one program
 // fail only that program.
 func (r *Runner) Run(ctx context.Context, inputs []Input) (*Report, error) {
@@ -115,48 +118,34 @@ func (r *Runner) Run(ctx context.Context, inputs []Input) (*Report, error) {
 	rep := &Report{
 		Machine: r.cfg.Machine.Name, Mode: r.cfg.Mode.String(),
 		Concurrency: r.cfg.Concurrency,
+		Programs:    make([]ProgramReport, len(inputs)),
 	}
 
+	traces := make([][]*Trace, len(inputs))
+	r.forEach(len(inputs), func(i int) {
+		rep.Programs[i], traces[i] = r.parse(inputs[i])
+	})
 	var jobs []traceJob
-	for _, in := range inputs {
-		pr := ProgramReport{Name: in.Name, Optimal: true}
-		g, err := ParseProgram(in.Name, in.Source, r.cfg.Optimize)
-		if err != nil {
-			pr.Errors = append(pr.Errors, err.Error())
-			rep.Programs = append(rep.Programs, pr)
-			continue
+	for i, ts := range traces {
+		if len(rep.Programs[i].Errors) == 0 {
+			r.met.programs.Inc()
 		}
-		r.met.programs.Inc()
-		pr.Blocks = len(g.Blocks)
-		traces := g.Traces()
-		pr.Traces = len(traces)
-		pi := len(rep.Programs)
-		rep.Programs = append(rep.Programs, pr)
-		for _, t := range traces {
-			jobs = append(jobs, traceJob{program: pi, trace: t})
+		for _, t := range ts {
+			jobs = append(jobs, traceJob{program: i, trace: t})
 		}
 	}
 
 	outcomes := make([]traceOutcome, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.cfg.Concurrency)
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j traceJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			res, hit, err := r.runTrace(ctx, j.trace)
-			outcomes[i] = traceOutcome{program: j.program, res: res, hit: hit, err: err, elapsed: time.Since(t0)}
-		}(i, j)
-	}
-	wg.Wait()
+	r.forEach(len(jobs), func(i int) {
+		t0 := time.Now()
+		res, hit, err := r.runTrace(ctx, jobs[i].trace)
+		outcomes[i] = traceOutcome{res: res, hit: hit, err: err, elapsed: time.Since(t0)}
+	})
 
 	var firstErr error
-	var latencies []float64
+	latencies := make([]float64, 0, len(outcomes))
 	for i, out := range outcomes {
-		pr := &rep.Programs[out.program]
+		pr := &rep.Programs[jobs[i].program]
 		r.met.traces.Inc()
 		r.met.traceDur.Observe(out.elapsed.Microseconds())
 		latencies = append(latencies, out.elapsed.Seconds())
@@ -187,6 +176,38 @@ func (r *Runner) Run(ctx context.Context, inputs []Input) (*Report, error) {
 	r.met.dedupHits.Add(r.dedup.Hits())
 	rep.finish(latencies, time.Since(start), r.dedup)
 	return rep, firstErr
+}
+
+// forEach calls fn(i) for every i in [0, n) on a fixed pool of
+// cfg.Concurrency workers, each claiming the next index until none is
+// left, and returns once every call has.
+func (r *Runner) forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(r.cfg.Concurrency, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// parse parses one program and forms its traces. A parse failure is the
+// program's only error, and the program gets no traces.
+func (r *Runner) parse(in Input) (ProgramReport, []*Trace) {
+	pr := ProgramReport{Name: in.Name, Optimal: true}
+	g, err := ParseProgram(in.Name, in.Source, r.cfg.Optimize)
+	if err != nil {
+		pr.Errors = []string{err.Error()}
+		return pr, nil
+	}
+	traces := g.Traces()
+	pr.Blocks, pr.Traces = len(g.Blocks), len(traces)
+	return pr, traces
 }
 
 // runTrace serves one trace from the manifest when possible, compiling

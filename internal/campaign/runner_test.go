@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,22 +183,50 @@ func TestRunnerDedupsAcrossPrograms(t *testing.T) {
 }
 
 func TestRunnerParseFailureIsolatedToProgram(t *testing.T) {
-	inputs := []Input{
-		{Name: "bad.psrc", Source: "block a -> nosuch { x = 1 }"},
-		{Name: "good.psrc", Source: "block a { x = p + q }"},
+	// Failing programs first, in the middle and last, parsed by four
+	// workers: every row stays at its input's position, each failure is
+	// counted once, and the good programs report exactly what they do
+	// in a campaign of their own.
+	good := synthInputs(t, 3, 5)
+	bad := []Input{
+		{Name: "bad-target.psrc", Source: "block a -> nosuch { x = 1 }"},
+		{Name: "bad-syntax.psrc", Source: "a = = ;"},
+		{Name: "bad-block.psrc", Source: "block a { x = p + q }\nblock a { y = 1 }"},
 	}
+	inputs := []Input{bad[0], good[0], good[1], bad[1], good[2], good[3], good[4], bad[2]}
 	rep, err := newTestRunner(t, nil).Run(context.Background(), inputs)
 	if err != nil {
 		t.Fatalf("parse failure must not fail the campaign: %v", err)
 	}
-	if len(rep.Programs[0].Errors) == 0 {
-		t.Error("bad program reported no error")
+	alone, err := newTestRunner(t, nil).Run(context.Background(), good)
+	if err != nil || alone.Failed != 0 {
+		t.Fatalf("good programs alone: %v, %d failed", err, alone.Failed)
 	}
-	if len(rep.Programs[1].Errors) != 0 || rep.Programs[1].Traces != 1 {
-		t.Errorf("good program damaged: %+v", rep.Programs[1])
+	if len(rep.Programs) != len(inputs) {
+		t.Fatalf("%d report rows for %d programs", len(rep.Programs), len(inputs))
 	}
-	if rep.Failed == 0 {
-		t.Error("aggregate Failed count is zero")
+	g := 0
+	for i, pr := range rep.Programs {
+		if pr.Name != inputs[i].Name {
+			t.Errorf("row %d is %q, want %q: rows out of input order", i, pr.Name, inputs[i].Name)
+		}
+		if strings.HasPrefix(pr.Name, "bad") {
+			if len(pr.Errors) != 1 || pr.Traces != 0 {
+				t.Errorf("bad program %s: %d errors, %d traces; want 1 error, no traces", pr.Name, len(pr.Errors), pr.Traces)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(pr, alone.Programs[g]) {
+			t.Errorf("good program damaged by its neighbours:\n got %+v\nwant %+v", pr, alone.Programs[g])
+		}
+		g++
+	}
+	if rep.Failed != len(bad) {
+		t.Errorf("aggregate Failed = %d, want %d", rep.Failed, len(bad))
+	}
+	if rep.TotalTraces != alone.TotalTraces || rep.DeliveredNOPs != alone.DeliveredNOPs {
+		t.Errorf("totals %d traces / %d NOPs, want the good programs' %d / %d",
+			rep.TotalTraces, rep.DeliveredNOPs, alone.TotalTraces, alone.DeliveredNOPs)
 	}
 }
 

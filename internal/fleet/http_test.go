@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"pipesched/internal/server"
+	"pipesched/internal/telemetry"
 )
 
 func TestFleetHandlerCompileAndHealth(t *testing.T) {
@@ -173,5 +175,33 @@ func TestFleetHandlerAllNodesOverloaded(t *testing.T) {
 	if len(out.Responses) != 1 || out.Responses[0].Error == nil ||
 		out.Responses[0].Error.Code != "no_replicas" || out.Responses[0].Error.RetryAfterMS != 1500 {
 		t.Fatalf("batch item = %+v, want no_replicas with retry_after_ms 1500", out.Responses)
+	}
+}
+
+func TestFleetSourceSyntaxErrorIsInvalidRequest(t *testing.T) {
+	// A syntax error in a source request is answered 400 invalid_request
+	// at the fleet front door, not 500, and dumps no flight recorder.
+	dumps := t.TempDir()
+	telemetry.InstallTracer(telemetry.NewTracer(nil, telemetry.TracerConfig{DumpDir: dumps}))
+	defer telemetry.UninstallTracer()
+	f := newTestFleet(t, 2, Config{})
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+
+	res, err := http.Post(ts.URL+"/compile", "application/json",
+		strings.NewReader(`{"source":"a = = ;","machine":{"preset":"simulation"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var wire server.WireResponse
+	if err := json.NewDecoder(res.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusBadRequest || wire.Error == nil || wire.Error.Code != "invalid_request" {
+		t.Errorf("status %d, error %+v; want 400 invalid_request", res.StatusCode, wire.Error)
+	}
+	if des, err := os.ReadDir(dumps); err != nil || len(des) != 0 {
+		t.Errorf("flight recorder dumped %d files for a syntax error (%v)", len(des), err)
 	}
 }
