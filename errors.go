@@ -90,6 +90,9 @@ var (
 	// ErrInvalidBlock wraps every structurally-invalid tuple block error
 	// (see ir.Block.Validate).
 	ErrInvalidBlock = ir.ErrInvalidBlock
+	// ErrInvalidSource wraps every frontend error of a source program
+	// that does not parse or lower to a tuple block (see CompileCtx).
+	ErrInvalidSource = errors.New("pipesched: invalid source program")
 	// ErrInfeasible: the minreg-k mode's register-pressure bound admits no
 	// legal schedule of the block; the completed search is the proof.
 	// Unlike the degradation sentinels above it accompanies a nil result —

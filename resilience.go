@@ -214,7 +214,8 @@ func searchTrace(ctx context.Context, bound int) func(core.TraceEvent) {
 // returns the best legal schedule found TOGETHER with ErrCurtailed,
 // ErrDeadline or ErrCanceled; on a recoverable stage fault it returns a
 // degraded-but-legal result together with the *StageError. Only invalid
-// input and frontend failures return a nil Compiled.
+// input and frontend failures return a nil Compiled; a source that does
+// not parse or lower returns ErrInvalidSource.
 func CompileCtx(ctx context.Context, src string, m *Machine, o Options) (*Compiled, error) {
 	if err := validateMachine(m); err != nil {
 		return nil, err
@@ -232,7 +233,7 @@ func CompileCtx(ctx context.Context, src string, m *Machine, o Options) (*Compil
 	}
 	if err != nil {
 		done(nil)
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidSource, err)
 	}
 	var faults []*StageError
 	if block, fault = optimizeStage(ctx, block, o); fault != nil {

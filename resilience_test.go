@@ -320,6 +320,19 @@ func TestScheduleCtxInvalidInputs(t *testing.T) {
 	}
 }
 
+func TestCompileCtxInvalidSource(t *testing.T) {
+	// Only a source that fails to parse or lower is ErrInvalidSource; a
+	// failure after the frontend keeps its own error.
+	m := SimulationMachine()
+	if c, err := CompileCtx(context.Background(), "a = = ;", m, Options{}); !errors.Is(err, ErrInvalidSource) || c != nil {
+		t.Errorf("syntax error: got (%v, %v), want (nil, ErrInvalidSource)", c, err)
+	}
+	c, err := CompileCtx(context.Background(), "a = b * c", m, Options{Sched: MinRegK(1)})
+	if !errors.Is(err, ErrInfeasible) || errors.Is(err, ErrInvalidSource) || c != nil {
+		t.Errorf("infeasible bound: got (%v, %v), want (nil, ErrInfeasible) only", c, err)
+	}
+}
+
 func TestScheduleSequenceCtxChaos(t *testing.T) {
 	blocks := []*Block{}
 	for i := 0; i < 3; i++ {
