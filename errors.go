@@ -91,7 +91,8 @@ var (
 	// (see ir.Block.Validate).
 	ErrInvalidBlock = ir.ErrInvalidBlock
 	// ErrInvalidSource wraps every frontend error of a source program
-	// that does not parse or lower to a tuple block (see CompileCtx).
+	// that does not parse or lower to a tuple block (see CompileCtx and
+	// CompileSequenceCtx).
 	ErrInvalidSource = errors.New("pipesched: invalid source program")
 	// ErrInfeasible: the minreg-k mode's register-pressure bound admits no
 	// legal schedule of the block; the completed search is the proof.

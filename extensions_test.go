@@ -2,6 +2,7 @@ package pipesched
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -337,8 +338,8 @@ func TestCompileSequencePlainSource(t *testing.T) {
 }
 
 func TestCompileSequenceParseError(t *testing.T) {
-	if _, err := CompileSequence("block { }", SimulationMachine(), Options{}); err == nil {
-		t.Error("bad block syntax accepted")
+	if _, err := CompileSequence("block { }", SimulationMachine(), Options{}); !errors.Is(err, ErrInvalidSource) {
+		t.Errorf("bad block syntax: err = %v, want ErrInvalidSource", err)
 	}
 }
 

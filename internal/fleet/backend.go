@@ -29,10 +29,10 @@ type Backend interface {
 	// work right now. Routing consults it to skip dead replicas without
 	// paying a round trip.
 	Healthy() bool
-	// Submit runs one request with server.Submit semantics; transport
-	// and process failures surface as ErrNodeDown / ErrNodeSlow so the
-	// router can fail over.
-	Submit(ctx context.Context, req *server.Request) (*server.Response, error)
+	// Submit runs one request the router resolved, with server.Submit
+	// semantics; transport and process failures surface as ErrNodeDown /
+	// ErrNodeSlow so the router can fail over.
+	Submit(ctx context.Context, r *server.Resolved) (*server.Response, error)
 	// Shutdown stops the backend gracefully within ctx.
 	Shutdown(ctx context.Context) error
 
@@ -57,20 +57,12 @@ func (l *backendLatency) observeLatency(seconds float64) { l.lat.Observe(seconds
 // latWindow exposes the window to the /fleet status endpoint.
 func (l *backendLatency) latWindow() *stats.Window { return l.lat }
 
-// LatencyQuantiles returns the requested percentiles (e.g. 50, 95, 99)
-// over the backend's recent winning-attempt latencies, in seconds.
-func (l *backendLatency) LatencyQuantiles(ps ...float64) []float64 { return l.lat.Quantiles(ps...) }
-
-// LatencySamples returns how many latencies the backend's window holds.
-func (l *backendLatency) LatencySamples() int { return l.lat.Samples() }
-
 // diskBacked is the optional Backend facet for members whose durable
 // cache store is directly readable by the router — in-process nodes.
 // Key-range handoff on membership change only applies to these; a
 // remote worker owns its cache directory and recovers it itself.
 type diskBacked interface {
 	DiskStore() *store.Store
-	DiskRecovery() store.RecoveryReport
 }
 
 // remoteProber is the optional Backend facet for members with a real

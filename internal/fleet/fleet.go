@@ -234,44 +234,12 @@ func (f *Fleet) AddBackend(b Backend) {
 	f.mu.Unlock()
 	f.ring.add(b.ID())
 	f.met.nodes.Set(int64(total))
-	f.handoffTo(b)
-}
-
-// handoffTo copies every durable entry whose primary is now b from the
-// other members' stores into b's store. Copies are raw verified bytes;
-// the source keeps its copy (it is now a ring replica for the key, or
-// harmless content-addressed surplus). Members without a readable store
-// (remote workers) neither give nor receive handoff copies.
-func (f *Fleet) handoffTo(b Backend) {
-	db, ok := b.(diskBacked)
-	if !ok {
-		return
-	}
-	dst := db.DiskStore()
-	if dst == nil {
+	if diskStore(b) == nil {
 		return
 	}
 	for _, o := range f.snapshot() {
-		if o.ID() == b.ID() {
-			continue
-		}
-		od, ok := o.(diskBacked)
-		if !ok {
-			continue
-		}
-		src := od.DiskStore()
-		if src == nil {
-			continue
-		}
-		for _, key := range src.Keys() {
-			if f.ring.primary(key) != b.ID() {
-				continue
-			}
-			if payload, ok := src.Get(key); ok {
-				if dst.Put(key, payload) == nil {
-					f.met.handoff.Inc()
-				}
-			}
+		if src := diskStore(o); src != nil && o.ID() != b.ID() {
+			f.handoff(src, b.ID())
 		}
 	}
 }
@@ -296,32 +264,42 @@ func (f *Fleet) RemoveNode(ctx context.Context, id string) error {
 
 	// Capture the store before Shutdown drops the server reference; the
 	// store stays readable after the drain (it holds no descriptors).
-	// Remote members own their cache directory, so there is nothing to
-	// hand off from the router's side.
-	var st *store.Store
-	if db, ok := n.(diskBacked); ok {
-		st = db.DiskStore()
-	}
+	st := diskStore(n)
 	err := n.Shutdown(ctx)
 	if st != nil {
-		for _, key := range st.Keys() {
-			ownerID := f.ring.primary(key)
-			owner, _ := f.Backend(ownerID).(diskBacked)
-			if owner == nil {
-				continue
-			}
-			dst := owner.DiskStore()
-			if dst == nil {
-				continue
-			}
-			if payload, ok := st.Get(key); ok {
-				if dst.Put(key, payload) == nil {
-					f.met.handoff.Inc()
-				}
-			}
-		}
+		f.handoff(st, "")
 	}
 	return err
+}
+
+// diskStore returns b's durable store when the router can read it
+// directly (in-process nodes), else nil.
+func diskStore(b Backend) *store.Store {
+	if db, ok := b.(diskBacked); ok {
+		return db.DiskStore()
+	}
+	return nil
+}
+
+// handoff copies each entry of src to the store of the key's ring
+// primary — only for keys whose primary is the member named to, unless
+// to is "". Copies are raw verified bytes; src keeps its copy (it is now
+// a ring replica for the key, or harmless content-addressed surplus).
+// Members without a readable store (remote workers) receive nothing.
+func (f *Fleet) handoff(src *store.Store, to string) {
+	for _, key := range src.Keys() {
+		owner := f.ring.primary(key)
+		if to != "" && owner != to {
+			continue
+		}
+		dst := diskStore(f.Backend(owner))
+		if dst == nil || dst == src {
+			continue
+		}
+		if payload, ok := src.Get(key); ok && dst.Put(key, payload) == nil {
+			f.met.handoff.Inc()
+		}
+	}
 }
 
 // RecordRecovery folds one node restart's recovery scan into the fleet
@@ -394,20 +372,21 @@ type attempt struct {
 	span   *telemetry.TraceSpan // the attempt's "fleet.attempt" span (nil untraced)
 }
 
-// Submit routes one request: fingerprint → replica chain → primary,
-// with failover on node-down/draining/overload outcomes and one hedged
-// retry once the observed p95 latency elapses without an answer. It
-// returns the first real answer (Submit semantics match
-// server.Submit: a Response possibly carrying a typed degradation
-// error, or a typed rejection).
+// Submit routes one request: resolve → replica chain → primary, with
+// failover on node-down/draining/overload outcomes and one hedged retry
+// once the observed p95 latency elapses without an answer. The request
+// is resolved once, here: its key picks the chain and in-process nodes
+// admit the resolved request as it is. It returns the first real answer
+// (Submit semantics match server.Submit: a Response possibly carrying a
+// typed degradation error, or a typed rejection).
 func (f *Fleet) Submit(ctx context.Context, req *server.Request) (*server.Response, error) {
-	key, err := server.Fingerprint(req)
+	r, err := server.Resolve(req)
 	if err != nil {
 		return nil, err
 	}
 	ctx, rspan := telemetry.ActiveTracer().StartSpan(ctx, "fleet.route")
 	start := f.cfg.now()
-	resp, err := f.submitChain(ctx, key, req)
+	resp, err := f.submitChain(ctx, r)
 	// The request histogram carries the trace ID as an exemplar, so a
 	// latency outlier on a dashboard links straight to its trace.
 	f.met.reqDur.ObserveExemplar(f.cfg.now().Sub(start).Microseconds(),
@@ -421,7 +400,8 @@ func (f *Fleet) Submit(ctx context.Context, req *server.Request) (*server.Respon
 
 // submitChain runs the failover/hedging state machine over the key's
 // replica chain.
-func (f *Fleet) submitChain(ctx context.Context, key string, req *server.Request) (*server.Response, error) {
+func (f *Fleet) submitChain(ctx context.Context, r *server.Resolved) (*server.Response, error) {
+	key := r.Key
 	ids := f.ring.replicas(key, f.cfg.Replicas)
 	if len(ids) == 0 {
 		f.met.noReplicas.Inc()
@@ -474,7 +454,7 @@ func (f *Fleet) submitChain(ctx context.Context, key string, req *server.Request
 			actx = telemetry.WithTraceContext(subCtx, atc)
 		}
 		go func(n Backend, hedged bool, start time.Time, asp *telemetry.TraceSpan) {
-			resp, err := n.Submit(actx, req)
+			resp, err := n.Submit(actx, r)
 			results <- attempt{resp: resp, err: err, b: n, hedged: hedged, start: start, span: asp}
 		}(n, hedged, f.cfg.now(), asp)
 		return true

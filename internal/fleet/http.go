@@ -94,10 +94,8 @@ func (f *Fleet) handleFleet(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		ns := nodeStatus{ID: id, Healthy: b.Healthy()}
-		if db, ok := b.(diskBacked); ok {
-			if s := db.DiskStore(); s != nil {
-				ns.Durable = s.Len()
-			}
+		if s := diskStore(b); s != nil {
+			ns.Durable = s.Len()
 		}
 		if rn, ok := b.(*RemoteNode); ok {
 			ns.Remote = true

@@ -78,18 +78,19 @@ func (n *Node) Healthy() bool {
 	return !n.down && n.srv != nil && !n.srv.Draining()
 }
 
-// Submit runs one request on this node. A down node — including one
-// killed while the request was in flight — answers ErrNodeDown: a
-// crash loses the answer even if the work had finished, exactly like a
-// dropped connection, and the router must fail over.
-func (n *Node) Submit(ctx context.Context, req *server.Request) (*server.Response, error) {
+// Submit runs one resolved request on this node, which admits it
+// without resolving it again. A down node — including one killed while
+// the request was in flight — answers ErrNodeDown: a crash loses the
+// answer even if the work had finished, exactly like a dropped
+// connection, and the router must fail over.
+func (n *Node) Submit(ctx context.Context, r *server.Resolved) (*server.Response, error) {
 	n.mu.Lock()
 	srv, gen, down := n.srv, n.killGen, n.down
 	n.mu.Unlock()
 	if down || srv == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.id)
 	}
-	resp, err := srv.Submit(ctx, req)
+	resp, err := srv.SubmitResolved(ctx, r)
 	n.mu.Lock()
 	lost := n.killGen != gen
 	n.mu.Unlock()

@@ -144,7 +144,7 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 }
 
 // RemoteNode is the out-of-process fleet Backend: it speaks the worker
-// wire protocol (POST /compile with wire_schedule, GET /workerz) to a
+// wire protocol (POST /compile, GET /workerz) to a
 // `pipesched worker` process over a pooled HTTP client, mapping
 // transport failures onto the router's failover taxonomy. Health is
 // driven by the fleet probe loop through Probe; the supervisor reports
@@ -235,9 +235,9 @@ func (r *RemoteNode) notePID(pid int) {
 	r.mu.Unlock()
 }
 
-// Submit forwards one request to the worker. Outcomes follow the
-// server.Submit contract, with transport failures mapped onto the
-// failover taxonomy:
+// Submit forwards the wire request to the worker, which resolves it on
+// its side. Outcomes follow the server.Submit contract, with transport
+// failures mapped onto the failover taxonomy:
 //
 //   - refused / reset / EOF → *TransportError matching ErrNodeDown, and
 //     the node is marked down until a probe revives it;
@@ -247,7 +247,7 @@ func (r *RemoteNode) notePID(pid int) {
 //     health verdict is left to the prober (the process did answer);
 //   - caller context expiry → the pipesched deadline/cancel sentinels,
 //     exactly as an in-process node would report.
-func (r *RemoteNode) Submit(ctx context.Context, req *server.Request) (*server.Response, error) {
+func (r *RemoteNode) Submit(ctx context.Context, res *server.Resolved) (*server.Response, error) {
 	r.mu.Lock()
 	addr, down, pid := r.addr, r.down, r.pid
 	r.mu.Unlock()
@@ -266,7 +266,7 @@ func (r *RemoteNode) Submit(ctx context.Context, req *server.Request) (*server.R
 	if pid > 0 {
 		sp.SetAttr("pid", strconv.Itoa(pid))
 	}
-	resp, err := r.submitRPC(ctx, addr, req, sp)
+	resp, err := r.submitRPC(ctx, addr, res.Req, sp)
 	if err != nil && resp == nil {
 		sp.Fail(err)
 	}

@@ -69,7 +69,7 @@ func TestRemoteNodeWireErrorMapping(t *testing.T) {
 		ln.Close()
 
 		rn := NewRemoteNode("w0", addr, RemoteConfig{AttemptTimeout: 2 * time.Second})
-		resp, err := rn.Submit(tracedCtx(t), req)
+		resp, err := rn.Submit(tracedCtx(t), resolved(t, req))
 		if resp != nil {
 			t.Fatalf("resp = %v, want nil", resp)
 		}
@@ -119,7 +119,7 @@ func TestRemoteNodeWireErrorMapping(t *testing.T) {
 		}()
 
 		rn := NewRemoteNode("w1", ln.Addr().String(), RemoteConfig{AttemptTimeout: 2 * time.Second})
-		_, err = rn.Submit(tracedCtx(t), req)
+		_, err = rn.Submit(tracedCtx(t), resolved(t, req))
 		var te *TransportError
 		if !errors.As(err, &te) {
 			t.Fatalf("err = %v, want TransportError", err)
@@ -152,7 +152,7 @@ func TestRemoteNodeWireErrorMapping(t *testing.T) {
 		defer hs.Close()
 
 		rn := NewRemoteNode("w2", strings.TrimPrefix(hs.URL, "http://"), RemoteConfig{AttemptTimeout: 2 * time.Second})
-		_, err := rn.Submit(tracedCtx(t), req)
+		_, err := rn.Submit(tracedCtx(t), resolved(t, req))
 		var te *TransportError
 		if !errors.As(err, &te) || te.Kind != TransportTruncated {
 			t.Fatalf("err = %v, want TransportError{Truncated}", err)
@@ -184,7 +184,7 @@ func TestRemoteNodeWireErrorMapping(t *testing.T) {
 		defer hs.Close()
 
 		rn := NewRemoteNode("w3", strings.TrimPrefix(hs.URL, "http://"), RemoteConfig{AttemptTimeout: 2 * time.Second})
-		resp, err := rn.Submit(tracedCtx(t), req)
+		resp, err := rn.Submit(tracedCtx(t), resolved(t, req))
 		if resp != nil {
 			t.Fatalf("resp = %v, want nil (rejected, never executed)", resp)
 		}
@@ -224,7 +224,7 @@ func TestRemoteNodeSlowNotKilled(t *testing.T) {
 	defer close(block) // before hs.Close, which waits for the handler
 
 	rn := NewRemoteNode("slow", strings.TrimPrefix(hs.URL, "http://"), RemoteConfig{AttemptTimeout: 50 * time.Millisecond})
-	_, err := rn.Submit(tracedCtx(t), tupleRequest(2))
+	_, err := rn.Submit(tracedCtx(t), resolved(t, tupleRequest(2)))
 	var te *TransportError
 	if !errors.As(err, &te) || te.Kind != TransportDeadline {
 		t.Fatalf("err = %v, want TransportError{Deadline}", err)
@@ -266,7 +266,7 @@ func TestRemoteNodeCallerCancelNotNodeFailure(t *testing.T) {
 	rn := NewRemoteNode("c", strings.TrimPrefix(hs.URL, "http://"), RemoteConfig{AttemptTimeout: 5 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := rn.Submit(ctx, tupleRequest(3))
+	_, err := rn.Submit(ctx, resolved(t, tupleRequest(3)))
 	if !errors.Is(err, pipesched.ErrDeadline) {
 		t.Fatalf("err = %v, want pipesched.ErrDeadline", err)
 	}
@@ -288,7 +288,7 @@ func TestRemoteNodeRoundTrip(t *testing.T) {
 	defer hs.Close()
 
 	rn := NewRemoteNode("rt", strings.TrimPrefix(hs.URL, "http://"), RemoteConfig{})
-	resp, err := rn.Submit(context.Background(), tupleRequest(4))
+	resp, err := rn.Submit(context.Background(), resolved(t, tupleRequest(4)))
 	if err != nil || resp == nil || resp.Compiled == nil {
 		t.Fatalf("round trip: resp=%v err=%v", resp, err)
 	}
@@ -329,7 +329,7 @@ func TestRemoteNodeSchedRoundTrip(t *testing.T) {
 	t.Run("minreg-lex", func(t *testing.T) {
 		req := tupleRequest(40)
 		req.Options.Sched = "minreg-lex"
-		resp, err := rn.Submit(context.Background(), req)
+		resp, err := rn.Submit(context.Background(), resolved(t, req))
 		if err != nil || resp == nil || resp.Compiled == nil {
 			t.Fatalf("round trip: resp=%v err=%v", resp, err)
 		}
@@ -349,7 +349,7 @@ func TestRemoteNodeSchedRoundTrip(t *testing.T) {
 	t.Run("scoreboard", func(t *testing.T) {
 		req := tupleRequest(41)
 		req.Options.Sched = "scoreboard=4x2"
-		resp, err := rn.Submit(context.Background(), req)
+		resp, err := rn.Submit(context.Background(), resolved(t, req))
 		if err != nil || resp == nil || resp.Compiled == nil {
 			t.Fatalf("round trip: resp=%v err=%v", resp, err)
 		}

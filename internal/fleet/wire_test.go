@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pipesched"
 	"pipesched/internal/server"
 	"pipesched/internal/telemetry"
 )
@@ -56,6 +57,27 @@ func TestFleetWireCodesRoundTrip(t *testing.T) {
 		if got := server.HTTPStatus(nil, derr); got != http.StatusServiceUnavailable {
 			t.Errorf("%s: decoded error maps to status %d, want 503", p.code, got)
 		}
+	}
+}
+
+// TestFleetInfeasibleRoundTrip: a minreg-k bound that admits no
+// schedule answers 422 infeasible through the fleet front door, and the
+// client decodes it back to ErrInfeasible.
+func TestFleetInfeasibleRoundTrip(t *testing.T) {
+	f := newTestFleet(t, 2, Config{})
+	front := httptest.NewServer(f.Handler())
+	defer front.Close()
+	req := &server.Request{
+		Tuples:  "1: Load #b\n2: Load #c\n3: Mul @1, @2\n4: Store #a, @3",
+		Machine: server.MachineSpec{Preset: "simulation"},
+		Options: server.RequestOptions{Sched: "minreg-k=1"},
+	}
+	resp, err := (&server.Client{URL: front.URL}).Submit(context.Background(), req)
+	if resp != nil || !errors.Is(err, pipesched.ErrInfeasible) {
+		t.Fatalf("Submit = (%v, %v), want a rejection matching ErrInfeasible", resp, err)
+	}
+	if code, status := server.ErrorCode(err), server.HTTPStatus(nil, err); code != "infeasible" || status != http.StatusUnprocessableEntity {
+		t.Errorf("decoded error maps to %q/%d, want infeasible/422", code, status)
 	}
 }
 
@@ -126,7 +148,7 @@ func TestFleetFailsOverOnEmptyAnswer(t *testing.T) {
 		t.Error("an empty answer must not down-mark the worker: it did answer")
 	}
 
-	_, err = primary.Submit(context.Background(), req)
+	_, err = primary.Submit(context.Background(), resolved(t, req))
 	var te *TransportError
 	if !errors.As(err, &te) || te.Kind != TransportTruncated || !errors.Is(err, server.ErrMalformedResponse) {
 		t.Fatalf("empty answer: err = %v, want a truncated TransportError", err)

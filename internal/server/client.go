@@ -99,16 +99,12 @@ func (c *Client) Submit(ctx context.Context, req *Request) (*Response, error) {
 	return DecodeResponse(raw)
 }
 
-// Post sends one request with WireSchedule set, so the answer carries a
-// schedule DecodeResponse can rebuild, and returns the answer's header
-// and bounded body. The trace on ctx, if any, travels in the
-// TraceHeader. An error is a failure to encode the request (matching
-// ErrInvalidRequest) or a transport failure; the header survives a
-// failed body read.
+// Post sends one request and returns the answer's header and bounded
+// body. The trace on ctx, if any, travels in the TraceHeader. An error
+// is a failure to encode the request (matching ErrInvalidRequest) or a
+// transport failure; the header survives a failed body read.
 func (c *Client) Post(ctx context.Context, req *Request) (http.Header, []byte, error) {
-	wreq := *req // req may be shared
-	wreq.WireSchedule = true
-	body, err := json.Marshal(&wreq)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: encode request: %w", ErrInvalidRequest, err)
 	}

@@ -13,10 +13,10 @@ import (
 // Typed sentinel errors of the service layer, usable with errors.Is.
 // Together with the pipesched sentinels (ErrCurtailed, ErrDeadline,
 // ErrCanceled, ErrInvalidMachine, ErrInvalidBlock, ErrInvalidSource,
-// *StageError) they form the complete failure taxonomy of the compile
-// service: every Submit call terminates with a legal schedule, one of
-// these, or both (anytime semantics — a degraded result travels WITH
-// its reason).
+// ErrInfeasible, *StageError) they form the complete failure taxonomy
+// of the compile service: every Submit call terminates with a legal
+// schedule, one of these, or both (anytime semantics — a degraded
+// result travels WITH its reason).
 var (
 	// ErrOverloaded: admission control rejected the request — the queue
 	// is full, or the observed p95 queue wait already exceeds the
@@ -84,6 +84,7 @@ var codes = []codeRow{
 	{"invalid_request", pipesched.ErrInvalidMachine, http.StatusBadRequest},
 	{"invalid_request", pipesched.ErrInvalidBlock, http.StatusBadRequest},
 	{"invalid_request", pipesched.ErrInvalidSource, http.StatusBadRequest},
+	{"infeasible", pipesched.ErrInfeasible, http.StatusUnprocessableEntity},
 	{"internal", ErrInternal, http.StatusInternalServerError},
 	{"curtailed", pipesched.ErrCurtailed, http.StatusInternalServerError},
 	{"deadline", pipesched.ErrDeadline, http.StatusGatewayTimeout},

@@ -42,8 +42,8 @@ type WireResponse struct {
 	Deduped  bool   `json:"deduped,omitempty"`
 	FastPath bool   `json:"fast_path,omitempty"`
 	Retries  int    `json:"retries,omitempty"`
-	// Schedule is the machine-readable schedule, attached only when the
-	// request set WireSchedule (the fleet's remote transport does).
+	// Schedule is the machine-readable schedule, attached to every
+	// answer that carries a result.
 	Schedule *WireSchedule `json:"schedule,omitempty"`
 	Error    *WireError    `json:"error,omitempty"`
 }
@@ -61,22 +61,6 @@ type WireSchedule struct {
 	// IssueTicks is the scoreboard model's per-position issue tick,
 	// present only for scoreboard-mode results (Eta is all zeros there).
 	IssueTicks []int `json:"issue_ticks,omitempty"`
-}
-
-// AttachSchedule copies resp's schedule onto the wire response when the
-// compiled result carries one, so DecodeResponse can rebuild it.
-func (w *WireResponse) AttachSchedule(resp *Response) {
-	if w == nil || resp == nil || resp.Compiled == nil || resp.Compiled.Original == nil {
-		return
-	}
-	c := resp.Compiled
-	w.Schedule = &WireSchedule{
-		Tuples:     c.Original.String(),
-		Order:      c.Order,
-		Eta:        c.Eta,
-		Pipes:      c.Pipes,
-		IssueTicks: c.IssueTicks,
-	}
 }
 
 // WireError is the JSON shape of a typed failure. TraceID joins a
@@ -121,6 +105,15 @@ func toWire(id string, resp *Response, err error) *WireResponse {
 			w.MaxLive = c.MaxLive
 			if !c.Sched.IsPaper() {
 				w.Sched = c.Sched.String()
+			}
+			if c.Original != nil {
+				w.Schedule = &WireSchedule{
+					Tuples:     c.Original.String(),
+					Order:      c.Order,
+					Eta:        c.Eta,
+					Pipes:      c.Pipes,
+					IssueTicks: c.IssueTicks,
+				}
 			}
 		}
 		if err == nil {
@@ -254,14 +247,10 @@ func (f Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// wireOutcome builds one request's wire body: the outcome, the raw
-// schedule payload when the request asked for it, and the trace ID on
-// its error.
+// wireOutcome builds one request's wire body: the outcome and the trace
+// ID on its error.
 func wireOutcome(req *Request, resp *Response, err error, traceID string) *WireResponse {
 	w := toWire(req.ID, resp, err)
-	if req.WireSchedule {
-		w.AttachSchedule(resp)
-	}
 	if w.Error != nil && traceID != "" {
 		w.Error.TraceID = traceID
 	}

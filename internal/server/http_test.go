@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pipesched"
 	"pipesched/internal/telemetry"
@@ -246,10 +248,29 @@ func TestHTTPSourceSyntaxErrorIsInvalidRequest(t *testing.T) {
 }
 
 func TestHTTPSourceFailureAfterParseIsServerError(t *testing.T) {
-	// A source that parses but whose compile fails without a taxonomy
-	// row (here the minreg-k bound admits no schedule) is not the
-	// caller's typo: it answers 500 and dumps the flight recorder, as
-	// the same block sent as tuples does.
+	// A source that parses but whose compile then hits a server fault
+	// (here a panic outside stage isolation) is not the caller's typo:
+	// it answers 500 and dumps the flight recorder.
+	testHookCompile = func(context.Context) { panic("server fault") }
+	defer func() { testHookCompile = nil }()
+	s := newTestServer(t, testConfig())
+	dumps := t.TempDir()
+	telemetry.InstallTracer(telemetry.NewTracer(nil, telemetry.TracerConfig{DumpDir: dumps, DumpInterval: time.Nanosecond}))
+	defer telemetry.UninstallTracer()
+	rec, wr := postCompile(t, s.Handler(), `{"source":"a = b * c","machine":{"preset":"simulation"}}`)
+	if rec.Code != http.StatusInternalServerError || wr.Error == nil || wr.Error.Code != "internal" {
+		t.Errorf("status %d, error %+v; want 500 internal", rec.Code, wr.Error)
+	}
+	des, err := os.ReadDir(dumps)
+	if err != nil || !slices.ContainsFunc(des, func(de os.DirEntry) bool { return strings.Contains(de.Name(), "http_500") }) {
+		t.Errorf("flight recorder dumps %v (%v), want an http_500 dump", des, err)
+	}
+}
+
+func TestHTTPInfeasibleIsUnprocessable(t *testing.T) {
+	// A minreg-k bound that admits no schedule is a completed proof about
+	// the caller's own bound: 422 infeasible, source and tuples alike,
+	// and no flight-recorder dump.
 	s := newTestServer(t, testConfig())
 	for _, body := range []string{
 		`{"source":"a = b * c","machine":{"preset":"simulation"},"options":{"sched":"minreg-k=1"}}`,
@@ -259,11 +280,11 @@ func TestHTTPSourceFailureAfterParseIsServerError(t *testing.T) {
 		telemetry.InstallTracer(telemetry.NewTracer(nil, telemetry.TracerConfig{DumpDir: dumps}))
 		rec, wr := postCompile(t, s.Handler(), body)
 		telemetry.UninstallTracer()
-		if rec.Code != http.StatusInternalServerError || wr.Error == nil || wr.Error.Code != "error" {
-			t.Errorf("%.20s…: status %d, error %+v; want 500 error", body, rec.Code, wr.Error)
+		if rec.Code != http.StatusUnprocessableEntity || wr.Error == nil || wr.Error.Code != "infeasible" {
+			t.Errorf("%.20s…: status %d, error %+v; want 422 infeasible", body, rec.Code, wr.Error)
 		}
-		if des, err := os.ReadDir(dumps); err != nil || len(des) != 1 || !strings.Contains(des[0].Name(), "http_500") {
-			t.Errorf("%.20s…: flight recorder dumps %v (%v), want one http_500 dump", body, des, err)
+		if des, err := os.ReadDir(dumps); err != nil || len(des) != 0 {
+			t.Errorf("%.20s…: flight recorder dumped %d files (%v), want none", body, len(des), err)
 		}
 	}
 }

@@ -134,7 +134,6 @@ func TestWireRoundTripSched(t *testing.T) {
 			t.Fatalf("Submit(%q): %v", sched, err)
 		}
 		w := toWire("rt", resp, nil)
-		w.AttachSchedule(resp)
 		raw, err := json.Marshal(w)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)

@@ -41,7 +41,6 @@ import (
 
 	"pipesched"
 	"pipesched/internal/fleet/store"
-	"pipesched/internal/machine"
 	"pipesched/internal/stats"
 	"pipesched/internal/telemetry"
 )
@@ -148,13 +147,6 @@ type Request struct {
 	// TimeoutMS is the compile budget in milliseconds (queue wait
 	// included); 0 selects the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// WireSchedule asks the HTTP layer to attach the full schedule
-	// (tuples, order, eta, pipes) to the wire response, so a routing
-	// tier can reconstruct a verifiable Compiled from the JSON alone.
-	// The fleet's RemoteNode sets it on every forwarded request. It is
-	// a transport concern and deliberately outside the cache
-	// fingerprint.
-	WireSchedule bool `json:"wire_schedule,omitempty"`
 }
 
 // MachineSpec selects the target machine: a named preset or an inline
@@ -205,12 +197,8 @@ type Response struct {
 // flight is one in-flight unit of (deduplicated) work: the leader's
 // request plus every waiter that collapsed onto it.
 type flight struct {
-	key      string
-	source   string
-	tuples   string
-	block    *pipesched.Block // pre-parsed tuple block, when Tuples input
-	m        *pipesched.Machine
-	opts     pipesched.Options
+	*Resolved
+	block    *pipesched.Block // the parsed tuple block, when Tuples input
 	enqueued time.Time
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -288,11 +276,21 @@ func New(cfg Config) *Server {
 // A nil Response means the request never executed: rejected by
 // validation or admission control, or abandoned by the caller.
 func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
+	r, err := Resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	return s.SubmitResolved(ctx, r)
+}
+
+// SubmitResolved is Submit for a request already resolved, such as the
+// one a fleet router resolved to route it.
+func (s *Server) SubmitResolved(ctx context.Context, r *Resolved) (*Response, error) {
 	ctx, sp := telemetry.ActiveTracer().StartSpan(ctx, "server.submit")
 	if sp != nil && s.cfg.Node != "" {
 		sp.SetNode(s.cfg.Node)
 	}
-	resp, err := s.submit(ctx, req)
+	resp, err := s.submit(ctx, r)
 	if sp != nil {
 		annotateSubmit(sp, resp)
 		sp.Fail(err)
@@ -332,19 +330,20 @@ func annotateSubmit(sp *telemetry.TraceSpan, resp *Response) {
 
 // submit is Submit's body, running under the server.submit span when
 // the request is traced.
-func (s *Server) submit(ctx context.Context, req *Request) (*Response, error) {
-	proto, timeout, err := s.prepare(req)
-	if err != nil {
-		return nil, err
+func (s *Server) submit(ctx context.Context, r *Resolved) (*Response, error) {
+	timeout := s.cfg.DefaultTimeout
+	if r.Req.TimeoutMS > 0 {
+		timeout = time.Duration(r.Req.TimeoutMS) * time.Millisecond
 	}
-	s.met.schedModes[proto.opts.Sched.Kind.String()].Inc()
+	timeout = min(timeout, s.cfg.MaxTimeout)
+	s.met.schedModes[r.opts.Sched.Kind.String()].Inc()
 	for attempt := 0; ; attempt++ {
-		f, joined, cached, err := s.admit(ctx, proto, timeout)
+		f, joined, cached, err := s.admit(ctx, r, timeout)
 		if err != nil {
 			return nil, err
 		}
 		if cached != nil {
-			cached.ID = req.ID
+			cached.ID = r.Req.ID
 			return cached, nil
 		}
 		resp := s.await(ctx, f, joined)
@@ -362,53 +361,20 @@ func (s *Server) submit(ctx context.Context, req *Request) (*Response, error) {
 			resp.Compiled == nil && errors.Is(resp.Err, pipesched.ErrCanceled) {
 			continue
 		}
-		resp.ID = req.ID
+		resp.ID = r.Req.ID
 		return resp, resp.Err
 	}
 }
 
-// prepare validates and normalizes req into a prototype flight.
-func (s *Server) prepare(req *Request) (*flight, time.Duration, error) {
-	if req == nil {
-		return nil, 0, fmt.Errorf("%w: nil request", ErrInvalidRequest)
-	}
-	if (req.Source == "") == (req.Tuples == "") {
-		return nil, 0, fmt.Errorf("%w: exactly one of source or tuples must be set", ErrInvalidRequest)
-	}
-	m, err := resolveMachine(req.Machine)
-	if err != nil {
-		return nil, 0, err
-	}
-	opts, err := resolveOptions(req.Options)
-	if err != nil {
-		return nil, 0, err
-	}
-	var block *pipesched.Block
-	if req.Tuples != "" {
-		block, err = pipesched.ParseBlock(req.Tuples)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
-		}
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	key := fingerprint(req.Source, req.Tuples, m, opts)
-	return &flight{key: key, source: req.Source, tuples: req.Tuples, block: block, m: m, opts: opts}, timeout, nil
-}
-
-// admit applies admission control: cache lookup, singleflight join,
-// deadline-aware shedding, bounded enqueue. Exactly one of (f, cached,
-// err) paths results: a flight to await (joined reports whether it was
-// already in flight), a cache hit, or a typed rejection.
-func (s *Server) admit(ctx context.Context, proto *flight, timeout time.Duration) (f *flight, joined bool, cached *Response, err error) {
+// admit applies admission control: cache lookup, tuple parse on a
+// miss, singleflight join, deadline-aware shedding, bounded enqueue.
+// Exactly one of (f, cached, err) paths results: a flight to await
+// (joined reports whether it was already in flight), a cache hit, or a
+// typed rejection.
+func (s *Server) admit(ctx context.Context, r *Resolved, timeout time.Duration) (f *flight, joined bool, cached *Response, err error) {
 	tr := telemetry.ActiveTracer()
 	_, look := tr.StartSpan(ctx, "cache.lookup")
-	if c, ok := s.cache.get(proto.key); ok {
+	if c, ok := s.cache.get(r.Key); ok {
 		s.met.cacheHits.Inc()
 		look.SetAttr("result", "hit")
 		look.End()
@@ -416,8 +382,8 @@ func (s *Server) admit(ctx context.Context, proto *flight, timeout time.Duration
 	}
 	// LRU miss: consult the persistent tier (when configured) and
 	// promote a hit so the next lookup stays in memory.
-	if c, ok := s.disk.get(proto.key); ok {
-		s.cache.put(proto.key, c)
+	if c, ok := s.disk.get(r.Key); ok {
+		s.cache.put(r.Key, c)
 		s.met.cacheHits.Inc()
 		look.SetAttr("result", "disk_hit")
 		look.End()
@@ -427,20 +393,29 @@ func (s *Server) admit(ctx context.Context, proto *flight, timeout time.Duration
 	look.End()
 	s.met.cacheMisses.Inc()
 
+	// Only work that runs needs its tuples parsed; a malformed block is
+	// rejected here, before it can join a flight or reach the breaker.
+	f = &flight{Resolved: r}
+	if r.Req.Tuples != "" {
+		if f.block, err = pipesched.ParseBlock(r.Req.Tuples); err != nil {
+			return nil, false, nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+		}
+	}
+
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.met.shed["draining"].Inc()
 		return nil, false, nil, ErrDraining
 	}
-	if f := s.flights[proto.key]; f != nil {
-		f.refs++
+	if lead := s.flights[r.Key]; lead != nil {
+		lead.refs++
 		s.mu.Unlock()
 		s.met.dedup.Inc()
 		// The joiner's trace shows the collapse; the leader's trace owns
 		// the actual work.
 		tr.Point(telemetry.TraceContextOf(ctx), "dedup.join")
-		return f, true, nil, nil
+		return lead, true, nil, nil
 	}
 	// Deadline-aware shedding: if the p95 queue wait already eats the
 	// whole budget, the request would only time out in line.
@@ -452,7 +427,6 @@ func (s *Server) admit(ctx context.Context, proto *flight, timeout time.Duration
 			RetryAfter: secondsToDuration(est),
 		}
 	}
-	f = proto
 	f.enqueued = s.cfg.now()
 	f.refs = 1
 	f.done = make(chan struct{})
@@ -476,7 +450,7 @@ func (s *Server) admit(ctx context.Context, proto *flight, timeout time.Duration
 		}
 		return nil, false, nil, &OverloadError{Reason: "queue full", RetryAfter: retry}
 	}
-	s.flights[proto.key] = f
+	s.flights[r.Key] = f
 	s.mu.Unlock()
 	s.met.admitted.Inc()
 	s.met.queueDepth.Add(1)
@@ -535,7 +509,7 @@ func (s *Server) execute(f *flight) {
 	}
 	f.qspan.End()
 
-	decision := s.breaker.allow(f.key)
+	decision := s.breaker.allow(f.Key)
 	if tr := telemetry.ActiveTracer(); tr != nil && f.tc.Valid() {
 		state := "closed"
 		switch decision {
@@ -557,11 +531,11 @@ func (s *Server) execute(f *flight) {
 	resp.FastPath = decision == allowFastPath
 
 	if decision != allowFastPath {
-		s.breaker.record(f.key, budgetFailure(resp.Err), decision == allowProbe)
+		s.breaker.record(f.Key, budgetFailure(resp.Err), decision == allowProbe)
 	}
 	if cacheable(resp) {
-		s.cache.put(f.key, resp.Compiled)
-		s.disk.put(f.key, resp.Compiled)
+		s.cache.put(f.Key, resp.Compiled)
+		s.disk.put(f.Key, resp.Compiled)
 	}
 	s.finish(f, resp)
 }
@@ -570,8 +544,8 @@ func (s *Server) execute(f *flight) {
 func (s *Server) finish(f *flight, resp *Response) {
 	s.met.completed.Inc()
 	s.mu.Lock()
-	if s.flights[f.key] == f {
-		delete(s.flights, f.key)
+	if s.flights[f.Key] == f {
+		delete(s.flights, f.Key)
 	}
 	s.mu.Unlock()
 	f.resp = resp
@@ -648,7 +622,7 @@ func (s *Server) compileOnce(ctx context.Context, f *flight, opts pipesched.Opti
 	if f.block != nil {
 		return pipesched.ScheduleCtx(ctx, f.block, f.m, opts)
 	}
-	return pipesched.CompileCtx(ctx, f.source, f.m, opts)
+	return pipesched.CompileCtx(ctx, f.Req.Source, f.m, opts)
 }
 
 // testHookCompile, when non-nil, runs at the top of every compile
@@ -776,54 +750,4 @@ func (s *Server) Close() {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = s.Shutdown(ctx)
-}
-
-// resolveMachine parses a MachineSpec into a validated machine.
-func resolveMachine(spec MachineSpec) (*pipesched.Machine, error) {
-	switch {
-	case spec.Preset != "":
-		mk, ok := machine.Presets()[spec.Preset]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown machine preset %q", ErrInvalidRequest, spec.Preset)
-		}
-		return mk(), nil
-	case spec.Text != "":
-		m, err := machine.ParseString(spec.Text)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
-		}
-		return m, nil
-	}
-	return nil, fmt.Errorf("%w: machine preset or text required", ErrInvalidRequest)
-}
-
-// resolveOptions maps wire options onto pipesched.Options.
-func resolveOptions(o RequestOptions) (pipesched.Options, error) {
-	opts := pipesched.Options{
-		Lambda:            o.Lambda,
-		Optimize:          o.Optimize,
-		Reassociate:       o.Reassociate,
-		Registers:         o.Registers,
-		ExplainNOPs:       o.ExplainNOPs,
-		AssignPipelines:   o.AssignPipelines,
-		StrongEquivalence: o.StrongEquivalence,
-	}
-	switch o.Mode {
-	case "", "nop":
-		opts.Mode = pipesched.NOPPadding
-	case "explicit":
-		opts.Mode = pipesched.ExplicitInterlock
-	case "implicit":
-		opts.Mode = pipesched.ImplicitInterlock
-	case "tera":
-		opts.Mode = pipesched.TeraInterlock
-	default:
-		return opts, fmt.Errorf("%w: unknown mode %q (want nop, explicit, implicit or tera)", ErrInvalidRequest, o.Mode)
-	}
-	sched, err := pipesched.ParseSchedMode(o.Sched)
-	if err != nil {
-		return opts, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
-	}
-	opts.Sched = sched
-	return opts, nil
 }

@@ -274,7 +274,7 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	// Wait until the leader is compiling and every follower has joined,
 	// then release.
-	key := fingerprintOfRequest(t, s, tupleRequest(7))
+	key := fingerprintOfRequest(t, tupleRequest(7))
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -293,13 +293,13 @@ func TestSingleflightDedup(t *testing.T) {
 
 // fingerprintOfRequest computes the fingerprint the server would use
 // for req.
-func fingerprintOfRequest(t *testing.T, s *Server, req *Request) string {
+func fingerprintOfRequest(t *testing.T, req *Request) string {
 	t.Helper()
-	f, _, err := s.prepare(req)
+	r, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.key
+	return r.Key
 }
 
 // TestRetryTransientStageFault: a one-shot injected search fault is

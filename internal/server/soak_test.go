@@ -152,7 +152,7 @@ func TestSoakBreakerTripAndRecover(t *testing.T) {
 	cfg.CacheEntries = -1
 	s := newTestServer(t, cfg)
 	req := &Request{Tuples: chainTuples(8), Machine: MachineSpec{Preset: "simulation"}}
-	key := fingerprintOfRequest(t, s, req)
+	key := fingerprintOfRequest(t, req)
 
 	restore := faultinject.Activate(faultinject.New().
 		Plan(faultinject.Search, faultinject.Plan{CurtailLambda: 1}))

@@ -24,7 +24,7 @@ import (
 // its retry hint.
 func TestWireErrorTableRoundTrip(t *testing.T) {
 	wantStatus := map[string]int{
-		"overloaded": 503, "draining": 503, "invalid_request": 400, "internal": 500,
+		"overloaded": 503, "draining": 503, "invalid_request": 400, "infeasible": 422, "internal": 500,
 		"curtailed": 500, "deadline": 504, "canceled": 499,
 		"stage_failure": 500, "quota_exceeded": 500,
 	}

@@ -820,7 +820,8 @@ func finishSequenceBlock(ctx context.Context, block *Block, bs seqsched.BlockSch
 
 // CompileSequenceCtx is CompileSequence with cooperative cancellation
 // and the degradation ladder; see ScheduleSequenceCtx. A frontend fault
-// is a hard failure; a per-block optimizer fault degrades that block to
+// is a hard failure, and a source that does not parse or lower returns
+// ErrInvalidSource; a per-block optimizer fault degrades that block to
 // its unoptimized tuples and is recorded in the block's Faults.
 func CompileSequenceCtx(ctx context.Context, src string, m *Machine, o Options) (*SequenceResult, error) {
 	if err := validateMachine(m); err != nil {
@@ -849,7 +850,7 @@ func CompileSequenceCtx(ctx context.Context, src string, m *Machine, o Options) 
 		return nil, fault
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidSource, err)
 	}
 	optFaults := make([]*StageError, len(blocks))
 	for i, b := range blocks {
