@@ -424,7 +424,9 @@ func (f *Fleet) RestartNode(id string) {
 // TestFleetHitAllocs pins what one cache hit through a 2-node in-process
 // fleet allocates, the service bench's hot path. The router resolves the
 // request once and the node admits it as resolved; resolving it twice
-// cost about 49 allocations more (114 a hit).
+// cost about 49 allocations more (114 a hit). Rendering the preset
+// machine's text per request and sorting the hedge window cost 27 more
+// (65 a hit).
 func TestFleetHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -447,7 +449,7 @@ func TestFleetHitAllocs(t *testing.T) {
 			t.Fatalf("want a cache hit, got (%+v, %v)", resp, err)
 		}
 	})
-	if allocs > 66 {
-		t.Errorf("one fleet hit allocates %.0f times, want ≤ 66", allocs)
+	if allocs > 38 {
+		t.Errorf("one fleet hit allocates %.0f times, want ≤ 38", allocs)
 	}
 }

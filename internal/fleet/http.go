@@ -77,11 +77,10 @@ type latencySummary struct {
 }
 
 func summarizeLatency(w *stats.Window) *latencySummary {
-	n := w.Samples()
+	n, qs := w.Snapshot(50, 95, 99)
 	if n == 0 {
 		return nil
 	}
-	qs := w.Quantiles(50, 95, 99)
 	const ms = 1e3
 	return &latencySummary{P50Ms: qs[0] * ms, P95Ms: qs[1] * ms, P99Ms: qs[2] * ms, Samples: n}
 }

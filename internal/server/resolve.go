@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
 
 	"pipesched"
 	"pipesched/internal/machine"
@@ -36,7 +37,7 @@ func Resolve(req *Request) (*Resolved, error) {
 	if (req.Source == "") == (req.Tuples == "") {
 		return nil, fmt.Errorf("%w: exactly one of source or tuples must be set", ErrInvalidRequest)
 	}
-	m, err := resolveMachine(req.Machine)
+	m, text, err := resolveMachine(req.Machine)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +45,7 @@ func Resolve(req *Request) (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Resolved{Req: req, Key: fingerprint(req.Source, req.Tuples, m, o), m: m, opts: o}, nil
+	return &Resolved{Req: req, Key: fingerprint(req.Source, req.Tuples, text, o), m: m, opts: o}, nil
 }
 
 // Fingerprint returns req's content key, Resolve(req).Key.
@@ -57,20 +58,21 @@ func Fingerprint(req *Request) (string, error) {
 }
 
 // fingerprint content-addresses one unit of compilation work: the block
-// (source or tuple text), the machine (its canonical table rendering —
-// two structurally identical machines hash alike regardless of how they
-// were specified), and every option that can change the emitted
-// schedule. It keys both the result cache / singleflight dedup and the
-// circuit breaker, so "the same block on the same machine" collapses to
-// one search and accumulates one failure history.
-func fingerprint(source, tuples string, m *pipesched.Machine, o pipesched.Options) string {
+// (source or tuple text), the machine (its canonical table rendering,
+// machineText — two structurally identical machines hash alike
+// regardless of how they were specified), and every option that can
+// change the emitted schedule. It keys both the result cache /
+// singleflight dedup and the circuit breaker, so "the same block on the
+// same machine" collapses to one search and accumulates one failure
+// history.
+func fingerprint(source, tuples, machineText string, o pipesched.Options) string {
 	h := sha256.New()
 	io.WriteString(h, "src\x00")
 	io.WriteString(h, source)
 	io.WriteString(h, "\x00tuples\x00")
 	io.WriteString(h, tuples)
 	io.WriteString(h, "\x00machine\x00")
-	io.WriteString(h, m.String())
+	io.WriteString(h, machineText)
 	fmt.Fprintf(h, "\x00opts\x00%d|%t|%t|%d|%d|%t|%t|%t|%s",
 		o.Lambda, o.Optimize, o.Reassociate, o.Registers, o.Mode,
 		o.ExplainNOPs, o.AssignPipelines, o.StrongEquivalence,
@@ -78,23 +80,43 @@ func fingerprint(source, tuples string, m *pipesched.Machine, o pipesched.Option
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// resolveMachine parses a MachineSpec into a validated machine.
-func resolveMachine(spec MachineSpec) (*pipesched.Machine, error) {
+// preset is one named machine: its constructor and the canonical text
+// of the machine it builds.
+type preset struct {
+	mk   func() *pipesched.Machine
+	text string
+}
+
+// presets renders each preset's canonical text once per process. A
+// request still gets a fresh machine of its own: Machine's fields are
+// exported and mutable, so no machine is shared.
+var presets = sync.OnceValue(func() map[string]preset {
+	t := map[string]preset{}
+	for name, mk := range machine.Presets() {
+		t[name] = preset{mk: mk, text: mk().String()}
+	}
+	return t
+})
+
+// resolveMachine parses a MachineSpec into a validated machine and its
+// canonical text. A text machine is parsed and rendered per request:
+// its spec is the caller's, so nothing of it is kept.
+func resolveMachine(spec MachineSpec) (*pipesched.Machine, string, error) {
 	switch {
 	case spec.Preset != "":
-		mk, ok := machine.Presets()[spec.Preset]
+		p, ok := presets()[spec.Preset]
 		if !ok {
-			return nil, fmt.Errorf("%w: unknown machine preset %q", ErrInvalidRequest, spec.Preset)
+			return nil, "", fmt.Errorf("%w: unknown machine preset %q", ErrInvalidRequest, spec.Preset)
 		}
-		return mk(), nil
+		return p.mk(), p.text, nil
 	case spec.Text != "":
 		m, err := machine.ParseString(spec.Text)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+			return nil, "", fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
-		return m, nil
+		return m, m.String(), nil
 	}
-	return nil, fmt.Errorf("%w: machine preset or text required", ErrInvalidRequest)
+	return nil, "", fmt.Errorf("%w: machine preset or text required", ErrInvalidRequest)
 }
 
 // resolveOptions maps wire options onto pipesched.Options.

@@ -151,3 +151,57 @@ func TestTuplesHitParsesNothing(t *testing.T) {
 		t.Errorf("bad tuples left %d flights, breaker entry %t; want neither", inFlight, tracked)
 	}
 }
+
+// TestPresetTextRenderedOnce: the preset table holds each preset's
+// canonical text as a fresh machine renders it, and every request still
+// gets a machine of its own. Text machines are the caller's: a bad one
+// is rejected on every call, and a thousand distinct ones leave nothing
+// behind in the table.
+func TestPresetTextRenderedOnce(t *testing.T) {
+	makers := machine.Presets()
+	checkTable := func() {
+		t.Helper()
+		if len(presets()) != len(makers) {
+			t.Fatalf("preset table has %d entries, machine.Presets %d", len(presets()), len(makers))
+		}
+		for name, mk := range makers {
+			if p, ok := presets()[name]; !ok || p.text != mk().String() {
+				t.Fatalf("preset %q: stored text %q (present %t), want %q", name, p.text, ok, mk().String())
+			}
+		}
+	}
+	checkTable()
+	for name := range makers {
+		req := &Request{Source: "a = b * c\n", Machine: MachineSpec{Preset: name}}
+		r1, err1 := Resolve(req)
+		r2, err2 := Resolve(req)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("preset %q: %v, %v", name, err1, err2)
+		}
+		if r1.m == r2.m || r1.Key != r2.Key {
+			t.Errorf("preset %q: two requests share machine %t, keys %s and %s", name, r1.m == r2.m, r1.Key, r2.Key)
+		}
+	}
+
+	bad := &Request{Source: "a = b * c\n", Machine: MachineSpec{Text: "machine broken\npipe x\n"}}
+	for i := 0; i < 3; i++ {
+		if _, err := Resolve(bad); !errors.Is(err, ErrInvalidRequest) {
+			t.Fatalf("call %d: bad text machine gave %v, want ErrInvalidRequest", i, err)
+		}
+	}
+
+	base := machine.SimulationMachine()
+	keys := map[string]bool{}
+	for i := 0; i < 1000; i++ {
+		base.Name = fmt.Sprintf("custom%d", i)
+		r, err := Resolve(&Request{Source: "a = b * c\n", Machine: MachineSpec{Text: base.String()}})
+		if err != nil {
+			t.Fatalf("text machine %d: %v", i, err)
+		}
+		keys[r.Key] = true
+	}
+	if len(keys) != 1000 {
+		t.Errorf("1000 distinct text machines gave %d keys", len(keys))
+	}
+	checkTable()
+}

@@ -47,10 +47,15 @@ func Percentile(xs []float64, p float64) float64 {
 			sorted = append(sorted, x)
 		}
 	}
+	sort.Float64s(sorted)
+	return sortedPercentile(sorted, p)
+}
+
+// sortedPercentile is Percentile over an ascending, NaN-free sample.
+func sortedPercentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 || math.IsNaN(p) {
 		return 0
 	}
-	sort.Float64s(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -53,5 +55,70 @@ func TestWindowConcurrent(t *testing.T) {
 	}
 	if p := w.P95(); p != 1 {
 		t.Fatalf("P95 of all-1 samples = %v, want 1", p)
+	}
+}
+
+// TestWindowMatchesPercentile: after every Observe, Quantiles and P95
+// answer exactly what Percentile answers over the ring's current
+// contents. The streams mix NaN, ±Inf, ±0 and runs of duplicates, and
+// run long enough to wrap each ring three times. Ring sizes run from 1
+// to 300: every size up to 16, sparser above, since the reference
+// checks cost the square of the size. Each step asks for p95 and two
+// percentiles drawn from a list with NaN, out-of-range and
+// interpolated ranks.
+func TestWindowMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	ps := []float64{math.NaN(), -5, 0, 1, 37.5, 50, 66.6, 99, 99.9, 100, 120}
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	for size := 1; size <= 300; size += 1 + size/16 {
+		minSamples := rng.Intn(size + 2)
+		w := NewWindow(size, minSamples)
+		var ring []float64 // the window's contents, oldest first
+		x := 0.0
+		for k := 0; k < 3*size+7; k++ {
+			switch r := rng.Intn(10); {
+			case r < 2:
+				x = specials[rng.Intn(len(specials))]
+			case r < 5: // repeat the last sample: runs of duplicates
+			default:
+				x = float64(rng.Intn(20)) - 5 + rng.Float64()*float64(rng.Intn(2))
+			}
+			w.Observe(x)
+			if ring = append(ring, x); len(ring) > size {
+				ring = ring[1:]
+			}
+			ask := []float64{ps[rng.Intn(len(ps))], 95, ps[rng.Intn(len(ps))]}
+			got := w.Quantiles(ask...)
+			want := make([]float64, len(ask))
+			for i, p := range ask {
+				if want[i] = Percentile(ring, p); !same(got[i], want[i]) {
+					t.Fatalf("size %d after %d samples: P%v = %v, want %v (ring %v)", size, k+1, p, got[i], want[i], ring)
+				}
+			}
+			if len(ring) < minSamples {
+				want[1] = 0
+			}
+			if got := w.P95(); !same(got, want[1]) {
+				t.Fatalf("size %d (min %d) after %d samples: P95 = %v, want %v", size, minSamples, k+1, got, want[1])
+			}
+		}
+	}
+}
+
+// TestWindowAllocatesNothing: the fleet's hedge delay and the server's
+// admission read P95 on every request, and the windows observe a sample
+// per answered request or dequeued flight; neither call allocates.
+func TestWindowAllocatesNothing(t *testing.T) {
+	w := NewWindow(256, 16)
+	for i := 0; i < 1000; i++ {
+		w.Observe(float64(i % 97))
+	}
+	if a := testing.AllocsPerRun(100, func() { w.P95() }); a != 0 {
+		t.Errorf("P95 allocates %v times, want 0", a)
+	}
+	x := 0.0
+	if a := testing.AllocsPerRun(100, func() { x++; w.Observe(x) }); a != 0 {
+		t.Errorf("Observe allocates %v times, want 0", a)
 	}
 }
