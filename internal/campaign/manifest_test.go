@@ -1,10 +1,14 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pipesched/internal/dag"
@@ -300,8 +304,7 @@ func TestManifestWarmHitAllocs(t *testing.T) {
 	payload, _ := mf.st.Get(k)
 	read := testing.AllocsPerRun(100, func() { mf.st.Get(k) })
 	decode := testing.AllocsPerRun(100, func() {
-		var rec TraceRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if _, err := decodeRecord(payload); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -351,7 +354,9 @@ func TestManifestRefusesTamperedRecord(t *testing.T) {
 
 func TestManifestRefusesPlantedRecordAfterReopen(t *testing.T) {
 	// A record with a valid CRC and a wrong schedule, written while the
-	// manifest was closed, is refused on every lookup.
+	// manifest was closed, is refused on every lookup. It is planted in
+	// today's encoding, so it decodes and the replay is what refuses it;
+	// the same record untampered, planted the same way, is served.
 	dir := t.TempDir()
 	m := machine.SimulationMachine()
 	mode := machine.SchedMode{}
@@ -365,17 +370,15 @@ func TestManifestRefusesPlantedRecordAfterReopen(t *testing.T) {
 
 	tampered := *res
 	tampered.DeliveredNOPs += 3
-	payload, err := json.Marshal(&TraceRecord{Schema: manifestSchema, Result: &tampered})
-	if err != nil {
-		t.Fatal(err)
+	plant(t, dir, key, encodeRecord(&tampered))
+	if _, err := decodeRecord(encodeRecord(&tampered)); err != nil {
+		t.Fatalf("the planted record does not decode (%v): the refusal below would not test the replay", err)
 	}
-	plant(t, dir, key, payload)
 
 	mf2, rep, err := OpenManifest(dir, m, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mf2.Close()
 	if rep.Recovered != 1 || rep.Quarantined != 0 {
 		t.Fatalf("reopen: %+v, want the planted entry recovered", rep)
 	}
@@ -384,13 +387,31 @@ func TestManifestRefusesPlantedRecordAfterReopen(t *testing.T) {
 			t.Errorf("lookup %d served the planted wrong schedule", i+1)
 		}
 	}
+	mf2.Close()
+
+	plant(t, dir, key, encodeRecord(res))
+	mf3, _, err := OpenManifest(dir, m, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf3.Close()
+	if got, ok := mf3.Lookup(tr, m, mode); !ok || got.DeliveredNOPs != res.DeliveredNOPs {
+		t.Errorf("untampered planted record: lookup = (%+v, %v), want it served", got, ok)
+	}
+}
+
+// jsonRecord is the JSON payload manifests wrote up to schema 2.
+type jsonRecord struct {
+	Schema int          `json:"schema"`
+	Result *TraceResult `json:"result"`
 }
 
 func TestManifestOldSchemaMisses(t *testing.T) {
 	// An entry written under another schema misses, never misparses:
 	// even under today's key and with a schedule that verifies, a
-	// payload whose schema is not manifestSchema is not served, and
-	// neither is a payload of another shape.
+	// payload that is not a schema-3 record is not served. That covers
+	// the JSON records of schemas 1 and 2, payloads of other shapes and
+	// a binary record whose tag names another schema.
 	dir := t.TempDir()
 	m := machine.SimulationMachine()
 	mode := machine.SchedMode{}
@@ -401,25 +422,133 @@ func TestManifestOldSchemaMisses(t *testing.T) {
 	tr, res := recordedTrace(t, mf)
 	key := mf.TraceKey(tr)
 	mf.Close()
-	schema1, err := json.Marshal(&TraceRecord{Schema: 1, Result: res})
-	if err != nil {
-		t.Fatal(err)
+	payloads := [][]byte{
+		[]byte(`{"schema":2,"result":null}`),
+		[]byte(`{"schema":"2","result":{}}`),
+		[]byte(`{"delivered_nops":0}`),
 	}
+	for _, schema := range []int{1, 2} {
+		old, err := json.Marshal(&jsonRecord{Schema: schema, Result: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, old)
+	}
+	foreign := encodeRecord(res)
+	foreign[len(recordTag)-1] = manifestSchema + 1
+	payloads = append(payloads, foreign)
 
-	for _, payload := range []string{
-		string(schema1),
-		`{"schema":2,"result":null}`,
-		`{"schema":"2","result":{}}`,
-		`{"delivered_nops":0}`,
-	} {
-		plant(t, dir, key, []byte(payload))
+	lookup := func(payload []byte) (*TraceResult, bool) {
+		plant(t, dir, key, payload)
 		mf2, _, err := OpenManifest(dir, m, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := mf2.Lookup(tr, m, mode); ok {
-			t.Errorf("payload %.40s… served %+v", payload, got)
-		}
-		mf2.Close()
+		defer mf2.Close()
+		return mf2.Lookup(tr, m, mode)
 	}
+	for _, payload := range payloads {
+		if got, ok := lookup(payload); ok {
+			t.Errorf("payload %.40q… served %+v", payload, got)
+		}
+	}
+	// The planting itself is sound: today's record of the same result
+	// is served.
+	if _, ok := lookup(encodeRecord(res)); !ok {
+		t.Error("a planted schema-3 record of a verifying result missed")
+	}
+}
+
+func TestRecordRoundTrip(t *testing.T) {
+	if n := reflect.TypeOf(TraceResult{}).NumField(); n != 13 {
+		t.Fatalf("TraceResult has %d fields and the record encodes 13: a new field needs encodeRecord, decodeRecord and a case here", n)
+	}
+	cases := []*TraceResult{
+		{},
+		{Name: "main.b0+b1+b2", Blocks: 3, Tuples: 41, ColdNOPs: 9, BaselineNOPs: 7, MergedNOPs: 5,
+			DeliveredNOPs: 5, UsedMerged: true, Optimal: true,
+			Order: []int{2, 0, 1, 3}, Eta: []int{0, 0, 2, 0}, Pipes: []int{1, 0, 1, 0}},
+		{Name: "single", Blocks: 1, Tuples: 4, ColdNOPs: 2, BaselineNOPs: 2, MergedNOPs: -1,
+			DeliveredNOPs: 2, Optimal: true, Order: []int{0, 1, 2, 3}, Pipes: []int{0, 0, 1, 1}},
+		{Name: "scoreboard", Blocks: 2, Tuples: 300, ColdNOPs: 1 << 40, BaselineNOPs: 130, MergedNOPs: 129,
+			DeliveredNOPs: 129, UsedMerged: true, Order: []int{299, 0, 150},
+			Pipes: []int{3, 2, 1}, IssueTicks: []int{0, 1, 1 << 20}},
+		{Name: "negative", MergedNOPs: -1, ColdNOPs: -7, Order: []int{-1}, Eta: []int{}, IssueTicks: []int{}},
+	}
+	for _, want := range cases {
+		payload := encodeRecord(want)
+		got, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatalf("%q: %v", want.Name, err)
+		}
+		norm := *want // an empty slice decodes as nil
+		for _, a := range []*[]int{&norm.Order, &norm.Eta, &norm.Pipes, &norm.IssueTicks} {
+			if len(*a) == 0 {
+				*a = nil
+			}
+		}
+		if !reflect.DeepEqual(got, &norm) {
+			t.Errorf("round trip:\n got %+v\nwant %+v", got, &norm)
+		}
+		if again := encodeRecord(got); !bytes.Equal(again, payload) {
+			t.Errorf("%q re-encodes to other bytes", want.Name)
+		}
+	}
+}
+
+func TestDecodeRecordRejects(t *testing.T) {
+	valid := encodeRecord(&TraceResult{Name: "t", Blocks: 2, MergedNOPs: -1, Order: []int{1, 0}, Pipes: []int{0, 0}})
+	// prefix is a record up to its flags byte: an empty name, then six
+	// counts with MergedNOPs −1.
+	prefix := func(flags byte) []byte {
+		return append(append([]byte(nil), recordTag[:]...), 0, 0, 0, 0, 0, 1, 0, flags)
+	}
+	// withCount's Order claims n entries, then the payload ends.
+	withCount := func(n uint64) []byte { return binary.AppendUvarint(prefix(0), n) }
+	bad := map[string][]byte{
+		"empty":            nil,
+		"tag only":         recordTag[:],
+		"foreign tag":      append([]byte{'c', 't', 'r', manifestSchema + 1}, valid[len(recordTag):]...),
+		"json":             []byte(`{"schema":3,"result":{}}`),
+		"truncated":        valid[:len(valid)-1],
+		"trailing byte":    append(append([]byte(nil), valid...), 0),
+		"unknown flag":     append(prefix(4), 0, 0, 0, 0),
+		"overlong varint":  append(append(append([]byte(nil), valid[:4]...), 0x81, 0x00), valid[5:]...), // name length 1 in two bytes
+		"name past end":    append(append([]byte(nil), recordTag[:]...), 5, 'a'),
+		"count past end":   withCount(3),
+		"huge count":       withCount(1 << 62),
+		"varint overflows": append(append([]byte(nil), recordTag[:]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+	}
+	for name, payload := range bad {
+		if res, err := decodeRecord(payload); !errors.Is(err, errBadRecord) {
+			t.Errorf("%s: decode = (%+v, %v), want an errBadRecord", name, res, err)
+		}
+	}
+	for _, ok := range [][]byte{valid, append(prefix(3), 0, 0, 0, 0)} {
+		if _, err := decodeRecord(ok); err != nil {
+			t.Fatalf("a valid record the cases edit does not decode: %v", err)
+		}
+	}
+}
+
+func FuzzDecodeTraceRecord(f *testing.F) {
+	valid := encodeRecord(&TraceResult{Name: "main.b0+b1", Blocks: 2, Tuples: 6, ColdNOPs: 3, BaselineNOPs: 2,
+		MergedNOPs: -1, DeliveredNOPs: 2, Optimal: true,
+		Order: []int{0, 2, 1, 3, 5, 4}, Eta: []int{0, 0, 1, 0, 0, 1}, Pipes: []int{0, 1, 0, 1, 0, 1}})
+	scoreboard := encodeRecord(&TraceResult{Name: "s", Blocks: 1, Tuples: 2, MergedNOPs: -1,
+		Order: []int{1, 0}, Pipes: []int{0, 0}, IssueTicks: []int{0, 3}})
+	f.Add(valid)
+	f.Add(scoreboard)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(append([]byte(nil), scoreboard...), 7))
+	f.Add([]byte(`{"schema":2,"result":{}}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, err := decodeRecord(payload)
+		if err != nil {
+			return
+		}
+		if again := encodeRecord(res); !bytes.Equal(again, payload) {
+			t.Fatalf("decoded %+v re-encodes to %x, not %x", res, again, payload)
+		}
+	})
 }

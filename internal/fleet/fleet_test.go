@@ -426,7 +426,9 @@ func (f *Fleet) RestartNode(id string) {
 // request once and the node admits it as resolved; resolving it twice
 // cost about 49 allocations more (114 a hit). Rendering the preset
 // machine's text per request and sorting the hedge window cost 27 more
-// (65 a hit).
+// (65 a hit). Building the preset machine on every hit, not on the miss
+// that compiles with it, cost 13 more (30 a hit), and hashing the key
+// through io.WriteString and Fprintf 8 more on top (38 a hit).
 func TestFleetHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -449,7 +451,7 @@ func TestFleetHitAllocs(t *testing.T) {
 			t.Fatalf("want a cache hit, got (%+v, %v)", resp, err)
 		}
 	})
-	if allocs > 38 {
-		t.Errorf("one fleet hit allocates %.0f times, want ≤ 38", allocs)
+	if allocs > 17 {
+		t.Errorf("one fleet hit allocates %.0f times, want ≤ 17", allocs)
 	}
 }

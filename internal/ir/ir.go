@@ -382,26 +382,89 @@ func (b *Block) Permute(order []int) (*Block, error) {
 // IDs (and the references to them) so they stay unique. It models the
 // "no branches between them" composition used when scheduling a
 // sequence of adjacent blocks.
+//
+// The output numbers its tuples 1..n in order. Within each member, a
+// reference maps to the new number of the latest tuple so far with that
+// ID, or to 0 when there is none (a forward or foreign reference), which
+// Validate then rejects. The work is linear in the tuples.
 func Concat(label string, blocks ...*Block) (*Block, error) {
-	out := NewBlock(label)
+	n := 0
 	for _, b := range blocks {
-		remap := make(map[int]int, len(b.Tuples))
+		n += len(b.Tuples)
+	}
+	out := NewBlock(label)
+	if n > 0 {
+		out.Tuples = make([]Tuple, 0, n)
+	}
+	var ids idRemap
+	for _, b := range blocks {
+		ids.reset(b.Tuples)
 		for _, t := range b.Tuples {
 			nt := t
-			nt.ID = out.NextID()
-			remap[t.ID] = nt.ID
+			nt.ID = len(out.Tuples) + 1
+			ids.set(t.ID, nt.ID)
 			if nt.A.Kind == RefOperand {
-				nt.A.Ref = remap[nt.A.Ref]
+				nt.A.Ref = ids.get(nt.A.Ref)
 			}
 			if nt.B.Kind == RefOperand {
-				nt.B.Ref = remap[nt.B.Ref]
+				nt.B.Ref = ids.get(nt.B.Ref)
 			}
 			out.Tuples = append(out.Tuples, nt)
-			out.index = nil
 		}
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("ir: Concat produced invalid block: %w", err)
 	}
 	return out, nil
+}
+
+// idRemap maps one member block's tuple IDs to their numbers in a
+// Concat output; an ID not (yet) mapped reads 0. It indexes a slice by
+// ID − lo, reused across members, unless the member's IDs span far more
+// numbers than it has tuples; then it falls back to a map.
+type idRemap struct {
+	lo     int
+	slots  []int
+	sparse map[int]int
+}
+
+func (r *idRemap) reset(ts []Tuple) {
+	r.sparse = nil
+	if len(ts) == 0 {
+		r.slots = r.slots[:0]
+		return
+	}
+	lo, hi := ts[0].ID, ts[0].ID
+	for _, t := range ts[1:] {
+		lo, hi = min(lo, t.ID), max(hi, t.ID)
+	}
+	span := uint(hi) - uint(lo) // no overflow for any lo <= hi
+	if span >= 4*uint(len(ts))+64 {
+		r.sparse = make(map[int]int, len(ts))
+		return
+	}
+	r.lo = lo
+	if uint(cap(r.slots)) <= span {
+		r.slots = make([]int, span+1)
+	}
+	r.slots = r.slots[:span+1]
+	clear(r.slots)
+}
+
+func (r *idRemap) set(id, to int) {
+	if r.sparse != nil {
+		r.sparse[id] = to
+		return
+	}
+	r.slots[id-r.lo] = to
+}
+
+func (r *idRemap) get(id int) int {
+	if r.sparse != nil {
+		return r.sparse[id]
+	}
+	if i := uint(id) - uint(r.lo); i < uint(len(r.slots)) {
+		return r.slots[i]
+	}
+	return 0
 }

@@ -1,6 +1,11 @@
 package ir
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -458,6 +463,132 @@ func TestConcatEmptyAndSingle(t *testing.T) {
 	one, err := Concat("one", a)
 	if err != nil || one.Len() != a.Len() {
 		t.Errorf("single concat: %v", err)
+	}
+}
+
+// concatByMap is Concat as it was before its linear rewrite: NextID per
+// tuple and one map per member. TestConcatMatchesMapVersion holds the
+// rewrite to its output.
+func concatByMap(label string, blocks ...*Block) (*Block, error) {
+	out := NewBlock(label)
+	for _, b := range blocks {
+		remap := make(map[int]int, len(b.Tuples))
+		for _, t := range b.Tuples {
+			nt := t
+			nt.ID = out.NextID()
+			remap[t.ID] = nt.ID
+			if nt.A.Kind == RefOperand {
+				nt.A.Ref = remap[nt.A.Ref]
+			}
+			if nt.B.Kind == RefOperand {
+				nt.B.Ref = remap[nt.B.Ref]
+			}
+			out.Tuples = append(out.Tuples, nt)
+		}
+	}
+	if err := out.Validate(); err != nil {
+		return nil, fmt.Errorf("ir: Concat produced invalid block: %w", err)
+	}
+	return out, nil
+}
+
+// sparseBlock is a random valid block whose IDs start at first and
+// climb by gaps of up to gap, as an optimised block's do after dead
+// tuples are dropped. Every reference reads an earlier value.
+func sparseBlock(rng *rand.Rand, n, first, gap int) *Block {
+	b := NewBlock("")
+	var values []int
+	id := first
+	for i := 0; i < n; i++ {
+		t := Tuple{ID: id}
+		switch k := rng.Intn(6); {
+		case len(values) == 0 || k == 0:
+			t.Op, t.A = Load, Var(string(rune('a'+rng.Intn(4))))
+		case k == 1:
+			t.Op, t.A = Const, Imm(int64(rng.Intn(9))-4)
+		case k == 2:
+			t.Op, t.A, t.B = Store, Var(string(rune('a'+rng.Intn(4)))), Ref(values[rng.Intn(len(values))])
+		case k == 3:
+			t.Op, t.A = Neg, Ref(values[rng.Intn(len(values))])
+		default:
+			t.Op, t.A, t.B = Mul, Ref(values[rng.Intn(len(values))]), Imm(3)
+			if k == 5 {
+				t.Op, t.B = Add, Ref(values[rng.Intn(len(values))])
+			}
+		}
+		if t.Op != Store {
+			values = append(values, id)
+		}
+		b.Tuples = append(b.Tuples, t)
+		id += 1 + rng.Intn(gap)
+	}
+	return b
+}
+
+func TestConcatMatchesMapVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	same := func(name string, blocks ...*Block) {
+		t.Helper()
+		got, gotErr := Concat("merged", blocks...)
+		want, wantErr := concatByMap("merged", blocks...)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Concat = (%v, %v), the map version (%v, %v)", name, got, gotErr, want, wantErr)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		blocks := make([]*Block, 1+rng.Intn(8))
+		for j := range blocks {
+			first, gap := 1+rng.Intn(5), 1+rng.Intn(4)
+			switch rng.Intn(8) {
+			case 0: // IDs far apart: the sparse fallback
+				gap = 1 << 20
+			case 1: // IDs near the top of int
+				first = math.MaxInt - 64
+				gap = 2
+			}
+			blocks[j] = sparseBlock(rng, rng.Intn(12), first, gap)
+		}
+		same(fmt.Sprintf("case %d", i), blocks...)
+	}
+
+	// Members ordered, duplicated or referenced in ways no valid block
+	// is: the outputs still agree, and a reference outside its member's
+	// IDs maps to 0 and is rejected.
+	valid := sparseBlock(rng, 6, 3, 3)
+	shuffled := valid.Clone()
+	rng.Shuffle(len(shuffled.Tuples), func(i, j int) { shuffled.Tuples[i], shuffled.Tuples[j] = shuffled.Tuples[j], shuffled.Tuples[i] })
+	negative := &Block{Tuples: []Tuple{{ID: -4, Op: Load, A: Var("x")}, {ID: 0, Op: Neg, A: Ref(-4)}, {ID: 2, Op: Mul, A: Ref(0), B: Ref(-4)}}}
+	dup := &Block{Tuples: []Tuple{{ID: 1, Op: Load, A: Var("x")}, {ID: 1, Op: Load, A: Var("y")}, {ID: 2, Op: Neg, A: Ref(1)}}}
+	forward := &Block{Tuples: []Tuple{{ID: 1, Op: Neg, A: Ref(2)}, {ID: 2, Op: Load, A: Var("x")}}}
+	foreign := valid.Clone()
+	foreign.Tuples = append(foreign.Tuples, Tuple{ID: 40, Op: Mul, A: Ref(1), B: Ref(1000)}) // below and above its IDs
+	huge := &Block{Tuples: []Tuple{{ID: math.MinInt, Op: Load, A: Var("x")}, {ID: math.MaxInt, Op: Neg, A: Ref(math.MinInt)}}}
+	for name, blocks := range map[string][]*Block{
+		"shuffled": {valid, shuffled}, "negative IDs": {negative, valid}, "duplicate IDs": {dup, dup},
+		"forward reference": {valid, forward}, "foreign reference": {valid, foreign, valid},
+		"extreme IDs": {huge, valid}, "self": {valid, valid, valid, valid, valid, valid, valid, valid},
+	} {
+		same(name, blocks...)
+	}
+	if _, err := Concat("merged", valid, foreign); !errors.Is(err, ErrInvalidBlock) {
+		t.Errorf("a reference outside its member: err = %v, want ErrInvalidBlock", err)
+	}
+}
+
+func TestConcatAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	blocks := make([]*Block, 6)
+	for i := range blocks {
+		blocks[i] = sparseBlock(rng, 10, 1, 3)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Concat("merged", blocks...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The map version made 29: a map per member and a growing output.
+	if allocs > 7 {
+		t.Errorf("a 6-block Concat allocates %.0f times, want <= 7", allocs)
 	}
 }
 

@@ -4,25 +4,28 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"strconv"
 	"sync"
 
 	"pipesched"
 	"pipesched/internal/machine"
 )
 
-// Resolved is a wire Request turned into work: validated, its machine
-// and options built and its content key computed. It is read-only once
-// Resolve returns, so one Resolved may feed several servers at once (a
-// fleet's hedged attempts). Tuples are not parsed here: a server parses
-// them only on a cache miss.
+// Resolved is a wire Request turned into work: validated, its options
+// built and its content key computed. It is read-only once Resolve
+// returns, so one Resolved may feed several servers at once (a fleet's
+// hedged attempts). Neither tuples nor a preset machine are built here:
+// a server builds them only on a cache miss, the one path that
+// compiles.
 type Resolved struct {
 	Req *Request
 	// Key content-addresses the work: it keys a server's cache,
 	// singleflight and circuit breaker, and the fleet ring.
-	Key  string
-	m    *pipesched.Machine
-	opts pipesched.Options
+	Key string
+	// newMachine returns the machine to compile on: a fresh one from a
+	// preset's constructor, or the machine a text spec parsed to.
+	newMachine func() *pipesched.Machine
+	opts       pipesched.Options
 }
 
 // Resolve is the one place a wire request becomes work. It rejects a
@@ -37,7 +40,7 @@ func Resolve(req *Request) (*Resolved, error) {
 	if (req.Source == "") == (req.Tuples == "") {
 		return nil, fmt.Errorf("%w: exactly one of source or tuples must be set", ErrInvalidRequest)
 	}
-	m, text, err := resolveMachine(req.Machine)
+	mk, text, err := resolveMachine(req.Machine)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +48,7 @@ func Resolve(req *Request) (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Resolved{Req: req, Key: fingerprint(req.Source, req.Tuples, text, o), m: m, opts: o}, nil
+	return &Resolved{Req: req, Key: fingerprint(req.Source, req.Tuples, text, o), newMachine: mk, opts: o}, nil
 }
 
 // Fingerprint returns req's content key, Resolve(req).Key.
@@ -66,18 +69,39 @@ func Fingerprint(req *Request) (string, error) {
 // same machine" collapses to one search and accumulates one failure
 // history.
 func fingerprint(source, tuples, machineText string, o pipesched.Options) string {
-	h := sha256.New()
-	io.WriteString(h, "src\x00")
-	io.WriteString(h, source)
-	io.WriteString(h, "\x00tuples\x00")
-	io.WriteString(h, tuples)
-	io.WriteString(h, "\x00machine\x00")
-	io.WriteString(h, machineText)
-	fmt.Fprintf(h, "\x00opts\x00%d|%t|%t|%d|%d|%t|%t|%t|%s",
-		o.Lambda, o.Optimize, o.Reassociate, o.Registers, o.Mode,
-		o.ExplainNOPs, o.AssignPipelines, o.StrongEquivalence,
-		o.Sched.String())
-	return hex.EncodeToString(h.Sum(nil))
+	// A small request on a preset machine (~300 bytes of text) hashes
+	// without allocating; a larger one allocates its buffer once.
+	var scratch [1024]byte
+	buf := scratch[:0]
+	if n := len(source) + len(tuples) + len(machineText) + 160; n > len(scratch) {
+		buf = make([]byte, 0, n)
+	}
+	buf = append(buf, "src\x00"...)
+	buf = append(buf, source...)
+	buf = append(buf, "\x00tuples\x00"...)
+	buf = append(buf, tuples...)
+	buf = append(buf, "\x00machine\x00"...)
+	buf = append(buf, machineText...)
+	buf = append(buf, "\x00opts\x00"...)
+	buf = strconv.AppendInt(buf, o.Lambda, 10)
+	buf = append(buf, '|')
+	buf = strconv.AppendBool(buf, o.Optimize)
+	buf = append(buf, '|')
+	buf = strconv.AppendBool(buf, o.Reassociate)
+	buf = append(buf, '|')
+	buf = strconv.AppendInt(buf, int64(o.Registers), 10)
+	buf = append(buf, '|')
+	buf = strconv.AppendUint(buf, uint64(o.Mode), 10)
+	buf = append(buf, '|')
+	buf = strconv.AppendBool(buf, o.ExplainNOPs)
+	buf = append(buf, '|')
+	buf = strconv.AppendBool(buf, o.AssignPipelines)
+	buf = append(buf, '|')
+	buf = strconv.AppendBool(buf, o.StrongEquivalence)
+	buf = append(buf, '|')
+	buf = append(buf, o.Sched.String()...)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // preset is one named machine: its constructor and the canonical text
@@ -87,9 +111,9 @@ type preset struct {
 	text string
 }
 
-// presets renders each preset's canonical text once per process. A
-// request still gets a fresh machine of its own: Machine's fields are
-// exported and mutable, so no machine is shared.
+// presets renders each preset's canonical text once per process. Each
+// compile still builds a fresh machine of its own: Machine's fields are
+// exported and mutable, so no preset machine is shared.
 var presets = sync.OnceValue(func() map[string]preset {
 	t := map[string]preset{}
 	for name, mk := range machine.Presets() {
@@ -98,23 +122,25 @@ var presets = sync.OnceValue(func() map[string]preset {
 	return t
 })
 
-// resolveMachine parses a MachineSpec into a validated machine and its
-// canonical text. A text machine is parsed and rendered per request:
-// its spec is the caller's, so nothing of it is kept.
-func resolveMachine(spec MachineSpec) (*pipesched.Machine, string, error) {
+// resolveMachine validates a MachineSpec and returns the constructor of
+// its machine and the machine's canonical text. A preset's constructor
+// builds a fresh machine per call; a text machine is parsed and
+// rendered per request (its spec is the caller's, so nothing of it is
+// kept), and its constructor returns that parsed machine.
+func resolveMachine(spec MachineSpec) (func() *pipesched.Machine, string, error) {
 	switch {
 	case spec.Preset != "":
 		p, ok := presets()[spec.Preset]
 		if !ok {
 			return nil, "", fmt.Errorf("%w: unknown machine preset %q", ErrInvalidRequest, spec.Preset)
 		}
-		return p.mk(), p.text, nil
+		return p.mk, p.text, nil
 	case spec.Text != "":
 		m, err := machine.ParseString(spec.Text)
 		if err != nil {
 			return nil, "", fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
-		return m, m.String(), nil
+		return func() *pipesched.Machine { return m }, m.String(), nil
 	}
 	return nil, "", fmt.Errorf("%w: machine preset or text required", ErrInvalidRequest)
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -100,6 +102,23 @@ func TestResolveKeysGolden(t *testing.T) {
 	}
 }
 
+// TestFingerprintLongRequest: a request too long for fingerprint's
+// stack buffer hashes the same layout as a short one, the one the golden
+// keys pin, spelled here with fmt as fingerprint once wrote it.
+func TestFingerprintLongRequest(t *testing.T) {
+	o := pipesched.Options{Lambda: 12345, Optimize: true, Registers: 9,
+		Mode: pipesched.TeraInterlock, StrongEquivalence: true}
+	text := machine.ExampleMachine().String()
+	for _, src := range []string{"a = b * c\n", strings.Repeat("a = b * c\n", 300)} {
+		want := sha256.Sum256([]byte(fmt.Sprintf("src\x00%s\x00tuples\x00%s\x00machine\x00%s\x00opts\x00%d|%t|%t|%d|%d|%t|%t|%t|%s",
+			src, "", text, o.Lambda, o.Optimize, o.Reassociate, o.Registers, o.Mode,
+			o.ExplainNOPs, o.AssignPipelines, o.StrongEquivalence, o.Sched.String())))
+		if got := fingerprint(src, "", text, o); got != hex.EncodeToString(want[:]) {
+			t.Errorf("%d-byte source: key %s, want %x", len(src), got, want)
+		}
+	}
+}
+
 // TestTuplesHitParsesNothing: a cache hit on a tuples request costs
 // about the same allocations whatever the block's size, far less than a
 // parse of the larger block, so it parses nothing; and a malformed block
@@ -178,8 +197,9 @@ func TestPresetTextRenderedOnce(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("preset %q: %v, %v", name, err1, err2)
 		}
-		if r1.m == r2.m || r1.Key != r2.Key {
-			t.Errorf("preset %q: two requests share machine %t, keys %s and %s", name, r1.m == r2.m, r1.Key, r2.Key)
+		m1, m2 := r1.newMachine(), r2.newMachine()
+		if shared := m1 == m2 || m1 == r1.newMachine(); shared || r1.Key != r2.Key {
+			t.Errorf("preset %q: compiles share a machine %t, keys %s and %s", name, shared, r1.Key, r2.Key)
 		}
 	}
 

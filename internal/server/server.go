@@ -620,9 +620,9 @@ func (s *Server) compileOnce(ctx context.Context, f *flight, opts pipesched.Opti
 		testHookCompile(ctx)
 	}
 	if f.block != nil {
-		return pipesched.ScheduleCtx(ctx, f.block, f.m, opts)
+		return pipesched.ScheduleCtx(ctx, f.block, f.newMachine(), opts)
 	}
-	return pipesched.CompileCtx(ctx, f.Req.Source, f.m, opts)
+	return pipesched.CompileCtx(ctx, f.Req.Source, f.newMachine(), opts)
 }
 
 // testHookCompile, when non-nil, runs at the top of every compile
