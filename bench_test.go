@@ -336,15 +336,18 @@ func BenchmarkAblationAssignSearch(b *testing.B) {
 const endToEndSrc = "t = x * x\nnum = t * a + x * b + c\nden = t + x * b + 1\ny = num / den\n"
 
 // maxCompileAllocs bounds the heap allocations of one CompileCtx of
-// endToEndSrc, search included.
-const maxCompileAllocs = 250
+// endToEndSrc, search included: 115 measured, plus under 5%.
+const maxCompileAllocs = 120
 
 // TestCompileAllocs pins the allocations of the whole compile pipeline
 // around the search, as TestFindAllocsFlat pins the search's own.
 func TestCompileAllocs(t *testing.T) {
 	m := SimulationMachine()
 	var c *Compiled
-	allocs := testing.AllocsPerRun(20, func() {
+	// opt and tuplegen keep their scratch in a sync.Pool, which the race
+	// detector empties a quarter of the time; many runs keep the mean of
+	// those refills steady.
+	allocs := testing.AllocsPerRun(200, func() {
 		var err error
 		if c, err = CompileCtx(context.Background(), endToEndSrc, m, Options{Optimize: true}); err != nil {
 			t.Fatal(err)

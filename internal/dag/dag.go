@@ -134,7 +134,7 @@ func Build(b *ir.Block) (*Graph, error) {
 		t := &b.Tuples[i]
 		refs, nr := t.Refs()
 		for _, ref := range refs[:nr] {
-			addEdge(nodeOf[ref], i, Flow)
+			addEdge(nodeOf.Get(ref), i, Flow)
 		}
 		if !t.Op.TouchesMemory() {
 			continue

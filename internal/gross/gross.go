@@ -34,7 +34,11 @@ func Schedule(g *dag.Graph, m *machine.Machine, mode nopins.AssignMode) nopins.R
 	for u := 0; u < n; u++ {
 		remaining[u] = len(g.Preds[u])
 	}
-	lastEnqueue := map[int]int{} // pipeline -> tick of most recent enqueue
+	var buf [8]int
+	lastEnqueue := buf[:] // pipeline index -> tick of most recent enqueue, 0 before any
+	if len(m.Pipelines) > len(buf) {
+		lastEnqueue = make([]int, len(m.Pipelines))
+	}
 
 	// pipesFor mirrors the evaluator's assignment modes: fixed uses the
 	// first allowed pipeline, greedy may use any.
@@ -61,10 +65,8 @@ func Schedule(g *dag.Graph, m *machine.Machine, mode nopins.AssignMode) nopins.R
 			}
 		}
 		for _, p := range pipesFor(u) {
-			if p == machine.NoPipeline {
-				return p, true
-			}
-			if last, ok := lastEnqueue[p]; !ok || tick-last >= m.EnqueueTime(p) {
+			k := m.PipelineIndex(p) // -1 for NoPipeline
+			if k < 0 || lastEnqueue[k] == 0 || tick-lastEnqueue[k] >= m.Pipelines[k].Enqueue {
 				return p, true
 			}
 		}
@@ -98,8 +100,8 @@ func Schedule(g *dag.Graph, m *machine.Machine, mode nopins.AssignMode) nopins.R
 		scheduled[bestNode] = true
 		issueTick[bestNode] = tick
 		pipeOf[bestNode] = bestPipe
-		if bestPipe != machine.NoPipeline {
-			lastEnqueue[bestPipe] = tick
+		if k := m.PipelineIndex(bestPipe); k >= 0 {
+			lastEnqueue[k] = tick
 		}
 		for _, d := range g.Succs[bestNode] {
 			remaining[d.Node]--

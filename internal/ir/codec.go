@@ -76,7 +76,6 @@ func ParseBlocks(r io.Reader) ([]*Block, error) {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		cur.Tuples = append(cur.Tuples, t)
-		cur.index = nil
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -153,7 +153,8 @@ type Block struct {
 	Label  string
 	Tuples []Tuple
 
-	index map[int]int // tuple ID -> slice position (lazily built)
+	index   IDTable // tuple ID -> slice position (lazily built)
+	indexed int     // len(Tuples)+1 when index was built for Tuples, else 0
 }
 
 // NewBlock returns an empty block with the given label.
@@ -167,7 +168,7 @@ func (b *Block) Len() int { return len(b.Tuples) }
 func (b *Block) Append(op Op, a, bo Operand) int {
 	id := b.NextID()
 	b.Tuples = append(b.Tuples, Tuple{ID: id, Op: op, A: a, B: bo})
-	b.index = nil
+	b.indexed = 0
 	return id
 }
 
@@ -183,33 +184,24 @@ func (b *Block) NextID() int {
 	return max + 1
 }
 
-// buildIndex (re)builds the ID→position map, reusing its storage.
+// buildIndex (re)builds the ID→position table, reusing its storage.
 func (b *Block) buildIndex() {
-	if b.index == nil {
-		b.index = make(map[int]int, len(b.Tuples))
-	} else {
-		clear(b.index)
-	}
-	for i, t := range b.Tuples {
-		b.index[t.ID] = i
-	}
+	b.index.Index(b.Tuples)
+	b.indexed = len(b.Tuples) + 1
 }
 
 // Pos returns the current position of tuple id within the block, or -1 if
 // no tuple has that ID. Positions are 0-based.
 func (b *Block) Pos(id int) int {
-	if b.index == nil || len(b.index) != len(b.Tuples) {
+	if b.indexed != len(b.Tuples)+1 {
 		b.buildIndex()
 	}
-	if i, ok := b.index[id]; ok && i < len(b.Tuples) && b.Tuples[i].ID == id {
+	if i := b.index.Get(id); i >= 0 && i < len(b.Tuples) && b.Tuples[i].ID == id {
 		return i
 	}
 	// Index may be stale after external reordering; rebuild once.
 	b.buildIndex()
-	if i, ok := b.index[id]; ok {
-		return i
-	}
-	return -1
+	return b.index.Get(id)
 }
 
 // ByID returns the tuple with the given reference number.
@@ -225,7 +217,7 @@ func (b *Block) ByID(id int) Tuple {
 // InvalidateIndex must be called after external code permutes b.Tuples in
 // place, so that Pos/ByID rebuild their lookup table. The rebuild reuses
 // the table's storage.
-func (b *Block) InvalidateIndex() { clear(b.index) }
+func (b *Block) InvalidateIndex() { b.indexed = 0 }
 
 // Clone returns a deep copy of the block.
 func (b *Block) Clone() *Block {
@@ -275,23 +267,26 @@ func (b *Block) String() string {
 //
 // It returns the first violation found, or nil.
 func (b *Block) Validate() error {
-	return b.validate(make(map[int]int, len(b.Tuples)))
+	var buf [smallSpan]int
+	seen := IDTable{slots: buf[:0]}
+	return b.validate(&seen)
 }
 
 // ValidIndex validates the block as Validate does and, when it is valid,
-// also returns the map from tuple ID to position that validation builds.
-// The map is the caller's: unlike Pos, ValidIndex does not touch the
-// block, so it is safe on a block shared between goroutines.
-func (b *Block) ValidIndex() (map[int]int, error) {
-	seen := make(map[int]int, len(b.Tuples))
-	if err := b.validate(seen); err != nil {
-		return nil, err
+// also returns the table from tuple ID to position that validation
+// builds. The table is the caller's: unlike Pos, ValidIndex does not
+// touch the block, so it is safe on a block shared between goroutines.
+func (b *Block) ValidIndex() (IDTable, error) {
+	var seen IDTable
+	if err := b.validate(&seen); err != nil {
+		return IDTable{}, err
 	}
 	return seen, nil
 }
 
 // validate checks b, filling seen with tuple ID -> position.
-func (b *Block) validate(seen map[int]int) error {
+func (b *Block) validate(seen *IDTable) error {
+	seen.Reset(idRange(b.Tuples))
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
 		if !t.Op.Valid() {
@@ -300,17 +295,17 @@ func (b *Block) validate(seen map[int]int) error {
 		if t.ID <= 0 {
 			return fmt.Errorf("%w: tuple at position %d has non-positive ID %d", ErrInvalidBlock, i, t.ID)
 		}
-		if prev, dup := seen[t.ID]; dup {
+		if prev := seen.Get(t.ID); prev >= 0 {
 			return fmt.Errorf("%w: duplicate tuple ID %d at positions %d and %d", ErrInvalidBlock, t.ID, prev, i)
 		}
-		seen[t.ID] = i
+		seen.Set(t.ID, i)
 		if err := validateShape(t); err != nil {
 			return err
 		}
 		refs, nr := t.Refs()
 		for _, ref := range refs[:nr] {
-			j, ok := seen[ref]
-			if !ok {
+			j := seen.Get(ref)
+			if j < 0 {
 				return fmt.Errorf("%w: tuple %d references %d which does not precede it", ErrInvalidBlock, t.ID, ref)
 			}
 			if !b.Tuples[j].Op.ProducesValue() {
@@ -396,18 +391,19 @@ func Concat(label string, blocks ...*Block) (*Block, error) {
 	if n > 0 {
 		out.Tuples = make([]Tuple, 0, n)
 	}
-	var ids idRemap
+	var buf [smallSpan]int
+	ids := IDTable{slots: buf[:0]} // member tuple ID -> new number
 	for _, b := range blocks {
-		ids.reset(b.Tuples)
+		ids.Reset(idRange(b.Tuples))
 		for _, t := range b.Tuples {
 			nt := t
 			nt.ID = len(out.Tuples) + 1
-			ids.set(t.ID, nt.ID)
+			ids.Set(t.ID, nt.ID)
 			if nt.A.Kind == RefOperand {
-				nt.A.Ref = ids.get(nt.A.Ref)
+				nt.A.Ref = max(ids.Get(nt.A.Ref), 0)
 			}
 			if nt.B.Kind == RefOperand {
-				nt.B.Ref = ids.get(nt.B.Ref)
+				nt.B.Ref = max(ids.Get(nt.B.Ref), 0)
 			}
 			out.Tuples = append(out.Tuples, nt)
 		}
@@ -418,53 +414,94 @@ func Concat(label string, blocks ...*Block) (*Block, error) {
 	return out, nil
 }
 
-// idRemap maps one member block's tuple IDs to their numbers in a
-// Concat output; an ID not (yet) mapped reads 0. It indexes a slice by
-// ID − lo, reused across members, unless the member's IDs span far more
-// numbers than it has tuples; then it falls back to a map.
-type idRemap struct {
+// smallSpan is the ID span of the tables Validate and Concat keep on the
+// stack.
+const smallSpan = 64
+
+// IDTable maps tuple IDs to non-negative ints, such as positions in a
+// block; an ID with no entry reads -1. It indexes a slice by ID − lo,
+// reusing the slice across resets, unless the IDs span far more numbers
+// than there are IDs (4·n+64 or more); then it falls back to a map. Any
+// int is an ID, so it never sizes the slice by the largest one. The zero
+// IDTable is empty.
+type IDTable struct {
 	lo     int
-	slots  []int
+	slots  []int // 1 + the entry of ID lo+i, or 0 for none
 	sparse map[int]int
 }
 
-func (r *idRemap) reset(ts []Tuple) {
-	r.sparse = nil
-	if len(ts) == 0 {
-		r.slots = r.slots[:0]
+// Reset empties the table and sizes it for n IDs between lo and hi
+// (none when hi < lo). Setting an ID outside [lo, hi] stays correct but
+// moves the table to a map.
+func (t *IDTable) Reset(lo, hi, n int) {
+	t.sparse = nil
+	t.lo, t.slots = lo, t.slots[:0]
+	if hi < lo {
 		return
 	}
-	lo, hi := ts[0].ID, ts[0].ID
+	span := uint(hi) - uint(lo) // no overflow for any lo <= hi
+	if span >= 4*uint(n)+64 {
+		t.sparse = make(map[int]int, n)
+		return
+	}
+	if uint(cap(t.slots)) <= span {
+		t.slots = make([]int, span+1)
+		return
+	}
+	t.slots = t.slots[:span+1]
+	clear(t.slots)
+}
+
+// Index resets the table to map the ID of each tuple of ts to its
+// position (the last one, for a repeated ID).
+func (t *IDTable) Index(ts []Tuple) {
+	t.Reset(idRange(ts))
+	for i := range ts {
+		t.Set(ts[i].ID, i)
+	}
+}
+
+// Set records v (>= 0) for id, replacing any earlier entry.
+func (t *IDTable) Set(id, v int) {
+	if t.sparse == nil {
+		if i := uint(id) - uint(t.lo); i < uint(len(t.slots)) {
+			t.slots[i] = v + 1
+			return
+		}
+		t.sparse = make(map[int]int, len(t.slots)+1)
+		for i, s := range t.slots {
+			if s != 0 {
+				t.sparse[t.lo+i] = s - 1
+			}
+		}
+		t.slots = t.slots[:0]
+	}
+	t.sparse[id] = v
+}
+
+// Get returns the entry for id, or -1 when it has none.
+func (t *IDTable) Get(id int) int {
+	if t.sparse != nil {
+		if v, ok := t.sparse[id]; ok {
+			return v
+		}
+		return -1
+	}
+	if i := uint(id) - uint(t.lo); i < uint(len(t.slots)) {
+		return t.slots[i] - 1
+	}
+	return -1
+}
+
+// idRange returns the smallest and largest ID of ts and their count,
+// the arguments of IDTable.Reset.
+func idRange(ts []Tuple) (lo, hi, n int) {
+	if len(ts) == 0 {
+		return 0, -1, 0
+	}
+	lo, hi = ts[0].ID, ts[0].ID
 	for _, t := range ts[1:] {
 		lo, hi = min(lo, t.ID), max(hi, t.ID)
 	}
-	span := uint(hi) - uint(lo) // no overflow for any lo <= hi
-	if span >= 4*uint(len(ts))+64 {
-		r.sparse = make(map[int]int, len(ts))
-		return
-	}
-	r.lo = lo
-	if uint(cap(r.slots)) <= span {
-		r.slots = make([]int, span+1)
-	}
-	r.slots = r.slots[:span+1]
-	clear(r.slots)
-}
-
-func (r *idRemap) set(id, to int) {
-	if r.sparse != nil {
-		r.sparse[id] = to
-		return
-	}
-	r.slots[id-r.lo] = to
-}
-
-func (r *idRemap) get(id int) int {
-	if r.sparse != nil {
-		return r.sparse[id]
-	}
-	if i := uint(id) - uint(r.lo); i < uint(len(r.slots)) {
-		return r.slots[i]
-	}
-	return 0
+	return lo, hi, len(ts)
 }

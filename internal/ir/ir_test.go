@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -575,6 +576,159 @@ func TestConcatMatchesMapVersion(t *testing.T) {
 	}
 }
 
+func TestIDTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var tab IDTable // one table across every case: resets reuse its storage
+	probes := []int{0, -1, 1, math.MinInt, math.MaxInt, math.MinInt + 1, math.MaxInt - 1}
+	for i := 0; i < 600; i++ {
+		n := rng.Intn(40)
+		base := rng.Intn(1<<16) - 1<<15
+		spread := 1 + rng.Intn(4)
+		switch rng.Intn(6) {
+		case 0: // far past the sparse switch
+			spread = 1 << 24
+		case 1: // near the bottom of int
+			base = math.MinInt + rng.Intn(8)
+		case 2: // near the top of int
+			base = math.MaxInt - 4*n - rng.Intn(8)
+		}
+		ids := make([]int, n)
+		for k := range ids {
+			switch rng.Intn(10) {
+			case 0:
+				ids[k] = probes[rng.Intn(len(probes))]
+			case 1:
+				if k > 0 { // a duplicate
+					ids[k] = ids[rng.Intn(k)]
+					continue
+				}
+				fallthrough
+			default:
+				ids[k] = base + spread*rng.Intn(2*n+1)
+			}
+		}
+		lo, hi := 0, -1
+		if n > 0 {
+			lo, hi = slices.Min(ids), slices.Max(ids)
+		}
+		if rng.Intn(5) == 0 && hi > lo {
+			hi = lo + int(uint(hi-lo)/2) // some Sets fall outside the range
+		}
+		tab.Reset(lo, hi, n)
+		want := map[int]int{}
+		for _, id := range ids {
+			v := rng.Intn(1 << 20)
+			tab.Set(id, v)
+			want[id] = v
+		}
+		check := func(id int) {
+			w, ok := want[id]
+			if !ok {
+				w = -1
+			}
+			if got := tab.Get(id); got != w {
+				t.Fatalf("case %d: Get(%d) = %d, want %d (ids %v)", i, id, got, w, ids)
+			}
+		}
+		for _, id := range ids {
+			check(id)
+			check(id + 1)
+			check(id - 1)
+		}
+		for _, id := range probes {
+			check(id)
+		}
+	}
+	var zero IDTable
+	if got := zero.Get(0); got != -1 {
+		t.Errorf("zero IDTable: Get(0) = %d, want -1", got)
+	}
+
+	// Pos agrees with a scan through every kind of change to a block.
+	scan := func(b *Block, id int) int {
+		for i := len(b.Tuples) - 1; i >= 0; i-- {
+			if b.Tuples[i].ID == id {
+				return i
+			}
+		}
+		return -1
+	}
+	checkPos := func(what string, b *Block) {
+		t.Helper()
+		for _, tp := range b.Tuples {
+			for _, id := range []int{tp.ID, tp.ID + 1, tp.ID - 1} {
+				if got, want := b.Pos(id), scan(b, id); got != want {
+					t.Fatalf("%s: Pos(%d) = %d, want %d", what, id, got, want)
+				}
+			}
+		}
+		for _, id := range probes {
+			if got, want := b.Pos(id), scan(b, id); got != want {
+				t.Fatalf("%s: Pos(%d) = %d, want %d", what, id, got, want)
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		gap := 1 + rng.Intn(4)
+		if i%3 == 0 {
+			gap = 1 << 20 // a sparse index
+		}
+		b := sparseBlock(rng, 1+rng.Intn(15), 1+rng.Intn(5), gap)
+		checkPos("fresh", b)
+		for k := 0; k < 3; k++ {
+			b.Append(Load, Var("z"), None())
+			checkPos("after Append", b)
+		}
+		order := rng.Perm(b.Len())
+		pb, err := b.Permute(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPos("after Permute", pb)
+		rng.Shuffle(len(b.Tuples), func(x, y int) { b.Tuples[x], b.Tuples[y] = b.Tuples[y], b.Tuples[x] })
+		checkPos("after an in-place shuffle", b)
+		rng.Shuffle(len(b.Tuples), func(x, y int) { b.Tuples[x], b.Tuples[y] = b.Tuples[y], b.Tuples[x] })
+		b.InvalidateIndex()
+		checkPos("after InvalidateIndex", b)
+		b.Tuples[rng.Intn(b.Len())].ID = math.MaxInt // renamed in place
+		checkPos("after an in-place rename", b)
+		b.Tuples = b.Tuples[:b.Len()-1] // shortened in place
+		checkPos("after an in-place truncation", b)
+	}
+
+	// Validate reports malformed blocks in the words it always has.
+	for _, c := range []struct {
+		name, src, want string
+	}{
+		{"duplicate ID", "1: Load #x\n2: Load #y\n1: Neg @2",
+			"ir: invalid block: duplicate tuple ID 1 at positions 0 and 2"},
+		{"forward reference", "1: Load #x\n2: Neg @3\n3: Load #y",
+			"ir: invalid block: tuple 2 references 3 which does not precede it"},
+		{"reference to a Store", "1: Load #x\n2: Store #y, @1\n3: Neg @2",
+			"ir: invalid block: tuple 3 references 2 (Store) which produces no value"},
+		{"non-positive ID", "1: Load #x\n0: Neg @1",
+			"ir: invalid block: tuple at position 1 has non-positive ID 0"},
+		{"negative ID", "-5: Load #x",
+			"ir: invalid block: tuple at position 0 has non-positive ID -5"},
+	} {
+		b := &Block{}
+		for _, line := range strings.Split(c.src, "\n") {
+			tp, err := ParseTuple(line)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			b.Tuples = append(b.Tuples, tp)
+		}
+		err := b.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+		if _, err2 := b.ValidIndex(); fmt.Sprint(err2) != fmt.Sprint(err) {
+			t.Errorf("%s: ValidIndex = %v, Validate = %v", c.name, err2, err)
+		}
+	}
+}
+
 func TestConcatAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	blocks := make([]*Block, 6)
@@ -658,8 +812,8 @@ func TestExecNopAndUnknownOp(t *testing.T) {
 
 // allOps returns every defined operation type, in declaration order.
 func allOps() []Op {
-	ops := make([]Op, 0, int(numOps)-1)
-	for o := Nop; o < numOps; o++ {
+	ops := make([]Op, 0, int(NumOps)-1)
+	for o := Nop; o < NumOps; o++ {
 		ops = append(ops, o)
 	}
 	return ops

@@ -30,10 +30,12 @@ const (
 	Mod        // A % B
 	Neg        // -A
 
-	numOps
+	// NumOps is one past the largest operation type: the length of a
+	// table indexed by Op.
+	NumOps
 )
 
-var opNames = [numOps]string{
+var opNames = [NumOps]string{
 	Invalid: "Invalid",
 	Nop:     "Nop",
 	Const:   "Const",
@@ -56,7 +58,7 @@ func (o Op) String() string {
 }
 
 // Valid reports whether o is a defined operation type.
-func (o Op) Valid() bool { return o > Invalid && o < numOps }
+func (o Op) Valid() bool { return o > Invalid && o < NumOps }
 
 // ParseOp converts a mnemonic back to an Op. The match is exact
 // (case-sensitive), mirroring the textual tuple format.

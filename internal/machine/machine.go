@@ -54,93 +54,124 @@ func (p Pipeline) String() string {
 }
 
 // Machine is a complete processor description: the pipeline table plus
-// the operation-to-pipeline mapping.
+// the operation-to-pipeline mapping. New also builds dense lookup tables
+// from the two; a Machine is read-only after New, so one may be shared
+// by any number of goroutines.
 type Machine struct {
 	Name      string
 	Pipelines []Pipeline      // the pipeline description table
 	OpMap     map[ir.Op][]int // operation -> set of usable pipeline IDs
 
-	byID map[int]*Pipeline
+	pipeIndex ir.IDTable       // pipeline ID -> position in Pipelines
+	opPipes   [ir.NumOps][]int // OpMap as an array
 }
 
 // New assembles a Machine and validates it.
 func New(name string, pipes []Pipeline, opMap map[ir.Op][]int) (*Machine, error) {
 	m := &Machine{Name: name, Pipelines: pipes, OpMap: opMap}
-	if err := m.Validate(); err != nil {
+	index, err := m.validate()
+	if err != nil {
 		return nil, err
 	}
-	m.buildIndex()
+	m.pipeIndex = index
+	for op, ids := range opMap {
+		m.opPipes[op] = ids
+	}
 	return m, nil
 }
 
-func (m *Machine) buildIndex() {
-	m.byID = make(map[int]*Pipeline, len(m.Pipelines))
-	for i := range m.Pipelines {
-		m.byID[m.Pipelines[i].ID] = &m.Pipelines[i]
+// indexPipelines maps each pipeline's ID to its position in pipes (the
+// first one, for a repeated ID). Pipeline IDs are any ints, so the table
+// falls back to a map when they are far apart rather than size a slice
+// by the largest.
+func indexPipelines(pipes []Pipeline) ir.IDTable {
+	lo, hi := pipes[0].ID, pipes[0].ID
+	for _, p := range pipes[1:] {
+		lo, hi = min(lo, p.ID), max(hi, p.ID)
 	}
+	var t ir.IDTable
+	t.Reset(lo, hi, len(pipes))
+	for i, p := range pipes {
+		if t.Get(p.ID) < 0 {
+			t.Set(p.ID, i)
+		}
+	}
+	return t
 }
 
 // Validate checks the machine description for structural errors. Every
 // violation wraps ErrInvalid.
 func (m *Machine) Validate() error {
+	_, err := m.validate()
+	return err
+}
+
+// validate is Validate that also returns the pipeline table it builds.
+func (m *Machine) validate() (ir.IDTable, error) {
 	if len(m.Pipelines) == 0 {
-		return fmt.Errorf("%w: empty pipeline table", ErrInvalid)
+		return ir.IDTable{}, fmt.Errorf("%w: empty pipeline table", ErrInvalid)
 	}
-	seen := map[int]bool{}
-	for _, p := range m.Pipelines {
+	index := indexPipelines(m.Pipelines) // ID -> first row with it
+	for i, p := range m.Pipelines {
 		if p.ID <= 0 {
-			return fmt.Errorf("%w: pipeline %q has non-positive ID %d", ErrInvalid, p.Function, p.ID)
+			return ir.IDTable{}, fmt.Errorf("%w: pipeline %q has non-positive ID %d", ErrInvalid, p.Function, p.ID)
 		}
-		if seen[p.ID] {
-			return fmt.Errorf("%w: duplicate pipeline ID %d", ErrInvalid, p.ID)
+		if index.Get(p.ID) != i {
+			return ir.IDTable{}, fmt.Errorf("%w: duplicate pipeline ID %d", ErrInvalid, p.ID)
 		}
-		seen[p.ID] = true
 		if p.Latency < 1 {
-			return fmt.Errorf("%w: pipeline %d latency %d < 1", ErrInvalid, p.ID, p.Latency)
+			return ir.IDTable{}, fmt.Errorf("%w: pipeline %d latency %d < 1", ErrInvalid, p.ID, p.Latency)
 		}
 		if p.Enqueue < 1 {
-			return fmt.Errorf("%w: pipeline %d enqueue time %d < 1", ErrInvalid, p.ID, p.Enqueue)
+			return ir.IDTable{}, fmt.Errorf("%w: pipeline %d enqueue time %d < 1", ErrInvalid, p.ID, p.Enqueue)
 		}
 		if p.Enqueue > p.Latency {
-			return fmt.Errorf("%w: pipeline %d enqueue time %d exceeds latency %d",
+			return ir.IDTable{}, fmt.Errorf("%w: pipeline %d enqueue time %d exceeds latency %d",
 				ErrInvalid, p.ID, p.Enqueue, p.Latency)
 		}
 	}
 	for op, ids := range m.OpMap {
 		if !op.Valid() {
-			return fmt.Errorf("%w: op map contains invalid operation", ErrInvalid)
+			return ir.IDTable{}, fmt.Errorf("%w: op map contains invalid operation", ErrInvalid)
 		}
 		for _, id := range ids {
-			if id != NoPipeline && !seen[id] {
-				return fmt.Errorf("%w: op %s mapped to unknown pipeline %d", ErrInvalid, op, id)
+			if id != NoPipeline && index.Get(id) < 0 {
+				return ir.IDTable{}, fmt.Errorf("%w: op %s mapped to unknown pipeline %d", ErrInvalid, op, id)
 			}
 		}
 	}
-	return nil
+	return index, nil
 }
 
 // Pipeline returns the pipeline with the given identifier, or nil for
 // NoPipeline or an unknown ID.
 func (m *Machine) Pipeline(id int) *Pipeline {
-	if id == NoPipeline {
-		return nil
+	if k := m.pipeIndex.Get(id); k >= 0 {
+		return &m.Pipelines[k]
 	}
-	if m.byID == nil {
-		m.buildIndex()
-	}
-	return m.byID[id]
+	return nil
 }
+
+// PipelineIndex returns the position of pipeline id in Pipelines, or -1
+// for NoPipeline or an unknown ID, so that per-pipeline state can live
+// in a slice of len(Pipelines) entries.
+func (m *Machine) PipelineIndex(id int) int { return m.pipeIndex.Get(id) }
 
 // PipelinesFor returns the set of pipeline IDs that may execute op.
 // A nil/empty result means σ = ∅ for this operation.
-func (m *Machine) PipelinesFor(op ir.Op) []int { return m.OpMap[op] }
+func (m *Machine) PipelinesFor(op ir.Op) []int {
+	if int(op) < len(m.opPipes) {
+		return m.opPipes[op]
+	}
+	return nil
+}
 
 // PipelineFor returns the single pipeline assigned to op under the
 // paper's core model (singleton sets; their footnote 3). When the op maps
 // to several pipelines it returns the first — callers wanting assignment
 // search use PipelinesFor.
 func (m *Machine) PipelineFor(op ir.Op) int {
-	ids := m.OpMap[op]
+	ids := m.PipelinesFor(op)
 	if len(ids) == 0 {
 		return NoPipeline
 	}
@@ -149,16 +180,16 @@ func (m *Machine) PipelineFor(op ir.Op) int {
 
 // Latency returns the latency of pipeline id, or 0 for NoPipeline.
 func (m *Machine) Latency(id int) int {
-	if p := m.Pipeline(id); p != nil {
-		return p.Latency
+	if k := m.pipeIndex.Get(id); k >= 0 {
+		return m.Pipelines[k].Latency
 	}
 	return 0
 }
 
 // EnqueueTime returns the enqueue time of pipeline id, or 0 for NoPipeline.
 func (m *Machine) EnqueueTime(id int) int {
-	if p := m.Pipeline(id); p != nil {
-		return p.Enqueue
+	if k := m.pipeIndex.Get(id); k >= 0 {
+		return m.Pipelines[k].Enqueue
 	}
 	return 0
 }

@@ -3,7 +3,12 @@ package machine
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pipesched/internal/ir"
@@ -279,4 +284,99 @@ func hasAssignmentChoice(m *Machine) bool {
 		}
 	}
 	return false
+}
+
+// TestLargePipelineIDsConcurrentReads loads a machine whose pipeline IDs
+// are 1 and math.MaxInt, as text and as JSON: its tables must not be
+// sized by the largest ID, every lookup must answer as the description
+// says, and the loaded machine is read by several goroutines at once.
+func TestLargePipelineIDsConcurrentReads(t *testing.T) {
+	const big = math.MaxInt
+	text := fmt.Sprintf("machine wide\npipe 1 loader latency=2 enqueue=1\npipe %d multiplier latency=5 enqueue=3\n"+
+		"op Load -> {1}\nop Mul -> {%d}\nop Add -> {%d,1}\nop Store -> {}\n", big, big, big)
+	js := fmt.Sprintf(`{"name":"wide","pipelines":[{"Function":"loader","ID":1,"Latency":2,"Enqueue":1},`+
+		`{"Function":"multiplier","ID":%d,"Latency":5,"Enqueue":3}],"ops":{"Load":[1],"Mul":[%d],"Add":[%d,1],"Store":[]}}`,
+		big, big, big)
+	loaders := map[string]func() (*Machine, error){
+		"text": func() (*Machine, error) { return ParseString(text) },
+		"json": func() (*Machine, error) { return ParseJSON([]byte(js)) },
+	}
+	for name, load := range loaders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := load()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("%s: loading a two-pipeline machine allocated %d bytes", name, b)
+		}
+		if err := checkLookups(m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if err := checkLookups(m); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("%s, concurrent: %v", name, err)
+		}
+	}
+}
+
+// checkLookups compares every lookup of m with a scan of its two
+// description tables.
+func checkLookups(m *Machine) error {
+	for op := ir.Op(0); op <= ir.NumOps; op++ {
+		want := m.OpMap[op]
+		if got := m.PipelinesFor(op); !slices.Equal(got, want) {
+			return fmt.Errorf("PipelinesFor(%s) = %v, OpMap says %v", op, got, want)
+		}
+		wantOne := NoPipeline
+		if len(want) > 0 {
+			wantOne = want[0]
+		}
+		if got := m.PipelineFor(op); got != wantOne {
+			return fmt.Errorf("PipelineFor(%s) = %d, want %d", op, got, wantOne)
+		}
+	}
+	for _, id := range []int{NoPipeline, 1, 2, -1, math.MinInt, math.MaxInt - 1, math.MaxInt} {
+		var want *Pipeline
+		k := -1
+		for i := range m.Pipelines {
+			if m.Pipelines[i].ID == id {
+				want, k = &m.Pipelines[i], i
+			}
+		}
+		lat, enq := 0, 0
+		if want != nil {
+			lat, enq = want.Latency, want.Enqueue
+		}
+		if got := m.Pipeline(id); got != want {
+			return fmt.Errorf("Pipeline(%d) = %v, want %v", id, got, want)
+		}
+		if got := m.PipelineIndex(id); got != k {
+			return fmt.Errorf("PipelineIndex(%d) = %d, want %d", id, got, k)
+		}
+		if got := m.Latency(id); got != lat {
+			return fmt.Errorf("Latency(%d) = %d, want %d", id, got, lat)
+		}
+		if got := m.EnqueueTime(id); got != enq {
+			return fmt.Errorf("EnqueueTime(%d) = %d, want %d", id, got, enq)
+		}
+	}
+	return nil
 }

@@ -14,6 +14,7 @@ package opt
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pipesched/internal/ir"
 )
@@ -27,26 +28,42 @@ type Pass struct {
 // Passes returns the standard pass list in application order. The passes
 // of one list share scratch tables, so a list must not run on two blocks
 // at once.
-func Passes() []Pass { return new(scratch).passes() }
-
-func (s *scratch) passes() []Pass {
-	return []Pass{
-		{Name: "constfold", Run: ConstFold},
-		{Name: "algebraic", Run: Algebraic},
-		{Name: "cse", Run: s.cse},
-		{Name: "deadstore", Run: s.deadStoreElim},
-		{Name: "dce", Run: s.dce},
+func Passes() []Pass {
+	s := new(scratch)
+	list := make([]Pass, len(standard))
+	for i, p := range standard {
+		list[i] = Pass{Name: p.name, Run: func(b *ir.Block) bool { return p.run(s, b) }}
 	}
+	return list
+}
+
+// standard is the standard pass list, each pass a function of the
+// scratch it may use.
+var standard = [...]struct {
+	name string
+	run  func(*scratch, *ir.Block) bool
+}{
+	{"constfold", func(_ *scratch, b *ir.Block) bool { return ConstFold(b) }},
+	{"algebraic", func(_ *scratch, b *ir.Block) bool { return Algebraic(b) }},
+	{"cse", (*scratch).cse},
+	{"deadstore", (*scratch).deadStoreElim},
+	{"dce", (*scratch).dce},
 }
 
 // scratch holds the tables of the passes that need them. A fixed-point
-// run reuses one scratch across its rounds, so it allocates them once.
+// run reuses one scratch across its rounds, so it allocates them once,
+// and Optimize takes its scratch from scratchPool, so consecutive runs
+// share them too.
 type scratch struct {
 	vars  map[string]int64 // variable name -> small dense number
 	avail map[exprKey]int  // CSE: available expression -> tuple ID
 	flags []bool           // per-variable or per-position marks
 	dead  []bool           // positions to delete
+	block ir.Block         // Optimize's working block, whose position index is reused
 }
+
+// scratchPool holds the scratch of Optimize runs that have finished.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // varID interns a variable name as a small number.
 func (s *scratch) varID(name string) int64 {
@@ -75,15 +92,20 @@ func cleared(buf *[]bool, n int) []bool {
 // Optimize clones b and runs all passes to a fixed point, returning the
 // optimized block. The input block is not modified.
 func Optimize(b *ir.Block) *ir.Block {
-	out := b.Clone()
-	passes := new(scratch).passes()
+	s := scratchPool.Get().(*scratch)
+	clear(s.vars) // variable numbers are per run: deadStoreElim sizes by them
+	out := &s.block
+	out.Label = b.Label
+	out.Tuples = make([]ir.Tuple, len(b.Tuples))
+	copy(out.Tuples, b.Tuples)
+	out.InvalidateIndex()
 	// Each iteration strictly shrinks the block or strictly reduces the
 	// number of non-Const tuples, so n*len+1 rounds is a safe bound; in
 	// practice two or three rounds reach the fixed point.
-	for round := 0; round <= len(out.Tuples)*len(passes)+1; round++ {
+	for round := 0; round <= len(out.Tuples)*len(standard)+1; round++ {
 		changed := false
-		for _, p := range passes {
-			if p.Run(out) {
+		for _, p := range standard {
+			if p.run(s, out) {
 				changed = true
 			}
 		}
@@ -91,9 +113,12 @@ func Optimize(b *ir.Block) *ir.Block {
 			break
 		}
 	}
-	// A fresh header leaves the passes' position index behind, so the
-	// result does not keep it alive.
-	return &ir.Block{Label: out.Label, Tuples: out.Tuples}
+	// The result gets a header of its own; the working block keeps only
+	// its position index for the next run.
+	res := &ir.Block{Label: out.Label, Tuples: out.Tuples}
+	out.Tuples = nil
+	scratchPool.Put(s)
+	return res
 }
 
 // constOf resolves an operand to a compile-time constant: an immediate,

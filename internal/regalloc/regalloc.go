@@ -51,10 +51,8 @@ func intervals(b *ir.Block) (lastUse []int, maxLive int) {
 	n := len(b.Tuples)
 	buf := make([]int, 2*n+1)
 	lastUse, release := buf[:n], buf[n:] // release[p]: registers freed before position p
-	pos := make(map[int]int, n)          // tuple ID -> position
-	for i := range b.Tuples {
-		pos[b.Tuples[i].ID] = i
-	}
+	var pos ir.IDTable                   // tuple ID -> position
+	pos.Index(b.Tuples)
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
 		lastUse[i] = -1
@@ -63,7 +61,7 @@ func intervals(b *ir.Block) (lastUse []int, maxLive int) {
 		}
 		refs, nr := t.Refs()
 		for _, r := range refs[:nr] {
-			if j, ok := pos[r]; ok && j < i && lastUse[j] >= 0 {
+			if j := pos.Get(r); j >= 0 && j < i && lastUse[j] >= 0 {
 				lastUse[j] = i
 			}
 		}

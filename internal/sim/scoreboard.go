@@ -33,7 +33,8 @@ type ScoreboardTrace struct {
 // same-tick refill), ready window instructions issue in program order up
 // to the width, and an instruction whose pipeline FIFO head is an older
 // un-issued instruction blocks. The differential oracle compares this
-// trace against every scoreboard-mode schedule the search emits.
+// trace against every scoreboard-mode schedule the search emits. A
+// position bound to a pipeline the machine lacks is an error.
 func RunScoreboard(in ScoreboardInput) (*ScoreboardTrace, error) {
 	g, m, order := in.Graph, in.M, in.Order
 	n := g.N
@@ -55,16 +56,30 @@ func RunScoreboard(in ScoreboardInput) (*ScoreboardTrace, error) {
 		posOf[u] = i
 	}
 	issue := make([]int, n) // position -> tick, 0 while pending
-	// Per-pipe FIFO: positions in program order; head[p] indexes the
-	// oldest un-issued instruction on pipe p.
-	pipeQueue := map[int][]int{}
-	for i := 0; i < n; i++ {
-		if p := in.Pipes[i]; p != machine.NoPipeline {
-			pipeQueue[p] = append(pipeQueue[p], i)
-		}
+	// Per-pipe FIFO, by pipeline index k: head[k] is the oldest
+	// un-issued position on pipe k (-1 once none is left) and
+	// nextOnPipe[i] the position after i on i's pipe; lastEnq[k] is the
+	// tick of pipe k's latest enqueue (0 before any).
+	np := len(m.Pipelines)
+	ints := make([]int, 2*n+2*np)
+	slot, nextOnPipe := ints[:n], ints[n:2*n] // slot: position -> pipeline index, -1 for none
+	head, lastEnq := ints[2*n:2*n+np], ints[2*n+np:]
+	for k := range head {
+		head[k] = -1
 	}
-	head := map[int]int{}
-	lastEnq := map[int]int{} // pipe -> tick of most recent accepted enqueue
+	for i := n - 1; i >= 0; i-- {
+		slot[i] = -1
+		p := in.Pipes[i]
+		if p == machine.NoPipeline {
+			continue
+		}
+		k := m.PipelineIndex(p)
+		if k < 0 {
+			return nil, fmt.Errorf("sim: position %d is bound to pipeline %d, which machine %s lacks", i, p, m.Name)
+		}
+		slot[i] = k
+		nextOnPipe[i], head[k] = head[k], i
+	}
 
 	issued := 0
 	next := 0 // first position not yet issued (window base)
@@ -78,6 +93,7 @@ func RunScoreboard(in ScoreboardInput) (*ScoreboardTrace, error) {
 		}
 	}
 	budget := n*maxCost + 1
+	window := make([]int, 0, min(in.Window, n))
 	for tick := 1; issued < n; tick++ {
 		if tick > budget {
 			return nil, fmt.Errorf("sim: scoreboard made no progress after %d ticks", budget)
@@ -85,7 +101,7 @@ func RunScoreboard(in ScoreboardInput) (*ScoreboardTrace, error) {
 		// Window snapshot: the first Window un-issued positions at tick
 		// start (instructions issuing this very tick do not free a slot
 		// until the next).
-		var window []int
+		window = window[:0]
 		for i := next; i < n && len(window) < in.Window; i++ {
 			if issue[i] == 0 {
 				window = append(window, i)
@@ -118,20 +134,20 @@ func RunScoreboard(in ScoreboardInput) (*ScoreboardTrace, error) {
 			if !ready {
 				continue
 			}
-			if p := in.Pipes[i]; p != machine.NoPipeline {
-				if pipeQueue[p][head[p]] != i {
+			if k := slot[i]; k >= 0 {
+				if head[k] != i {
 					continue // an older same-pipe instruction still waits
 				}
-				if last, ok := lastEnq[p]; ok && tick < last+m.EnqueueTime(p) {
+				if last := lastEnq[k]; last > 0 && tick < last+m.Pipelines[k].Enqueue {
 					continue
 				}
 			}
 			issue[i] = tick
 			issued++
 			slots--
-			if p := in.Pipes[i]; p != machine.NoPipeline {
-				head[p]++
-				lastEnq[p] = tick
+			if k := slot[i]; k >= 0 {
+				head[k] = nextOnPipe[i]
+				lastEnq[k] = tick
 			}
 		}
 		for next < n && issue[next] != 0 {

@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"pipesched/internal/dag"
 	"pipesched/internal/machine"
@@ -109,7 +110,8 @@ func Run(in Input, mech Mechanism) (*Trace, error) {
 		pos[u] = i
 	}
 	tr := &Trace{IssueTick: make([]int, n), Mechanism: mech}
-	lastEnqueue := map[int]int{} // pipeline -> last issue tick
+	var buf [smallMachine]int
+	lastEnqueue := pipeTicks(in.M, buf[:])
 	tick := 0
 	for i, u := range in.Order {
 		tick += in.Eta[i] + 1
@@ -118,17 +120,37 @@ func Run(in Input, mech Mechanism) (*Trace, error) {
 		}
 		tr.Delays += in.Eta[i]
 		tr.IssueTick[i] = tick
-		if p := in.Pipes[i]; p != machine.NoPipeline {
-			lastEnqueue[p] = tick
+		if k := in.M.PipelineIndex(in.Pipes[i]); k >= 0 {
+			lastEnqueue[k] = tick
 		}
 	}
 	tr.TotalTicks = tick
 	return tr, nil
 }
 
+// noTick marks a pipeline that has not been enqueued yet in a table
+// from pipeTicks.
+const noTick = math.MinInt
+
+// pipeTicks returns a table of one tick per pipeline of m, indexed by
+// m.PipelineIndex, with every entry noTick. It reuses buf's storage, so
+// a table over a caller's stack array stays off the heap.
+func pipeTicks(m *machine.Machine, buf []int) []int {
+	ticks := buf[:0]
+	for range m.Pipelines {
+		ticks = append(ticks, noTick)
+	}
+	return ticks
+}
+
+// smallMachine is the pipeline count that per-pipeline tables hold
+// without a heap allocation.
+const smallMachine = 8
+
 // checkHazards verifies that issuing position i (node u) at the given
-// tick violates no latency or enqueue constraint.
-func checkHazards(in Input, pos []int, tr *Trace, i, u, tick int, lastEnqueue map[int]int) error {
+// tick violates no latency or enqueue constraint. lastEnqueue holds the
+// tick of each pipeline's latest enqueue, as from pipeTicks.
+func checkHazards(in Input, pos []int, tr *Trace, i, u, tick int, lastEnqueue []int) error {
 	for _, d := range in.Graph.Preds[u] {
 		if !d.Kind.CarriesLatency() {
 			continue
@@ -143,15 +165,13 @@ func checkHazards(in Input, pos []int, tr *Trace, i, u, tick int, lastEnqueue ma
 			}
 		}
 	}
-	if p := in.Pipes[i]; p != machine.NoPipeline {
-		if last, ok := lastEnqueue[p]; ok {
-			enq := in.M.EnqueueTime(p)
-			if tick-last < enq {
-				return &HazardError{
-					Position: i, Node: u, Kind: "conflict",
-					Detail: fmt.Sprintf("pipeline %d needs enqueue spacing %d, got %d",
-						p, enq, tick-last),
-				}
+	if k := in.M.PipelineIndex(in.Pipes[i]); k >= 0 && lastEnqueue[k] != noTick {
+		last, enq := lastEnqueue[k], in.M.Pipelines[k].Enqueue
+		if tick-last < enq {
+			return &HazardError{
+				Position: i, Node: u, Kind: "conflict",
+				Detail: fmt.Sprintf("pipeline %d needs enqueue spacing %d, got %d",
+					in.Pipes[i], enq, tick-last),
 			}
 		}
 	}
@@ -216,7 +236,8 @@ func RunActual(in Input, mech Mechanism, actualLat []int) (*Trace, error) {
 		pos[u] = i
 	}
 	tr := &Trace{IssueTick: make([]int, n), Mechanism: mech}
-	lastEnqueue := map[int]int{}
+	var buf [smallMachine]int
+	lastEnqueue := pipeTicks(in.M, buf[:])
 	tick := 0
 	for i, u := range in.Order {
 		earliest := tick + 1
@@ -229,18 +250,17 @@ func RunActual(in Input, mech Mechanism, actualLat []int) (*Trace, error) {
 				earliest = need
 			}
 		}
-		if p := in.Pipes[i]; p != machine.NoPipeline {
-			if last, ok := lastEnqueue[p]; ok {
-				if need := last + in.M.EnqueueTime(p); need > earliest {
-					earliest = need
-				}
+		k := in.M.PipelineIndex(in.Pipes[i])
+		if k >= 0 && lastEnqueue[k] != noTick {
+			if need := lastEnqueue[k] + in.M.Pipelines[k].Enqueue; need > earliest {
+				earliest = need
 			}
 		}
 		tr.Delays += earliest - tick - 1
 		tick = earliest
 		tr.IssueTick[i] = tick
-		if p := in.Pipes[i]; p != machine.NoPipeline {
-			lastEnqueue[p] = tick
+		if k >= 0 {
+			lastEnqueue[k] = tick
 		}
 	}
 	tr.TotalTicks = tick

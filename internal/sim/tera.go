@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"pipesched/internal/machine"
-)
+import "fmt"
 
 // The Tera machine's explicit interlock (paper section 2.2, [Smi88])
 // tags each instruction with "the number of instructions since the last
@@ -39,7 +35,11 @@ func TeraCounts(in Input) ([]int, error) {
 		pos[u] = i
 	}
 	issue := make([]int, n)
-	lastOnPipe := map[int]int{} // pipeline -> most recent position
+	var buf [smallMachine]int
+	lastOnPipe := buf[:0] // pipeline index -> most recent position, -1 for none
+	for range in.M.Pipelines {
+		lastOnPipe = append(lastOnPipe, -1)
+	}
 	counts := make([]int, n)
 	tick := 0
 	for i, u := range in.Order {
@@ -56,10 +56,10 @@ func TeraCounts(in Input) ([]int, error) {
 			jp := pos[d.Node]
 			consider(jp, issue[jp]+in.M.Latency(in.Pipes[jp]))
 		}
-		if p := in.Pipes[i]; p != machine.NoPipeline {
-			if j, ok := lastOnPipe[p]; ok {
-				consider(j, issue[j]+in.M.EnqueueTime(p))
-			}
+		k := in.M.PipelineIndex(in.Pipes[i])
+		if k >= 0 && lastOnPipe[k] >= 0 {
+			j := lastOnPipe[k]
+			consider(j, issue[j]+in.M.Pipelines[k].Enqueue)
 		}
 		earliest := tick + 1
 		if bestJ >= 0 && bestRelease > earliest {
@@ -72,8 +72,8 @@ func TeraCounts(in Input) ([]int, error) {
 		}
 		tick = earliest
 		issue[i] = tick
-		if p := in.Pipes[i]; p != machine.NoPipeline {
-			lastOnPipe[p] = i
+		if k >= 0 {
+			lastOnPipe[k] = i
 		}
 	}
 	return counts, nil
@@ -97,7 +97,8 @@ func RunTera(in Input, counts []int) (*Trace, error) {
 		pos[u] = i
 	}
 	tr := &Trace{IssueTick: make([]int, n), Mechanism: ExplicitInterlock}
-	lastEnqueue := map[int]int{}
+	var buf [smallMachine]int
+	lastEnqueue := pipeTicks(in.M, buf[:])
 	tick := 0
 	for i, u := range in.Order {
 		earliest := tick + 1
@@ -116,8 +117,8 @@ func RunTera(in Input, counts []int) (*Trace, error) {
 			return nil, err
 		}
 		tr.IssueTick[i] = tick
-		if p := in.Pipes[i]; p != machine.NoPipeline {
-			lastEnqueue[p] = tick
+		if k := in.M.PipelineIndex(in.Pipes[i]); k >= 0 {
+			lastEnqueue[k] = tick
 		}
 	}
 	tr.TotalTicks = tick

@@ -10,6 +10,7 @@ package tuplegen
 
 import (
 	"fmt"
+	"sync"
 
 	"pipesched/internal/frontend"
 	"pipesched/internal/ir"
@@ -17,7 +18,9 @@ import (
 
 // Generate lowers prog into a single basic block with the given label.
 func Generate(prog *frontend.Program, label string) (*ir.Block, error) {
-	g := &gen{block: ir.NewBlock(label), binding: map[string]int{}}
+	g := genPool.Get().(*gen)
+	defer g.release()
+	g.block = ir.NewBlock(label)
 	n := 0
 	for _, s := range prog.Stmts {
 		n += nodes(s.Expr) + 1
@@ -40,6 +43,17 @@ func Generate(prog *frontend.Program, label string) (*ir.Block, error) {
 type gen struct {
 	block   *ir.Block
 	binding map[string]int // variable -> tuple currently holding its value
+}
+
+// genPool holds the generators of finished runs, so each run reuses an
+// earlier one's binding map.
+var genPool = sync.Pool{New: func() any { return &gen{binding: map[string]int{}} }}
+
+// release empties g and returns it to genPool.
+func (g *gen) release() {
+	g.block = nil
+	clear(g.binding)
+	genPool.Put(g)
 }
 
 // append adds a tuple numbered after the last one. IDs run 1, 2, ... in
