@@ -30,7 +30,6 @@ import (
 	"pipesched/internal/nopins"
 	"pipesched/internal/opt"
 	"pipesched/internal/seqsched"
-	"pipesched/internal/splitter"
 	"pipesched/internal/synth"
 	"pipesched/internal/tuplegen"
 )
@@ -392,7 +391,7 @@ func BenchmarkSplitterLargeBlock(b *testing.B) {
 	m := machine.SimulationMachine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := splitter.Schedule(g, m, 20, core.Options{Lambda: 20000}); err != nil {
+		if _, _, _, err := seqsched.Windows(g, m, 20, core.Options{Lambda: 20000}); err != nil {
 			b.Fatal(err)
 		}
 	}

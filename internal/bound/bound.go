@@ -51,29 +51,17 @@ import (
 
 	"pipesched/internal/dag"
 	"pipesched/internal/machine"
+	"pipesched/internal/nopins"
 )
 
-// Config selects the assignment semantics and cross-block entry state the
-// bounds must stay admissible under.
+// Config selects the assignment semantics the bounds must stay
+// admissible under.
 type Config struct {
 	// FixedAssign mirrors nopins.AssignFixed: the evaluator truncates
 	// every op→pipeline set to its first element, so even multi-pipeline
 	// ops are forced onto one pipeline (strengthening the resource bound).
 	// When false (greedy or search assignment) only singleton sets force.
 	FixedAssign bool
-
-	// StartTick is the issue tick of the last instruction issued before
-	// this block (0 for a cold start) — nopins.EntryState.StartTick.
-	StartTick int
-
-	// PipeLast maps a pipeline ID to the absolute tick of its most recent
-	// enqueue before this block — nopins.EntryState.PipeLast.
-	PipeLast map[int]int
-
-	// ReadyTick, when non-nil, gives per node the earliest issue tick
-	// permitted by dependences outside the block —
-	// nopins.EntryState.ReadyTick.
-	ReadyTick []int
 }
 
 // Engine maintains the combined lower bound for one search. It mirrors
@@ -87,7 +75,7 @@ type Engine struct {
 	byTail []int // nodes by falling tail
 	root   int   // lower bound on total NOPs of any complete schedule
 
-	pipeIDs []int // dense index -> pipeline ID, in machine table order
+	m       *machine.Machine
 	enq     []int // per pipe index: enqueue time
 	minTail []int // per pipe index: smallest tail among its forced nodes
 	forced  []int // node -> forced pipe index, or -1
@@ -106,15 +94,19 @@ type Engine struct {
 	savedEnqPipe []int // pipe index whose lastEnq was overwritten, or -1
 }
 
-// New builds the engine for one (graph, machine) pair. The construction
-// is O(N log N + E + P); every Push/Pop after it is O(1) apart from the
-// tallest-node index's skip.
-func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
+// New builds the engine for one (graph, machine) pair entered from entry,
+// the cross-block state the search's evaluator starts from (nil for a
+// cold start). The construction is O(N log N + E + P); every Push/Pop
+// after it is O(1) apart from the tallest-node index's skip.
+func New(g *dag.Graph, m *machine.Machine, cfg Config, entry *nopins.EntryState) *Engine {
+	if entry == nil {
+		entry = &nopins.EntryState{}
+	}
 	n, np := g.N, len(m.Pipelines)
 	// One allocation backs every per-node and per-pipeline array, New's
 	// own scratch included: most searches stop at the root, so the
 	// engine's setup is a visible share of their cost.
-	slab := make([]int, 10*n+7*np)
+	slab := make([]int, 10*n+6*np)
 	ints := func(k int) []int {
 		s := slab[:k:k]
 		slab = slab[k:]
@@ -122,10 +114,10 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 	}
 	e := &Engine{
 		n:            n,
-		startTick:    cfg.StartTick,
+		startTick:    entry.StartTick,
 		tails:        ints(n),
 		byTail:       ints(n),
-		pipeIDs:      ints(np),
+		m:            m,
 		enq:          ints(np),
 		minTail:      ints(np),
 		forced:       ints(n),
@@ -139,13 +131,10 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 		savedEnqPipe: ints(n),
 	}
 	for i, p := range m.Pipelines {
-		e.pipeIDs[i] = p.ID
 		e.enq[i] = p.Enqueue
 		e.minTail[i] = math.MaxInt
-		if last, ok := cfg.PipeLast[p.ID]; ok {
-			e.lastEnq[i] = last
-		}
 	}
+	copy(e.lastEnq, entry.PipeLast)
 
 	// Minimum latency per node over its allowed pipelines: the weight a
 	// flow edge out of the node carries in the path bounds. Admissible
@@ -165,7 +154,7 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 			minLat[u] = min(minLat[u], m.Latency(p))
 		}
 		if len(set) == 1 && set[0] != machine.NoPipeline {
-			pi := slices.Index(e.pipeIDs, set[0])
+			pi := m.PipelineIndex(set[0])
 			e.forced[u] = pi
 			e.rem[pi]++
 		}
@@ -197,9 +186,9 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 	release, byRelease := ints(n), ints(n)
 	rootTick := 0
 	for v := 0; v < n; v++ {
-		r := cfg.StartTick + 1
-		if cfg.ReadyTick != nil && cfg.ReadyTick[v] > r {
-			r = cfg.ReadyTick[v]
+		r := entry.StartTick + 1
+		if entry.ReadyTick != nil && entry.ReadyTick[v] > r {
+			r = entry.ReadyTick[v]
 		}
 		if pi := e.forced[v]; pi >= 0 && e.lastEnq[pi] > 0 {
 			if t := e.lastEnq[pi] + e.enq[pi]; t > r {
@@ -237,7 +226,7 @@ func New(g *dag.Graph, m *machine.Machine, cfg Config) *Engine {
 			rootTick = max(rootTick, r+(cnt[pi]-1)*e.enq[pi]+minTail[pi])
 		}
 	}
-	if e.root = rootTick - n - cfg.StartTick; e.root < 0 {
+	if e.root = rootTick - n - entry.StartTick; e.root < 0 {
 		e.root = 0
 	}
 	return e
@@ -277,12 +266,10 @@ func (e *Engine) Push(u, pipeID, issue int) {
 	for e.tallest < e.n && e.done[e.byTail[e.tallest]] {
 		e.tallest++
 	}
-	if pipeID != machine.NoPipeline {
-		if pi := slices.Index(e.pipeIDs, pipeID); pi >= 0 {
-			e.savedEnqPipe[d] = pi
-			e.savedEnq[d] = e.lastEnq[pi]
-			e.lastEnq[pi] = issue
-		}
+	if pi := e.m.PipelineIndex(pipeID); pi >= 0 {
+		e.savedEnqPipe[d] = pi
+		e.savedEnq[d] = e.lastEnq[pi]
+		e.lastEnq[pi] = issue
 	}
 	if pi := e.forced[u]; pi >= 0 {
 		e.rem[pi]--

@@ -94,14 +94,8 @@ func randomBlocks(t *testing.T, seed int64, count, maxStatements, minTuples, max
 	return out
 }
 
-func cfgFor(mode nopins.AssignMode, entry *nopins.EntryState) bound.Config {
-	cfg := bound.Config{FixedAssign: mode == nopins.AssignFixed}
-	if entry != nil {
-		cfg.StartTick = entry.StartTick
-		cfg.PipeLast = entry.PipeLast
-		cfg.ReadyTick = entry.ReadyTick
-	}
-	return cfg
+func cfgFor(mode nopins.AssignMode) bound.Config {
+	return bound.Config{FixedAssign: mode == nopins.AssignFixed}
 }
 
 // TestRootAdmissible: the root bound never exceeds the true optimum, on
@@ -118,7 +112,7 @@ func TestRootAdmissible(t *testing.T) {
 		for _, m := range machines {
 			for _, mode := range modes {
 				opt, _ := bruteOptimal(g, m, mode, nil)
-				eng := bound.New(g, m, cfgFor(mode, nil))
+				eng := bound.New(g, m, cfgFor(mode), nil)
 				if eng.Root() > opt {
 					t.Fatalf("machine %s mode %v block %s: root LB %d > optimal %d",
 						m.Name, mode, g.Block.Label, eng.Root(), opt)
@@ -153,7 +147,7 @@ func TestLowerAdmissibleAlongOptimum(t *testing.T) {
 				// so its per-position pipes and issue ticks drive the
 				// engine; the bound must stay under THIS completion's cost
 				// (res.TotalNOPs, >= opt under greedy pipe choices).
-				eng := bound.New(g, m, cfgFor(mode, nil))
+				eng := bound.New(g, m, cfgFor(mode), nil)
 				for i := 0; i < g.N; i++ {
 					issue := eval.IssueAt(i)
 					eng.Push(eval.NodeAt(i), eval.PipeAt(i), issue)
@@ -178,12 +172,12 @@ func TestLowerAdmissibleAlongOptimum(t *testing.T) {
 func randomEntry(rng *rand.Rand, g *dag.Graph, m *machine.Machine) *nopins.EntryState {
 	entry := &nopins.EntryState{
 		StartTick: rng.Intn(6),
-		PipeLast:  map[int]int{},
+		PipeLast:  make([]int, len(m.Pipelines)),
 		ReadyTick: make([]int, g.N),
 	}
-	for _, p := range m.Pipelines {
+	for s := range m.Pipelines {
 		if rng.Intn(2) == 0 {
-			entry.PipeLast[p.ID] = entry.StartTick + rng.Intn(3)
+			entry.PipeLast[s] = entry.StartTick + rng.Intn(3)
 		}
 	}
 	for v := range entry.ReadyTick {
@@ -220,7 +214,7 @@ func TestBoundsAdmissibleEveryPrefix(t *testing.T) {
 				}
 				eval := nopins.NewEvaluator(g, m, mode)
 				eval.SetEntryState(entry)
-				eng := bound.New(g, m, cfgFor(mode, entry))
+				eng := bound.New(g, m, cfgFor(mode), entry)
 				// least returns the cheapest completion of the current
 				// prefix, checking Lower after every placement below it.
 				var least func() int
@@ -289,7 +283,7 @@ func TestPushPopRestoresRoot(t *testing.T) {
 	m := machine.SimulationMachine()
 	for _, g := range smallBlocks(t, 3, 20, 8) {
 		eval := nopins.NewEvaluator(g, m, nopins.AssignFixed)
-		eng := bound.New(g, m, bound.Config{FixedAssign: true})
+		eng := bound.New(g, m, bound.Config{FixedAssign: true}, nil)
 		cp0, res0 := eng.Lower(0)
 		// Any legal order: program order is topological.
 		for u := 0; u < g.N; u++ {
@@ -316,7 +310,7 @@ func TestRootAdmissibleWithEntryState(t *testing.T) {
 	for _, g := range smallBlocks(t, 4, 25, 6) {
 		entry := randomEntry(rng, g, m)
 		opt, _ := bruteOptimal(g, m, nopins.AssignFixed, entry)
-		eng := bound.New(g, m, cfgFor(nopins.AssignFixed, entry))
+		eng := bound.New(g, m, cfgFor(nopins.AssignFixed), entry)
 		if eng.Root() > opt {
 			t.Fatalf("block %s entry %+v: root LB %d > optimal %d",
 				g.Block.Label, entry, eng.Root(), opt)
@@ -344,7 +338,7 @@ func TestRootOnChain(t *testing.T) {
 	if opt != 5 {
 		t.Fatalf("chain: optimal %d, want 5", opt)
 	}
-	eng := bound.New(g, m, bound.Config{FixedAssign: true})
+	eng := bound.New(g, m, bound.Config{FixedAssign: true}, nil)
 	if eng.Root() != 5 {
 		t.Fatalf("chain: root LB %d, want 5 (second load at tick 2 + 8-tick chain - 5 issues)", eng.Root())
 	}
@@ -362,7 +356,7 @@ func TestResourceBoundDominates(t *testing.T) {
 `)
 	m := machine.SimulationMachine() // multiplier enqueue 2
 	opt, _ := bruteOptimal(g, m, nopins.AssignFixed, nil)
-	eng := bound.New(g, m, bound.Config{FixedAssign: true})
+	eng := bound.New(g, m, bound.Config{FixedAssign: true}, nil)
 	if eng.Root() > opt {
 		t.Fatalf("mulburst: root LB %d > optimal %d", eng.Root(), opt)
 	}

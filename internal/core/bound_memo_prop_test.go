@@ -230,10 +230,10 @@ func TestMemoKeysFitRandomEntryStates(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := rng.Intn(40)
-		entry := &nopins.EntryState{StartTick: start, PipeLast: map[int]int{}, ReadyTick: make([]int, g.N)}
-		for _, p := range m.Pipelines {
+		entry := &nopins.EntryState{StartTick: start, PipeLast: make([]int, len(m.Pipelines)), ReadyTick: make([]int, g.N)}
+		for s, p := range m.Pipelines {
 			if rng.Intn(2) == 0 {
-				entry.PipeLast[p.ID] = start - rng.Intn(p.Enqueue+2)
+				entry.PipeLast[s] = start - rng.Intn(p.Enqueue+2)
 			}
 		}
 		for v := range entry.ReadyTick {

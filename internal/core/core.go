@@ -161,7 +161,8 @@ type Options struct {
 
 	// Entry, when non-nil, supplies cross-block initial conditions
 	// (pipeline reservations and in-flight values from preceding code) —
-	// the paper's footnote 1 extension, also used by the block splitter.
+	// the paper's footnote 1 extension, also used by the section 5.3
+	// windows (internal/seqsched).
 	Entry *nopins.EntryState
 }
 

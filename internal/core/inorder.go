@@ -51,11 +51,7 @@ func newInOrderEval(p *problem) *inOrderEval {
 	if p.opts.DisableLowerBound && p.opts.DisableMemo {
 		return e
 	}
-	cfg := bound.Config{FixedAssign: p.opts.Assign == nopins.AssignFixed}
-	if entry := p.opts.Entry; entry != nil {
-		cfg.StartTick, cfg.PipeLast, cfg.ReadyTick = entry.StartTick, entry.PipeLast, entry.ReadyTick
-	}
-	e.bnd = bound.New(p.g, p.m, cfg)
+	e.bnd = bound.New(p.g, p.m, bound.Config{FixedAssign: p.opts.Assign == nopins.AssignFixed}, p.opts.Entry)
 	return e
 }
 
@@ -126,8 +122,8 @@ func (e *inOrderEval) maxResidual() int {
 		r = max(r, p.Latency, p.Enqueue)
 	}
 	if entry := e.opts.Entry; entry != nil {
-		for id, last := range entry.PipeLast {
-			r = max(r, last-entry.StartTick+e.m.EnqueueTime(id))
+		for s, last := range entry.PipeLast {
+			r = max(r, last-entry.StartTick+e.m.Pipelines[s].Enqueue)
 		}
 		for _, t := range entry.ReadyTick {
 			r = max(r, t-entry.StartTick)

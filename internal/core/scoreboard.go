@@ -198,7 +198,7 @@ func newScoreboardEval(p *problem) (*scoreboardEval, error) {
 		e.pipeOf[u], e.slot[u] = machine.NoPipeline, -1
 		if set := p.pipeSets()[u]; len(set) > 0 {
 			e.pipeOf[u] = set[0]
-			e.slot[u] = slices.IndexFunc(m.Pipelines, func(q machine.Pipeline) bool { return q.ID == set[0] })
+			e.slot[u] = m.PipelineIndex(set[0])
 		}
 		e.flowLat[u] = max(1, m.Latency(e.pipeOf[u]))
 		for _, d := range g.Preds[u] {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -262,20 +261,6 @@ func (c *Campaign) CSV() string {
 			r.Tuples, r.InitialNOPs, r.ListNOPs, r.FinalNOPs, r.OmegaCalls, r.Completed, r.Elapsed.Nanoseconds())
 	}
 	return sb.String()
-}
-
-// SizesSorted returns the distinct block sizes present, ascending.
-func (c *Campaign) SizesSorted() []int {
-	set := map[int]bool{}
-	for _, r := range c.Records {
-		set[r.Tuples] = true
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // DetailTable renders distribution detail beyond the paper's Table 7:

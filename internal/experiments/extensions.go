@@ -8,7 +8,7 @@ import (
 	"pipesched/internal/core"
 	"pipesched/internal/dag"
 	"pipesched/internal/machine"
-	"pipesched/internal/splitter"
+	"pipesched/internal/seqsched"
 	"pipesched/internal/synth"
 )
 
@@ -102,14 +102,14 @@ func RunWindowSweep(seed int64, blocks, statements int, m *machine.Machine,
 	for _, w := range windows {
 		var nops, omega, optWins, wins float64
 		for _, g := range pool {
-			r, err := splitter.Schedule(g, m, w, core.Options{Lambda: 20000})
+			s, windows, optimal, err := seqsched.Windows(g, m, w, core.Options{Lambda: 20000})
 			if err != nil {
 				return nil, err
 			}
-			nops += float64(r.TotalNOPs)
-			omega += float64(r.OmegaCalls)
-			optWins += float64(r.OptimalWindows)
-			wins += float64(r.Windows)
+			nops += float64(s.TotalNOPs)
+			omega += float64(s.Stats.OmegaCalls)
+			optWins += float64(optimal)
+			wins += float64(windows)
 		}
 		n := float64(len(pool))
 		row := WindowSweepRow{

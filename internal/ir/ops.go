@@ -81,15 +81,6 @@ func (o Op) ProducesValue() bool {
 	return false
 }
 
-// IsArith reports whether o is a pure arithmetic operation.
-func (o Op) IsArith() bool {
-	switch o {
-	case Add, Sub, Mul, Div, Mod, Neg:
-		return true
-	}
-	return false
-}
-
 // IsCommutative reports whether o's operands may be exchanged.
 func (o Op) IsCommutative() bool { return o == Add || o == Mul }
 

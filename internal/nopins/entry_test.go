@@ -1,8 +1,10 @@
 package nopins
 
 import (
+	"slices"
 	"testing"
 
+	"pipesched/internal/ir"
 	"pipesched/internal/machine"
 )
 
@@ -50,7 +52,7 @@ func TestEntryStatePipeLast(t *testing.T) {
 	m := machine.SimulationMachine()
 	mulPipe := m.PipelineFor(g.Block.Tuples[0].Op)
 	e := NewEvaluator(g, m, AssignFixed)
-	e.SetEntryState(&EntryState{StartTick: 3, PipeLast: map[int]int{mulPipe: 3}})
+	e.SetEntryState(&EntryState{StartTick: 3, PipeLast: pipeLastAt(m, mulPipe, 3)})
 	eta := e.Push(0)
 	if eta != 1 || e.IssueAt(0) != 5 {
 		t.Errorf("eta=%d issue=%d, want 1 and 5", eta, e.IssueAt(0))
@@ -72,7 +74,7 @@ func TestEntryStatePipeLastShadowedByInWindowUse(t *testing.T) {
 	m := machine.SimulationMachine()
 	mulPipe := m.PipelineFor(g.Block.Tuples[0].Op)
 	e := NewEvaluator(g, m, AssignFixed)
-	e.SetEntryState(&EntryState{StartTick: 2, PipeLast: map[int]int{mulPipe: 2}})
+	e.SetEntryState(&EntryState{StartTick: 2, PipeLast: pipeLastAt(m, mulPipe, 2)})
 	e.Push(0) // first Mul: boundary spacing 2 -> eta 1, issues at 4
 	if e.IssueAt(0) != 4 {
 		t.Fatalf("first Mul issued at %d, want 4", e.IssueAt(0))
@@ -122,5 +124,32 @@ func TestEntryStateSurvivesReset(t *testing.T) {
 	e.Push(0)
 	if e.IssueAt(0) != 8 {
 		t.Errorf("entry state lost across Reset: issue %d, want 8", e.IssueAt(0))
+	}
+}
+
+// pipeLastAt is an EntryState.PipeLast whose only enqueue is pipeline
+// id's, at tick.
+func pipeLastAt(m *machine.Machine, id, tick int) []int {
+	last := make([]int, len(m.Pipelines))
+	last[m.PipelineIndex(id)] = tick
+	return last
+}
+
+// TestEntryStateAdvance: advancing past a piece moves the clock to its
+// last issue and each used pipeline's slot to its last enqueue, and
+// leaves a pipeline the piece did not use as it was.
+func TestEntryStateAdvance(t *testing.T) {
+	m := machine.SimulationMachine()
+	mul, load := m.PipelineFor(ir.Mul), m.PipelineFor(ir.Load)
+	s := EntryState{StartTick: 3, PipeLast: pipeLastAt(m, mul, 2)}
+	issue := make([]int, 3)
+	s.Advance(m, []int{1, 0, 2}, []int{load, machine.NoPipeline, load}, issue)
+	if s.StartTick != 9 || !slices.Equal(issue, []int{5, 6, 9}) {
+		t.Errorf("StartTick=%d issue=%v, want 9 and [5 6 9]", s.StartTick, issue)
+	}
+	want := pipeLastAt(m, mul, 2)
+	want[m.PipelineIndex(load)] = 9
+	if !slices.Equal(s.PipeLast, want) {
+		t.Errorf("PipeLast=%v, want %v", s.PipeLast, want)
 	}
 }

@@ -68,7 +68,7 @@ type Evaluator struct {
 	n         int   // number of placed positions
 	total     int   // μ of the current partial schedule
 
-	// lastEnq is, per pipeline slot (index into M.Pipelines), the tick of
+	// lastEnq is, per pipeline slot (machine.PipelineIndex), the tick of
 	// its most recent enqueue: in the prefix, else EntryState.PipeLast,
 	// else noEnqueue.
 	lastEnq []int
@@ -123,8 +123,7 @@ func NewEvaluator(g *dag.Graph, m *machine.Machine, mode AssignMode) *Evaluator 
 		e.pipeSets[u] = set
 		start := len(timing)
 		for _, p := range set {
-			slot := slices.IndexFunc(m.Pipelines, func(q machine.Pipeline) bool { return q.ID == p })
-			timing = append(timing, pipeTiming{lat: m.Latency(p), enq: m.EnqueueTime(p), slot: slot})
+			timing = append(timing, pipeTiming{lat: m.Latency(p), enq: m.EnqueueTime(p), slot: m.PipelineIndex(p)})
 		}
 		e.timing[u] = timing[start:len(timing):len(timing)]
 		e.posOf[u] = -1
@@ -140,10 +139,10 @@ func (e *Evaluator) Reset() {
 	}
 	e.n = 0
 	e.total = 0
-	for s, p := range e.M.Pipelines {
+	for s := range e.lastEnq {
 		e.lastEnq[s] = noEnqueue
-		if last, ok := e.entry.PipeLast[p.ID]; ok {
-			e.lastEnq[s] = last
+		if e.entry.PipeLast != nil && e.entry.PipeLast[s] > 0 {
+			e.lastEnq[s] = e.entry.PipeLast[s]
 		}
 	}
 }
@@ -160,9 +159,6 @@ func (e *Evaluator) Scheduled(u int) bool { return e.posOf[u] >= 0 }
 
 // NodeAt returns the node placed at position i.
 func (e *Evaluator) NodeAt(i int) int { return e.nodeAt[i] }
-
-// EtaAt returns η(i), the NOPs inserted immediately before position i.
-func (e *Evaluator) EtaAt(i int) int { return e.etaAt[i] }
 
 // PipeAt returns the pipeline assigned to the instruction at position i.
 func (e *Evaluator) PipeAt(i int) int { return e.pipeAt[i] }
@@ -358,10 +354,27 @@ type EntryState struct {
 	// permitted by dependences on instructions OUTSIDE the block (e.g.
 	// values still in flight from the previous block or window).
 	ReadyTick []int
-	// PipeLast maps a pipeline ID to the absolute tick of its most
-	// recent enqueue before this block, for cross-boundary conflict
-	// (enqueue-time) constraints.
-	PipeLast map[int]int
+	// PipeLast, when non-nil, gives per pipeline slot (the machine's
+	// PipelineIndex) the absolute tick of its most recent enqueue before
+	// this block, for cross-boundary conflict (enqueue-time) constraints.
+	// Issue ticks start at 1, so 0 means the pipeline was never enqueued.
+	PipeLast []int
+}
+
+// Advance moves s past a piece of code scheduled from it: position k
+// issues after eta[k] NOPs on pipeline pipes[k]. s.PipeLast must hold a
+// slot per pipeline of m. issue, when non-nil, receives each position's
+// absolute issue tick.
+func (s *EntryState) Advance(m *machine.Machine, eta, pipes, issue []int) {
+	for k, p := range pipes {
+		s.StartTick += eta[k] + 1
+		if issue != nil {
+			issue[k] = s.StartTick
+		}
+		if slot := m.PipelineIndex(p); slot >= 0 {
+			s.PipeLast[slot] = s.StartTick
+		}
+	}
 }
 
 // SetEntryState installs entry conditions and resets the schedule. A nil
@@ -372,6 +385,9 @@ func (e *Evaluator) SetEntryState(s *EntryState) {
 	} else {
 		if s.ReadyTick != nil && len(s.ReadyTick) != e.G.N {
 			panic(fmt.Sprintf("nopins: ReadyTick length %d != %d nodes", len(s.ReadyTick), e.G.N))
+		}
+		if s.PipeLast != nil && len(s.PipeLast) != len(e.M.Pipelines) {
+			panic(fmt.Sprintf("nopins: PipeLast length %d != %d pipelines", len(s.PipeLast), len(e.M.Pipelines)))
 		}
 		e.entry = *s
 	}

@@ -340,12 +340,10 @@ func (s *scratch) cse(b *ir.Block) bool {
 	return changed
 }
 
-// DeadStoreElim removes a Store whose variable is overwritten by a later
+// deadStoreElim removes a Store whose variable is overwritten by a later
 // Store in the same block with no intervening Load of that variable.
 // (Memory is live at block end, so the last store to each variable
 // always survives.)
-func DeadStoreElim(b *ir.Block) bool { return new(scratch).deadStoreElim(b) }
-
 func (s *scratch) deadStoreElim(b *ir.Block) bool {
 	// Every variable this sweep interns gets a number below this bound.
 	overwritten := cleared(&s.flags, len(s.vars)+len(b.Tuples)) // true: next access below is a Store
@@ -371,11 +369,9 @@ func (s *scratch) deadStoreElim(b *ir.Block) bool {
 	return removed
 }
 
-// DCE removes value-producing tuples (and Nops) whose results are never
+// dce removes value-producing tuples (and Nops) whose results are never
 // referenced. Stores are the block's only side effects and are always
-// retained here (DeadStoreElim handles dead stores).
-func DCE(b *ir.Block) bool { return new(scratch).dce(b) }
-
+// retained here (deadStoreElim handles dead stores).
 func (s *scratch) dce(b *ir.Block) bool {
 	used := cleared(&s.flags, len(b.Tuples)) // by position
 	for i := range b.Tuples {

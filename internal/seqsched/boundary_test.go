@@ -2,6 +2,7 @@ package seqsched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +50,9 @@ func TestGroupingAssociativityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		right, err := ScheduleFrom(blocks[cut:], m, opts, exitState(left))
+		rightOpts := opts
+		rightOpts.Entry = exitState(m, nil, left)
+		right, err := Schedule(blocks[cut:], m, rightOpts)
 		if err != nil {
 			return false
 		}
@@ -62,15 +65,10 @@ func TestGroupingAssociativityProperty(t *testing.T) {
 			return false
 		}
 		// Exit reservations agree pipe by pipe (stale entries below the
-		// final tick can never matter, but the maps are built the same
+		// final tick can never matter, but the states are built the same
 		// way in both groupings, so demand equality outright).
-		if len(right.ExitPipeLast) != len(whole.ExitPipeLast) {
+		if !slices.Equal(exitState(m, rightOpts.Entry, right).PipeLast, exitState(m, nil, whole).PipeLast) {
 			return false
-		}
-		for p, v := range whole.ExitPipeLast {
-			if right.ExitPipeLast[p] != v {
-				return false
-			}
 		}
 		// Per-block schedules are identical orders, not just equal costs.
 		all := append(append([]BlockSchedule{}, left.Blocks...), right.Blocks...)
@@ -134,8 +132,8 @@ func TestSeamLegalUnderScoreboardProperty(t *testing.T) {
 	}
 }
 
-// TestScheduleFromColdMatchesSchedule: a nil entry and a zero entry are
-// the same cold start.
+// TestScheduleFromColdMatchesSchedule: scheduling from a nil entry and
+// from a zero entry are the same cold start.
 func TestScheduleFromColdMatchesSchedule(t *testing.T) {
 	m := machine.SimulationMachine()
 	blocks := boundaryBlocks(t)
@@ -143,7 +141,7 @@ func TestScheduleFromColdMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ScheduleFrom(blocks, m, core.Options{Lambda: 1000}, nil)
+	b, err := Schedule(blocks, m, core.Options{Lambda: 1000, Entry: &nopins.EntryState{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +150,42 @@ func TestScheduleFromColdMatchesSchedule(t *testing.T) {
 	}
 }
 
-// exitState is the entry state a sequence continuing after r starts from.
-func exitState(r *Result) *nopins.EntryState {
-	pl := make(map[int]int, len(r.ExitPipeLast))
-	for k, v := range r.ExitPipeLast {
-		pl[k] = v
+// exitState is the entry state a sequence continuing after r, which
+// started from start (nil for a cold start), starts from.
+func exitState(m *machine.Machine, start *nopins.EntryState, r *Result) *nopins.EntryState {
+	exit := &nopins.EntryState{PipeLast: make([]int, len(m.Pipelines))}
+	if start != nil {
+		exit.StartTick = start.StartTick
+		copy(exit.PipeLast, start.PipeLast)
 	}
-	return &nopins.EntryState{StartTick: r.TotalTicks, PipeLast: pl}
+	for _, bs := range r.Blocks {
+		exit.Advance(m, bs.Sched.Eta, bs.Sched.Pipes, nil)
+	}
+	return exit
+}
+
+// TestWarmEntryCarriesReservations: a sequence started from the state an
+// earlier one left pays that state's boundary conflicts, whether it is
+// searched or seeded — the second multiply waits out the first's enqueue
+// time across the split.
+func TestWarmEntryCarriesReservations(t *testing.T) {
+	m := machine.SimulationMachine() // multiplier enqueue 2
+	blocks := boundaryBlocks(t)
+	left, err := Schedule(blocks[:1], m, core.Options{Lambda: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Lambda: 1000, Entry: exitState(m, nil, left)}
+	for name, schedule := range map[string]func([]*ir.Block, *machine.Machine, core.Options) (*Result, error){
+		"Schedule": Schedule, "ScheduleSeed": ScheduleSeed,
+	} {
+		right, err := schedule(blocks[1:], m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if right.TotalNOPs != 1 || right.TotalTicks != 3 || right.Blocks[0].StartTick != 1 {
+			t.Errorf("%s: NOPs=%d ticks=%d start=%d, want 1, 3 and 1",
+				name, right.TotalNOPs, right.TotalTicks, right.Blocks[0].StartTick)
+		}
+	}
 }

@@ -43,7 +43,6 @@ import (
 	"pipesched/internal/regalloc"
 	"pipesched/internal/seqsched"
 	"pipesched/internal/sim"
-	"pipesched/internal/splitter"
 	"pipesched/internal/telemetry"
 	"pipesched/internal/tuplegen"
 )
@@ -299,20 +298,14 @@ func blockSearch(workers int) searchFunc {
 	return core.Find
 }
 
-// windowedSearch is the section 5.3 splitter as a search stage. Its
+// windowedSearch is the section 5.3 windows as a search stage. Its
 // result is globally heuristic even when every window is locally
 // optimal, so it carries the whole-block root bound as its certificate.
 func windowedSearch(window int) searchFunc {
 	return func(g *dag.Graph, m *Machine, copts core.Options) (*core.Schedule, error) {
-		r, err := splitter.Schedule(g, m, window, copts)
+		s, _, _, err := seqsched.Windows(g, m, window, copts)
 		if err != nil {
 			return nil, err
-		}
-		s := &core.Schedule{
-			Order: r.Order, Eta: r.Eta, Pipes: r.Pipes,
-			TotalNOPs: r.TotalNOPs, Ticks: r.Ticks, InitialNOPs: r.InitialNOPs,
-			Optimal: r.Stopped == nil, Stopped: r.Stopped,
-			Stats: core.Stats{OmegaCalls: r.OmegaCalls, Curtailed: r.Stopped != nil},
 		}
 		s.RootLB, s.Gap = rootGap(g, m, copts.Assign, s.TotalNOPs)
 		return s, nil
@@ -326,7 +319,7 @@ func windowedSearch(window int) searchFunc {
 // (0, GapUnknown).
 func rootGap(g *dag.Graph, m *Machine, assign nopins.AssignMode, total int) (lb, gap int) {
 	if f, err := isolate(faultinject.Search, g.Block.Label, func() error {
-		lb = bound.New(g, m, bound.Config{FixedAssign: assign == nopins.AssignFixed}).Root()
+		lb = bound.New(g, m, bound.Config{FixedAssign: assign == nopins.AssignFixed}, nil).Root()
 		return nil
 	}); f != nil || err != nil {
 		return 0, GapUnknown
@@ -659,7 +652,7 @@ func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options
 }
 
 // ScheduleLargeCtx is ScheduleLarge with cooperative cancellation and
-// the same degradation ladder as ScheduleCtx, with the windowed splitter
+// the same degradation ladder as ScheduleCtx, with the section 5.3 windows
 // as its search stage: windows whose search is cut short fall back to
 // their list-schedule seeds (Incumbent); a failed search stage falls
 // back to the whole-block seed (Heuristic); a failed DAG stage falls
