@@ -229,6 +229,51 @@ func TestScheduleSequenceEmpty(t *testing.T) {
 	}
 }
 
+// TestSequenceHeuristicOnly: HeuristicOnly skips the search in a
+// sequence exactly as in a single block. Every block comes back on the
+// Heuristic rung, with no Ω-calls and a certified gap.
+func TestSequenceHeuristicOnly(t *testing.T) {
+	src := `
+block a {
+    x = p * q
+    y = x * r + p * s
+    z = y * x
+}
+block b {
+    w = z * z + y
+}
+`
+	m, o := ExampleMachine(), Options{HeuristicOnly: true}
+	blocks, err := CompileSequence(src, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var originals []*Block
+	for _, c := range blocks.Blocks {
+		originals = append(originals, c.Original)
+	}
+	ctx := context.Background()
+	compiled, err := CompileSequenceCtx(ctx, src, m, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduled, err := ScheduleSequenceCtx(ctx, originals, m, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*SequenceResult{"CompileSequenceCtx": compiled, "ScheduleSequenceCtx": scheduled} {
+		if r.Quality != Heuristic || r.Optimal || len(r.Blocks) != 2 {
+			t.Errorf("%s: quality=%v optimal=%v blocks=%d, want 2 heuristic blocks", name, r.Quality, r.Optimal, len(r.Blocks))
+		}
+		for _, c := range r.Blocks {
+			if c.Quality != Heuristic || c.Stats.OmegaCalls != 0 || c.Gap < 0 {
+				t.Errorf("%s block %s: quality=%v omega=%d gap=%d, want heuristic, 0 and ≥ 0",
+					name, c.Original.Label, c.Quality, c.Stats.OmegaCalls, c.Gap)
+			}
+		}
+	}
+}
+
 func TestCompileTeraMode(t *testing.T) {
 	m := SimulationMachine()
 	c, err := Compile("x = a * b\ny = x * x\n", m, Options{Mode: TeraInterlock})

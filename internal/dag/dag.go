@@ -426,18 +426,6 @@ func Induced(parent *Graph, nodes []int) *Graph {
 	return sub
 }
 
-// ExternalPreds returns, for node u of the parent graph, its immediate
-// predecessors that are NOT in the given selection.
-func (g *Graph) ExternalPreds(u int, selected map[int]bool) []Dep {
-	var out []Dep
-	for _, d := range g.Preds[u] {
-		if !selected[d.Node] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // RegAnti and RegOutput are the artificial dependence kinds introduced
 // when code is scheduled AFTER register allocation: reuse of a register
 // name orders instructions that have no value relationship. The paper's

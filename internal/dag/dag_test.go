@@ -429,18 +429,6 @@ func TestInducedPanicsOnBadInput(t *testing.T) {
 	}
 }
 
-func TestExternalPreds(t *testing.T) {
-	g := mustBuild(t, fig3(t))
-	sel := map[int]bool{2: true, 3: true}
-	ext := g.ExternalPreds(3, sel)
-	if len(ext) != 1 || ext[0].Node != 0 {
-		t.Errorf("ExternalPreds(3) = %v, want the Const node", ext)
-	}
-	if got := g.ExternalPreds(2, sel); len(got) != 0 {
-		t.Errorf("ExternalPreds(2) = %v, want none", got)
-	}
-}
-
 func TestBuildWithRegisterConstraints(t *testing.T) {
 	// Two independent computations forced into ONE register: reuse
 	// serializes them completely.

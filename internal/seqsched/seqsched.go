@@ -155,11 +155,8 @@ func ScheduleSeed(blocks []*ir.Block, m *machine.Machine, opts core.Options) (*R
 		if err != nil {
 			return nil, err
 		}
-		// Even the heuristic rung carries a certificate: the root lower
-		// bound under this block's entry state proves the seed is within
-		// Gap NOPs of the block's optimum.
-		s.RootLB = bound.New(g, m, bound.Config{FixedAssign: opts.Assign == nopins.AssignFixed}, entry).Root()
-		s.Gap = max(s.TotalNOPs-s.RootLB, 0)
+		// Even the heuristic rung carries a certificate.
+		certify(s, g, m, opts.Assign, entry)
 		return s, nil
 	})
 	if err != nil {
@@ -182,6 +179,13 @@ func Price(blocks []*ir.Block, orders [][]int, m *machine.Machine, assign nopins
 	}
 	r.Optimal = false
 	return r, nil
+}
+
+// certify attaches the root lower bound of g under entry to s, g's
+// schedule: s is provably within Gap NOPs of g's optimum.
+func certify(s *core.Schedule, g *dag.Graph, m *machine.Machine, assign nopins.AssignMode, entry *nopins.EntryState) {
+	s.RootLB = bound.New(g, m, bound.Config{FixedAssign: assign == nopins.AssignFixed}, entry).Root()
+	s.Gap = max(s.TotalNOPs-s.RootLB, 0)
 }
 
 // price evaluates one block's order under its entry state.
@@ -209,10 +213,11 @@ func price(g *dag.Graph, m *machine.Machine, assign nopins.AssignMode, entry *no
 // exponential in the block size.
 //
 // It returns the whole block's schedule (its InitialNOPs sums the
-// windows' seeds, and Optimal and Stopped cover every window; RootLB and
-// Gap are left to the caller), the number of windows, and how many of
-// them searched to completion. When opts.Ctx is done, every remaining
-// window keeps its list-schedule seed, so the result stays legal.
+// windows' seeds, Optimal and Stopped cover every window, and RootLB and
+// Gap certify it against the whole block's root bound from opts.Entry),
+// the number of windows, and how many of them searched to completion.
+// When opts.Ctx is done, every remaining window keeps its list-schedule
+// seed, so the result stays legal.
 func Windows(g *dag.Graph, m *machine.Machine, window int, opts core.Options) (s *core.Schedule, windows, optimal int, err error) {
 	if window <= 0 {
 		window = 20
@@ -279,6 +284,7 @@ func Windows(g *dag.Graph, m *machine.Machine, window int, opts core.Options) (s
 	s.TotalNOPs, s.Ticks = r.TotalNOPs, r.TotalTicks
 	s.Optimal, s.Stopped = r.Stopped == nil, r.Stopped
 	s.Stats.Curtailed = r.Stopped != nil
+	certify(s, g, m, opts.Assign, opts.Entry)
 	return s, len(r.Blocks), optimal, nil
 }
 

@@ -176,10 +176,14 @@ type Options struct {
 
 	// HeuristicOnly skips the branch-and-bound search entirely and
 	// returns the Heuristic rung directly: the list-schedule seed priced
-	// by the NOP-insertion analysis. The result is legal and fast but
-	// carries no optimality proof (Compiled.Quality == Heuristic).
-	// Services use it as the fail-fast path for blocks whose search has
-	// repeatedly blown its budget (see internal/server's circuit breaker).
+	// by the NOP-insertion analysis, with its root-bound certificate
+	// (Compiled.Gap). The result is legal and fast but carries no
+	// optimality proof (Compiled.Quality == Heuristic). Every entry point
+	// honours it: ScheduleLarge prices the whole block's seed instead of
+	// searching windows, and a sequence prices every block's seed from the
+	// pipeline state the blocks before it left. Services use it as the
+	// fail-fast path for blocks whose search has repeatedly blown its
+	// budget (see internal/server's circuit breaker).
 	HeuristicOnly bool
 
 	// Workers > 1 runs the branch-and-bound in parallel: first-level
@@ -315,7 +319,14 @@ type SequenceResult struct {
 //
 // The per-block Compiled results carry each block's own assembly (whose
 // leading NOPs implement the boundary delays) and per-block register
-// allocation; TotalNOPs and TotalTicks describe the whole sequence.
+// allocation; TotalNOPs and TotalTicks describe the whole sequence, and
+// each block's Ticks is the absolute tick of its last issue. The sequence
+// walks the same degradation ladder as Schedule, each rung applied to
+// every block (Options.HeuristicOnly included), and the delivered
+// schedule is replayed on the simulator over the graph of the whole
+// sequence, boundary delays included. Like Schedule, it returns
+// degraded-but-legal results with a nil error; use ScheduleSequenceCtx to
+// observe why. The scoreboard mode is unsupported (ErrModeUnsupported).
 func ScheduleSequence(blocks []*Block, m *Machine, o Options) (*SequenceResult, error) {
 	return suppressDegraded(ScheduleSequenceCtx(context.Background(), blocks, m, o))
 }
@@ -348,7 +359,8 @@ func CountLegalSchedules(block *Block, limit int64) (int64, error) {
 // scheduling the blocks as a straight-line sequence with pipeline state
 // threaded across the boundaries. Each block is lowered — and, per
 // Options, optimized — independently, exactly as the paper's compiler
-// treats basic blocks, then ScheduleSequence applies footnote 1.
+// treats basic blocks, then the blocks are scheduled as ScheduleSequence
+// schedules them (footnote 1), with the same Options, ladder and replay.
 func CompileSequence(src string, m *Machine, o Options) (*SequenceResult, error) {
 	return suppressDegraded(CompileSequenceCtx(context.Background(), src, m, o))
 }

@@ -13,6 +13,9 @@
 //	Baseline  → even the DAG was unavailable; program order with
 //	            conservative full-drain NOP padding
 //
+// One driver, ladder, walks these rungs for every entry point: a single
+// block is a sequence of one, and only the search stage differs.
+//
 // Every rung yields a legal, hazard-free schedule (re-verified by the
 // independent simulator whenever a dependence graph exists). A degraded
 // result is returned TOGETHER with a typed error (ErrCurtailed,
@@ -30,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pipesched/internal/bound"
 	"pipesched/internal/codegen"
 	"pipesched/internal/core"
 	"pipesched/internal/dag"
@@ -89,23 +91,47 @@ func tracePoint(ctx context.Context, name string, attrs ...string) {
 	}
 }
 
-// beginCompile opens the per-block telemetry accounting for one public
-// entry point; the returned func records the finished block. Both ends
-// collapse to atomic no-ops when telemetry is off.
-func beginCompile() func(*Compiled) {
+// compileRecord is the telemetry accounting of one public entry point,
+// opened by beginCompile and closed by done. Both ends are no-ops when
+// telemetry is off.
+type compileRecord struct {
+	pm    *telemetry.Metrics
+	start time.Time
+}
+
+func beginCompile() compileRecord {
 	pm := telemetry.Active()
 	if pm == nil {
-		return func(*Compiled) {}
+		return compileRecord{}
 	}
 	pm.InFlight.Add(1)
-	start := time.Now()
-	return func(c *Compiled) {
-		pm.InFlight.Add(-1)
-		if c == nil || c.Scheduled == nil {
-			return
+	return compileRecord{pm: pm, start: time.Now()}
+}
+
+// done is the one record path: it folds every finished block (none, or
+// nil, after a hard failure) into the metric set — the search, when one
+// produced the schedule, the certified gap and the compile. The blocks of
+// a longer sequence share one wall time, so they record none of their own.
+func (r compileRecord) done(cs ...*Compiled) {
+	if r.pm == nil {
+		return
+	}
+	r.pm.InFlight.Add(-1)
+	var elapsed time.Duration
+	if len(cs) == 1 {
+		elapsed = time.Since(r.start)
+	}
+	for _, c := range cs {
+		if c == nil {
+			continue
 		}
-		pm.RecordCompile(c.Scheduled.Label, int(c.Quality), c.Scheduled.Len(),
-			c.InitialNOPs, c.TotalNOPs, len(c.Faults), time.Since(start))
+		label := c.Scheduled.Label
+		if c.Quality < Heuristic {
+			r.pm.RecordSearch(label, c.Stats)
+		}
+		r.pm.RecordGap(label, c.Gap, c.Stats.OmegaCalls)
+		r.pm.RecordCompile(label, int(c.Quality), c.Scheduled.Len(),
+			c.InitialNOPs, c.TotalNOPs, len(c.Faults), elapsed)
 	}
 }
 
@@ -219,7 +245,7 @@ func CompileCtx(ctx context.Context, src string, m *Machine, o Options) (*Compil
 	if err := validateMachine(m); err != nil {
 		return nil, err
 	}
-	done := beginCompile()
+	rec := beginCompile()
 	var block *Block
 	fault, err := runStage(ctx, faultinject.Frontend, "block", func(context.Context) error {
 		var e error
@@ -227,11 +253,11 @@ func CompileCtx(ctx context.Context, src string, m *Machine, o Options) (*Compil
 		return e
 	})
 	if fault != nil {
-		done(nil)
+		rec.done()
 		return nil, fault // nothing to schedule: hard failure
 	}
 	if err != nil {
-		done(nil)
+		rec.done()
 		return nil, fmt.Errorf("%w: %w", ErrInvalidSource, err)
 	}
 	var faults []*StageError
@@ -242,7 +268,7 @@ func CompileCtx(ctx context.Context, src string, m *Machine, o Options) (*Compil
 	if c != nil {
 		c.Source = src
 	}
-	done(c)
+	rec.done(c)
 	return c, err
 }
 
@@ -255,9 +281,9 @@ func ScheduleCtx(ctx context.Context, block *Block, m *Machine, o Options) (*Com
 	if err := validateBlock(block); err != nil {
 		return nil, err
 	}
-	done := beginCompile()
+	rec := beginCompile()
 	c, err := scheduleCtx(ctx, block, m, o, blockSearch(o.Workers), nil)
-	done(c)
+	rec.done(c)
 	return c, err
 }
 
@@ -283,8 +309,8 @@ func optimizeStage(ctx context.Context, block *Block, o Options) (*Block, *Stage
 	return optimized, nil
 }
 
-// searchFunc is the search stage of the degradation ladder: it schedules
-// a block's whole dependence graph under the given core options.
+// searchFunc is the search stage of one block: it schedules the block's
+// whole dependence graph from cold pipelines under the given core options.
 type searchFunc func(g *dag.Graph, m *Machine, copts core.Options) (*core.Schedule, error)
 
 // blockSearch is the whole-block branch-and-bound, parallel when the
@@ -300,200 +326,245 @@ func blockSearch(workers int) searchFunc {
 
 // windowedSearch is the section 5.3 windows as a search stage. Its
 // result is globally heuristic even when every window is locally
-// optimal, so it carries the whole-block root bound as its certificate.
+// optimal; seqsched.Windows certifies it with the whole-block root bound.
 func windowedSearch(window int) searchFunc {
 	return func(g *dag.Graph, m *Machine, copts core.Options) (*core.Schedule, error) {
 		s, _, _, err := seqsched.Windows(g, m, window, copts)
-		if err != nil {
+		return s, err
+	}
+}
+
+// scheduleCtx walks the degradation ladder for one block from cold
+// pipelines, a sequence of one, with search as its search stage; faults
+// are the block's faults from the stages before.
+func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, search searchFunc, faults []*StageError) (*Compiled, error) {
+	var one [1]*Compiled
+	r, err := ladder(ctx, &SequenceResult{Blocks: one[:]}, []*Block{block}, [][]*StageError{faults}, m, o, search)
+	if r == nil {
+		return nil, err
+	}
+	return r.Blocks[0], err
+}
+
+// ladder is the degradation ladder. It schedules blocks in order, each
+// from the pipeline state the blocks before it left (the first starts
+// cold), replays the delivered schedule on the simulator and lowers every
+// block. Only the search stage differs by entry point: search schedules
+// a single block (core.Find, core.FindParallel or the section 5.3
+// windows); a nil search schedules the list as a footnote-1 sequence with
+// seqsched.Schedule. Each rung exists once and applies to every block:
+//
+//   - DAG: a fault sends every block to Baseline.
+//   - Search: a fault sends every block to Heuristic, as does
+//     Options.HeuristicOnly; a search cut short leaves the blocks it
+//     stopped in on Incumbent.
+//   - Heuristic: seqsched.ScheduleSeed, the list-schedule seeds priced and
+//     certified under the same threaded entry states; a fault sends every
+//     block to Baseline.
+//   - Baseline: baselineSchedule.
+//
+// prior[i] lists block i's faults from the stages before (the optimizer);
+// a fault that demoted the list is recorded on every block after them.
+// ladder sets r.Blocks[i], which must exist, to block i's result and
+// returns r with the degradation error, or nil and a hard error.
+func ladder(ctx context.Context, r *SequenceResult, blocks []*Block, prior [][]*StageError,
+	m *Machine, o Options, search searchFunc) (*SequenceResult, error) {
+	label := ""
+	if len(blocks) == 1 {
+		label = blocks[0].Label
+	}
+	var one [1]seqsched.BlockSchedule
+	pieces := one[:]
+	if len(blocks) != 1 {
+		pieces = make([]seqsched.BlockSchedule, len(blocks))
+	}
+
+	var faults []*StageError // the faults that demoted every block
+	rung := Optimal
+	fault, err := runStage(ctx, faultinject.DAG, label, func(context.Context) error {
+		for i, b := range blocks {
+			var e error
+			if pieces[i].Graph, e = dag.Build(b); e != nil {
+				return e
+			}
+		}
+		return nil
+	})
+	switch {
+	case fault != nil:
+		faults, rung = append(faults, fault), Baseline
+	case err != nil:
+		return nil, err
+	case o.HeuristicOnly:
+		// Fail-fast path: the caller has decided (e.g. via the server's
+		// circuit breaker) that these blocks should not pay for a search.
+		rung = Heuristic
+	default:
+		fault, err = runStage(ctx, faultinject.Search, label, func(ctx context.Context) error {
+			copts := searchOptions(ctx, o)
+			if search == nil {
+				res, e := seqsched.Schedule(blocks, m, copts)
+				if e == nil {
+					copy(pieces, res.Blocks)
+				}
+				return e
+			}
+			s, e := search(pieces[0].Graph, m, copts)
+			if e == nil {
+				pieces[0].Sched, pieces[0].EndTick = s, s.Ticks
+			}
+			return e
+		})
+		if fault != nil {
+			faults, rung = append(faults, fault), Heuristic
+		} else if err != nil {
 			return nil, err
 		}
-		s.RootLB, s.Gap = rootGap(g, m, copts.Assign, s.TotalNOPs)
-		return s, nil
-	}
-}
-
-// rootGap certifies a schedule costing total NOPs with the whole-block
-// root lower bound: the schedule is provably within gap NOPs of optimal.
-// It runs under isolate so that a bound-engine panic cannot take down a
-// rung that exists to survive panics; then there is no certificate
-// (0, GapUnknown).
-func rootGap(g *dag.Graph, m *Machine, assign nopins.AssignMode, total int) (lb, gap int) {
-	if f, err := isolate(faultinject.Search, g.Block.Label, func() error {
-		lb = bound.New(g, m, bound.Config{FixedAssign: assign == nopins.AssignFixed}, nil).Root()
-		return nil
-	}); f != nil || err != nil {
-		return 0, GapUnknown
-	}
-	return lb, max(total-lb, 0)
-}
-
-// scheduleCtx runs DAG construction and the search stage with stage
-// isolation, stepping down the ladder on faults. Every entry point that
-// schedules one block runs it; they differ only in the search stage.
-func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, search searchFunc, faults []*StageError) (*Compiled, error) {
-	label := block.Label
-
-	var g *dag.Graph
-	fault, err := runStage(ctx, faultinject.DAG, label, func(context.Context) error {
-		var e error
-		g, e = dag.Build(block)
-		return e
-	})
-	if fault != nil {
-		return baselineCompiled(ctx, block, m, o, append(faults, fault))
-	}
-	if err != nil {
-		return nil, err
 	}
 
-	if o.HeuristicOnly {
-		// Fail-fast path: the caller has decided (e.g. via the server's
-		// circuit breaker) that this block should not pay for a search.
-		return heuristicCompiled(ctx, block, g, m, o, faults)
-	}
-
-	var sched *core.Schedule
-	fault, err = runStage(ctx, faultinject.Search, label, func(ctx context.Context) error {
-		var e error
-		sched, e = search(g, m, searchOptions(ctx, o))
-		return e
-	})
-	if fault != nil {
-		return heuristicCompiled(ctx, block, g, m, o, append(faults, fault))
-	}
-	if err != nil {
-		return nil, err
-	}
-	telemetry.Active().RecordSearch(label, sched.Stats)
-
-	if o.Sched.Kind == machine.SchedScoreboard {
-		// Defense in depth for the scoreboard mode: the claimed issue
-		// ticks and stall count must replay exactly on the independent
-		// forward simulation of the window machine.
-		if err := sim.VerifyScoreboard(sim.ScoreboardInput{
-			Input:  sim.Input{Graph: g, M: m, Order: sched.Order, Pipes: sched.Pipes},
-			Window: o.Sched.Window, Width: o.Sched.Width,
-		}, sched.IssueTicks, sched.TotalNOPs); err != nil {
-			return nil, fmt.Errorf("pipesched: scoreboard schedule failed verification: %w", err)
-		}
-	}
-
-	quality := Optimal
-	if sched.Stopped != nil {
-		quality = Incumbent
-	}
-	c, err := emit(ctx, block, g, m, o, sched.Order, sched.Eta, sched.Pipes, quality, faults)
-	if err != nil {
-		return nil, err
-	}
-	c.Sched = o.Sched
-	c.MaxLive = sched.MaxLive
-	c.IssueTicks = sched.IssueTicks
-	if o.Sched.Kind == machine.SchedScoreboard {
-		// emit derives cost and ticks from the (all-zero) NOP padding;
-		// the scoreboard objective lives in the search result.
-		c.TotalNOPs = sched.TotalNOPs
-		c.Ticks = sched.Ticks
-	}
-	c.InitialNOPs = sched.InitialNOPs
-	c.Stats = sched.Stats
-	c.RootLB = sched.RootLB
-	c.Gap = sched.Gap
-	telemetry.Active().RecordGap(label, c.Gap, sched.Stats.OmegaCalls)
-	return c, degradationError(sched.Stopped, c.Faults)
-}
-
-// heuristicCompiled is the third ladder rung: the list-schedule seed
-// priced by the NOP-insertion analysis — the same schedule the search
-// would have started from. Runs under isolate so a persistent search
-// injection cannot re-fire; if even the seed fails, drops to Baseline.
-func heuristicCompiled(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options, faults []*StageError) (*Compiled, error) {
-	tracePoint(ctx, "degrade", "rung", "heuristic", "block", block.Label)
-	var r nopins.Result
-	f, err := isolate(faultinject.Search, block.Label, func() error {
-		order := listsched.Schedule(g, listsched.ByHeight)
-		var e error
-		r, e = nopins.NewEvaluator(g, m, assignMode(o)).EvaluateOrder(order)
-		return e
-	})
-	if f != nil || err != nil {
+	if rung == Heuristic {
+		tracePoint(ctx, "degrade", "rung", "heuristic", "block", label)
+		// Under isolate, so a persistent search injection cannot re-fire.
+		var res *seqsched.Result
+		f, err := isolate(faultinject.Search, label, func() error {
+			var e error
+			res, e = seqsched.ScheduleSeed(blocks, m, searchOptions(ctx, o))
+			return e
+		})
 		if f != nil {
 			faults = append(faults, f)
 		}
-		return baselineCompiled(ctx, block, m, o, faults)
+		if f != nil || err != nil {
+			rung = Baseline
+		} else {
+			copy(pieces, res.Blocks)
+		}
 	}
-	c, err := emit(ctx, block, g, m, o, r.Order, r.Eta, r.Pipes, Heuristic, faults)
-	if err != nil {
+	if rung == Baseline {
+		tracePoint(ctx, "degrade", "rung", "baseline", "block", label)
+		baselineSchedule(pieces, blocks, m)
+	}
+	if err := verify(pieces, m, o, rung); err != nil {
 		return nil, err
 	}
-	c.InitialNOPs = r.TotalNOPs
-	// The heuristic result still carries a certificate: the root lower
-	// bound proves how far the seed can be from optimal.
-	c.RootLB, c.Gap = rootGap(g, m, assignMode(o), c.TotalNOPs)
-	telemetry.Active().RecordGap(block.Label, c.Gap, 0)
-	return c, degradationError(nil, c.Faults)
+
+	var stopped error
+	var first []*StageError // the faults of the first block with any
+	r.Optimal = true
+	for i, p := range pieces {
+		quality := rung
+		if rung == Optimal && p.Sched.Stopped != nil {
+			quality = Incumbent
+			if stopped == nil {
+				stopped = p.Sched.Stopped
+			}
+		}
+		var fs []*StageError
+		if i < len(prior) {
+			fs = prior[i]
+		}
+		c, err := lower(ctx, blocks[i], p, m, o, quality, append(fs[:len(fs):len(fs)], faults...))
+		if err != nil {
+			return nil, err
+		}
+		if first == nil && len(c.Faults) > 0 {
+			first = c.Faults
+		}
+		r.Blocks[i] = c
+		r.TotalNOPs += c.TotalNOPs
+		r.TotalTicks = p.EndTick
+		r.Optimal = r.Optimal && c.Optimal
+		r.Quality = max(r.Quality, quality)
+	}
+	return r, degradationError(stopped, first)
 }
 
-// baselineSchedule is the last ladder rung: program order (always legal,
-// because tuple operands may only reference earlier tuples) with
-// conservative full-drain padding — every instruction after the first
-// waits out the machine's largest latency/enqueue time, so no dependence
-// or conflict can be violated regardless of the dependence structure.
-// drain additionally pads before the first instruction (non-first blocks
-// of a sequence, where earlier blocks' pipelines may still be busy).
-func baselineSchedule(block *Block, m *Machine, drain bool) (order, eta, pipes []int) {
+// baselineSchedule is the last ladder rung: every block in program order
+// (always legal, because tuple operands may only reference earlier
+// tuples) with conservative full-drain padding — every instruction waits
+// out the machine's largest latency/enqueue time, except the first of
+// the first block, which meets empty pipelines — so no dependence or
+// conflict can be violated, inside a block or across a boundary,
+// regardless of the dependence structure. It needs no graph; the
+// faulting DAG stage often still builds cleanly when retried outside the
+// injection boundary, and a graph re-enables the simulator replay.
+func baselineSchedule(pieces []seqsched.BlockSchedule, blocks []*Block, m *Machine) {
 	maxDelay := 1
 	for _, p := range m.Pipelines {
-		if p.Latency > maxDelay {
-			maxDelay = p.Latency
+		maxDelay = max(maxDelay, p.Latency, p.Enqueue)
+	}
+	tick := 0
+	for i, b := range blocks {
+		n := b.Len()
+		s := &core.Schedule{Order: make([]int, n), Eta: make([]int, n), Pipes: make([]int, n), Gap: GapUnknown}
+		for k := range s.Order {
+			s.Order[k] = k
+			s.Pipes[k] = m.PipelineFor(b.Tuples[k].Op)
+			if k > 0 || i > 0 {
+				s.Eta[k] = maxDelay - 1
+				s.TotalNOPs += maxDelay - 1
+			}
 		}
-		if p.Enqueue > maxDelay {
-			maxDelay = p.Enqueue
+		s.InitialNOPs = s.TotalNOPs
+		p := &pieces[i]
+		p.StartTick = tick
+		tick += s.TotalNOPs + n
+		p.EndTick, s.Ticks, p.Sched = tick, tick, s
+		if p.Graph == nil {
+			if f, err := isolate(faultinject.DAG, b.Label, func() error {
+				var e error
+				p.Graph, e = dag.Build(b)
+				return e
+			}); f != nil || err != nil {
+				p.Graph = nil
+			}
 		}
 	}
-	n := block.Len()
-	order = make([]int, n)
-	eta = make([]int, n)
-	pipes = make([]int, n)
-	for i := 0; i < n; i++ {
-		order[i] = i
-		pipes[i] = m.PipelineFor(block.Tuples[i].Op)
-		if i > 0 || drain {
-			eta[i] = maxDelay - 1
-		}
-	}
-	return order, eta, pipes
 }
 
-// baselineCompiled materializes the Baseline rung for one block.
-func baselineCompiled(ctx context.Context, block *Block, m *Machine, o Options, faults []*StageError) (*Compiled, error) {
-	tracePoint(ctx, "degrade", "rung", "baseline", "block", block.Label)
-	c, err := baselineBlock(ctx, block, m, o, false, faults)
-	if err != nil {
-		return nil, err
+// verify replays the delivered schedule on the independent simulator
+// before anything is lowered. A search-produced scoreboard schedule
+// replays on the window machine against its claimed issue ticks and
+// stall count. Any other schedule replays in the in-order hazard check,
+// over the graph of the whole block list: the block's own graph for one
+// block, and seqsched.Flatten's graph for a sequence, so every boundary
+// delay is checked as well. A Baseline rung that could build no graph has
+// nothing to replay against. Defense in depth: no schedule leaves the
+// library unchecked.
+func verify(pieces []seqsched.BlockSchedule, m *Machine, o Options, rung Quality) error {
+	if interlocked(o, rung) {
+		for _, p := range pieces {
+			s := p.Sched
+			if err := sim.VerifyScoreboard(sim.ScoreboardInput{
+				Input:  sim.Input{Graph: p.Graph, M: m, Order: s.Order, Pipes: s.Pipes},
+				Window: o.Sched.Window, Width: o.Sched.Width,
+			}, s.IssueTicks, s.TotalNOPs); err != nil {
+				return fmt.Errorf("pipesched: scoreboard schedule failed verification: %w", err)
+			}
+		}
+		return nil
 	}
-	return c, degradationError(nil, c.Faults)
-}
-
-// baselineBlock emits block's baselineSchedule. The faulting DAG stage
-// often still builds cleanly when retried outside the injection
-// boundary; a graph re-enables the simulator verification inside emit.
-func baselineBlock(ctx context.Context, block *Block, m *Machine, o Options, drain bool, faults []*StageError) (*Compiled, error) {
-	order, eta, pipes := baselineSchedule(block, m, drain)
-	var g *dag.Graph
-	if f, err := isolate(faultinject.DAG, block.Label, func() error {
-		var e error
-		g, e = dag.Build(block)
-		return e
-	}); f != nil || err != nil {
-		g = nil
+	if len(pieces) == 0 {
+		return nil
 	}
-	c, err := emit(ctx, block, g, m, o, order, eta, pipes, Baseline, faults)
-	if err != nil {
-		return nil, err
+	for _, p := range pieces {
+		if p.Graph == nil {
+			return nil
+		}
 	}
-	c.InitialNOPs = c.TotalNOPs
-	return c, nil
+	s := pieces[0].Sched
+	in := sim.Input{Graph: pieces[0].Graph, M: m, Order: s.Order, Eta: s.Eta, Pipes: s.Pipes}
+	if len(pieces) > 1 {
+		g, order, eta, pipes, err := seqsched.Flatten(&seqsched.Result{Blocks: pieces})
+		if err != nil {
+			return fmt.Errorf("pipesched: internal: %w", err)
+		}
+		in = sim.Input{Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes}
+	}
+	if _, err := sim.Run(in, sim.NOPPadding); err != nil {
+		return fmt.Errorf("pipesched: schedule failed verification: %w", err)
+	}
+	return nil
 }
 
 // allocateIsolated runs register allocation under stage isolation. On a
@@ -553,16 +624,19 @@ func interlocked(o Options, quality Quality) bool {
 	return o.Sched.Kind == machine.SchedScoreboard && quality < Heuristic
 }
 
-// lower carries a computed schedule through register allocation and code
-// emission, isolating faults in both stages so that a legal schedule
-// always survives: a failed allocator leaves Registers nil, a failed code
-// generator leaves Assembly empty. g may be nil on the Baseline rung; NOP
-// explanations and Tera backoff counts then degrade gracefully instead
-// of failing. The result's TotalNOPs and Ticks are the schedule's own
-// padding; its Gap is GapUnknown until a caller holding a bound sets it.
-func lower(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options,
-	order, eta, pipes []int, quality Quality, faults []*StageError) (*Compiled, error) {
+// lower carries one block's verified schedule through register
+// allocation and code emission, isolating faults in both stages so that
+// a legal schedule always survives: a failed allocator leaves Registers
+// nil, a failed code generator leaves Assembly empty. p.Graph may be nil
+// on the Baseline rung; NOP explanations and Tera backoff counts then
+// degrade gracefully instead of failing. The schedule's cost, seed cost,
+// certificate and search statistics carry over as they are; Ticks is the
+// absolute tick of the block's last issue.
+func lower(ctx context.Context, block *Block, p seqsched.BlockSchedule, m *Machine, o Options,
+	quality Quality, faults []*StageError) (*Compiled, error) {
 	label := block.Label
+	g, s := p.Graph, p.Sched
+	order, eta, pipes := s.Order, s.Eta, s.Pipes
 	scheduled, err := block.Permute(order)
 	if err != nil {
 		return nil, fmt.Errorf("pipesched: internal: %w", err)
@@ -586,7 +660,7 @@ func lower(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Option
 			// Delays imposed by an earlier block's pipeline state or by
 			// conservative padding bind on nothing inside this block's
 			// own graph; they keep a generic note. (Were the schedule
-			// actually illegal, emit's verification would catch it.)
+			// actually illegal, verify would have caught it.)
 			for i, e := range eta {
 				if e > 0 {
 					prog.Notes[i] = fmt.Sprintf("waits %d ticks (not bound inside this block)", e)
@@ -609,44 +683,29 @@ func lower(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Option
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, e := range eta {
-		total += e
+	c := &Compiled{
+		Original:    block,
+		Scheduled:   scheduled,
+		Order:       order,
+		Eta:         eta,
+		Pipes:       pipes,
+		TotalNOPs:   s.TotalNOPs,
+		InitialNOPs: s.InitialNOPs,
+		Ticks:       p.EndTick,
+		Optimal:     quality == Optimal,
+		RootLB:      s.RootLB,
+		Gap:         s.Gap,
+		Quality:     quality,
+		Faults:      faults,
+		Registers:   regs,
+		Assembly:    asm,
+		Stats:       s.Stats,
 	}
-	return &Compiled{
-		Original:  block,
-		Scheduled: scheduled,
-		Order:     order,
-		Eta:       eta,
-		Pipes:     pipes,
-		TotalNOPs: total,
-		Ticks:     total + len(order),
-		Optimal:   quality == Optimal,
-		Quality:   quality,
-		Gap:       GapUnknown,
-		Faults:    faults,
-		Registers: regs,
-		Assembly:  asm,
-	}, nil
-}
-
-// emit lowers a schedule of one block that starts from cold pipelines
-// and, whenever a dependence graph exists, re-verifies a NOP-padded
-// schedule with the independent simulator's in-order hazard check. A
-// search-produced scoreboard schedule is not replayed here: scheduleCtx
-// has already replayed it on the window machine, claimed issue ticks
-// and stalls included. Defense in depth: no schedule leaves the library
-// unchecked.
-func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options,
-	order, eta, pipes []int, quality Quality, faults []*StageError) (*Compiled, error) {
-	c, err := lower(ctx, block, g, m, o, order, eta, pipes, quality, faults)
-	if err != nil {
-		return nil, err
-	}
-	if g != nil && !interlocked(o, quality) {
-		if _, err := sim.Run(sim.Input{Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes}, sim.NOPPadding); err != nil {
-			return nil, fmt.Errorf("pipesched: schedule failed verification: %w", err)
-		}
+	if quality < Heuristic {
+		// The degraded rungs fall back to the paper objective; only a
+		// search-produced schedule carries the mode, its pressure figure
+		// and its scoreboard issue ticks.
+		c.Sched, c.MaxLive, c.IssueTicks = o.Sched, s.MaxLive, s.IssueTicks
 	}
 	return c, nil
 }
@@ -668,23 +727,33 @@ func ScheduleLargeCtx(ctx context.Context, block *Block, m *Machine, window int,
 		return nil, fmt.Errorf("%w: ScheduleLarge schedules windows under the paper objective only (got %s)",
 			ErrModeUnsupported, o.Sched)
 	}
-	done := beginCompile()
+	rec := beginCompile()
 	c, err := scheduleCtx(ctx, block, m, o, windowedSearch(window), nil)
-	done(c)
+	rec.done(c)
 	return c, err
 }
 
 // ScheduleSequenceCtx is ScheduleSequence with cooperative cancellation
-// and the degradation ladder. Curtailment, deadline expiry or
-// cancellation demotes the affected blocks to their best incumbents; a
-// failed search stage demotes the whole sequence to threaded
-// list-schedule seeds (Heuristic); if even that fails, every block runs
-// in program order with full pipeline drains at the boundaries
-// (Baseline).
+// and the degradation ladder of ScheduleCtx, each rung applied to the
+// whole sequence: curtailment, deadline expiry or cancellation demotes
+// the affected blocks to their best incumbents; Options.HeuristicOnly or
+// a failed search stage demotes every block to its threaded
+// list-schedule seed (Heuristic); a failed DAG stage, or a failed seed,
+// runs every block in program order with full pipeline drains at the
+// boundaries (Baseline).
 func ScheduleSequenceCtx(ctx context.Context, blocks []*Block, m *Machine, o Options) (*SequenceResult, error) {
 	if err := validateMachine(m); err != nil {
 		return nil, err
 	}
+	rec := beginCompile()
+	r, err := sequenceCtx(ctx, blocks, nil, m, o)
+	rec.done(r.blocks()...)
+	return r, err
+}
+
+// sequenceCtx checks a footnote-1 sequence and walks the ladder over it;
+// prior is as in ladder.
+func sequenceCtx(ctx context.Context, blocks []*Block, prior [][]*StageError, m *Machine, o Options) (*SequenceResult, error) {
 	if o.Sched.Kind == machine.SchedScoreboard {
 		return nil, fmt.Errorf("%w: the scoreboard model cannot thread in-order pipeline state across block boundaries",
 			ErrModeUnsupported)
@@ -697,118 +766,15 @@ func ScheduleSequenceCtx(ctx context.Context, blocks []*Block, m *Machine, o Opt
 			return nil, err
 		}
 	}
-	heuristic := false
-	var faults []*StageError
-	var r *seqsched.Result
-	fault, err := runStage(ctx, faultinject.Search, "", func(ctx context.Context) error {
-		var e error
-		r, e = seqsched.Schedule(blocks, m, searchOptions(ctx, o))
-		return e
-	})
-	switch {
-	case fault != nil:
-		faults = append(faults, fault)
-		heuristic = true
-		if f, e := isolate(faultinject.Search, "", func() error {
-			var e error
-			r, e = seqsched.ScheduleSeed(blocks, m, searchOptions(ctx, o))
-			return e
-		}); f != nil || e != nil {
-			sr, serr := sequenceBaseline(ctx, blocks, m, o, faults)
-			recordSequence(sr)
-			return sr, serr
-		}
-	case err != nil:
-		return nil, err
-	}
-
-	out := &SequenceResult{TotalNOPs: r.TotalNOPs, TotalTicks: r.TotalTicks, Optimal: r.Optimal && !heuristic}
-	for i, bs := range r.Blocks {
-		bq := Heuristic
-		if !heuristic {
-			if bs.Sched.Optimal {
-				bq = Optimal
-			} else {
-				bq = Incumbent
-			}
-		}
-		c, err := finishSequenceBlock(ctx, blocks[i], bs, m, o, bq)
-		if err != nil {
-			return nil, err
-		}
-		if c.Quality > out.Quality {
-			out.Quality = c.Quality
-		}
-		faults = append(faults, c.Faults...)
-		out.Blocks = append(out.Blocks, c)
-	}
-	recordSequence(out)
-	return out, degradationError(r.Stopped, faults)
+	return ladder(ctx, &SequenceResult{Blocks: make([]*Compiled, len(blocks))}, blocks, prior, m, o, nil)
 }
 
-// recordSequence folds every block of a finished sequence into the
-// telemetry metric set (no-op when telemetry is off). Per-block wall
-// time is not split out — the stage spans already cover the sequence.
-func recordSequence(r *SequenceResult) {
-	pm := telemetry.Active()
-	if pm == nil || r == nil {
-		return
+// blocks is r's blocks, or none when r is nil.
+func (r *SequenceResult) blocks() []*Compiled {
+	if r == nil {
+		return nil
 	}
-	for _, c := range r.Blocks {
-		if c == nil || c.Scheduled == nil {
-			continue
-		}
-		if c.Stats.OmegaCalls > 0 || c.Stats.SeedOmegaCalls > 0 {
-			pm.RecordSearch(c.Scheduled.Label, c.Stats)
-		}
-		pm.RecordGap(c.Scheduled.Label, c.Gap, c.Stats.OmegaCalls)
-		pm.RecordCompile(c.Scheduled.Label, int(c.Quality), c.Scheduled.Len(),
-			c.InitialNOPs, c.TotalNOPs, len(c.Faults), 0)
-	}
-}
-
-// sequenceBaseline is the Baseline rung for a whole sequence: each block
-// in program order with full-drain padding, and a full pipeline drain
-// before every block boundary, so no cross-block state can be violated.
-func sequenceBaseline(ctx context.Context, blocks []*Block, m *Machine, o Options, faults []*StageError) (*SequenceResult, error) {
-	tracePoint(ctx, "degrade", "rung", "baseline", "blocks", fmt.Sprint(len(blocks)))
-	out := &SequenceResult{Quality: Baseline}
-	tick := 0
-	for i, b := range blocks {
-		c, err := baselineBlock(ctx, b, m, o, i > 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		tick += c.Ticks
-		c.Ticks = tick // absolute end tick, matching sequence semantics
-		faults = append(faults, c.Faults...)
-		out.Blocks = append(out.Blocks, c)
-		out.TotalNOPs += c.TotalNOPs
-	}
-	out.TotalTicks = tick
-	return out, degradationError(nil, faults)
-}
-
-// finishSequenceBlock lowers one block of a threaded sequence. The
-// block's η values include boundary delays imposed by the PREVIOUS
-// blocks' pipeline state, so emit's cold-start re-verification does not
-// apply; the sequence-level verification lives in internal/seqsched
-// (Flatten + simulator), exercised by its tests.
-func finishSequenceBlock(ctx context.Context, block *Block, bs seqsched.BlockSchedule, m *Machine, o Options, quality Quality) (*Compiled, error) {
-	s := bs.Sched
-	c, err := lower(ctx, block, bs.Graph, m, o, s.Order, s.Eta, s.Pipes, quality, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.TotalNOPs, c.InitialNOPs, c.Ticks = s.TotalNOPs, s.InitialNOPs, bs.EndTick
-	c.RootLB, c.Gap, c.Stats = s.RootLB, s.Gap, s.Stats
-	if quality < Heuristic {
-		// Degraded sequence rungs fall back to the paper objective; only
-		// search-produced blocks carry the mode and its pressure figure.
-		c.Sched = o.Sched
-		c.MaxLive = s.MaxLive
-	}
-	return c, nil
+	return r.Blocks
 }
 
 // CompileSequenceCtx is CompileSequence with cooperative cancellation
@@ -820,6 +786,7 @@ func CompileSequenceCtx(ctx context.Context, src string, m *Machine, o Options) 
 	if err := validateMachine(m); err != nil {
 		return nil, err
 	}
+	rec := beginCompile()
 	var blocks []*Block
 	fault, err := runStage(ctx, faultinject.Frontend, "", func(context.Context) error {
 		parsed, err := frontend.ParseFile(src)
@@ -840,31 +807,24 @@ func CompileSequenceCtx(ctx context.Context, src string, m *Machine, o Options) 
 		return nil
 	})
 	if fault != nil {
+		rec.done()
 		return nil, fault
 	}
 	if err != nil {
+		rec.done()
 		return nil, fmt.Errorf("%w: %w", ErrInvalidSource, err)
 	}
-	optFaults := make([]*StageError, len(blocks))
+	prior := make([][]*StageError, len(blocks))
 	for i, b := range blocks {
-		blocks[i], optFaults[i] = optimizeStage(ctx, b, o)
-	}
-	r, err := ScheduleSequenceCtx(ctx, blocks, m, o)
-	if r != nil {
-		for i := range r.Blocks {
-			r.Blocks[i].Source = src
-			if f := optFaults[i]; f != nil {
-				r.Blocks[i].Faults = append([]*StageError{f}, r.Blocks[i].Faults...)
-			}
-		}
-		if err == nil {
-			for i := range blocks {
-				if f := optFaults[i]; f != nil {
-					err = f
-					break
-				}
-			}
+		var f *StageError
+		if blocks[i], f = optimizeStage(ctx, b, o); f != nil {
+			prior[i] = []*StageError{f}
 		}
 	}
+	r, err := sequenceCtx(ctx, blocks, prior, m, o)
+	for _, c := range r.blocks() {
+		c.Source = src
+	}
+	rec.done(r.blocks()...)
 	return r, err
 }

@@ -333,6 +333,9 @@ func TestCompileCtxInvalidSource(t *testing.T) {
 	}
 }
 
+// TestScheduleSequenceCtxChaos: a fault in a stage the whole sequence
+// shares demotes every block to the same rung, and every block still
+// comes back legal with its assembly.
 func TestScheduleSequenceCtxChaos(t *testing.T) {
 	blocks := []*Block{}
 	for i := 0; i < 3; i++ {
@@ -342,24 +345,34 @@ func TestScheduleSequenceCtxChaos(t *testing.T) {
 		}
 		blocks = append(blocks, b)
 	}
-	defer faultinject.Activate(faultinject.New().
-		Plan(faultinject.Search, faultinject.Plan{PanicValue: "seq-chaos"}))()
-	r, err := ScheduleSequenceCtx(context.Background(), blocks, SimulationMachine(), Options{})
-	var se *StageError
-	if !errors.As(err, &se) || se.Stage != "search" {
-		t.Fatalf("err = %v, want *StageError{Stage: search}", err)
-	}
-	if r == nil || len(r.Blocks) != 3 {
-		t.Fatalf("sequence fault must still schedule every block, got %v", r)
-	}
-	if r.Quality != Heuristic {
-		t.Errorf("sequence quality = %v, want Heuristic", r.Quality)
-	}
-	for _, c := range r.Blocks {
-		checkLegal(t, c)
-		if c.Quality != Heuristic || c.Assembly == "" {
-			t.Errorf("block quality=%v asm?=%v, want emitted heuristic", c.Quality, c.Assembly != "")
-		}
+	for _, tc := range []struct {
+		stage faultinject.Stage
+		want  Quality
+	}{
+		{faultinject.Search, Heuristic},
+		{faultinject.DAG, Baseline},
+	} {
+		t.Run(string(tc.stage), func(t *testing.T) {
+			defer faultinject.Activate(faultinject.New().
+				Plan(tc.stage, faultinject.Plan{PanicValue: "seq-chaos"}))()
+			r, err := ScheduleSequenceCtx(context.Background(), blocks, SimulationMachine(), Options{})
+			var se *StageError
+			if !errors.As(err, &se) || se.Stage != string(tc.stage) {
+				t.Fatalf("err = %v, want *StageError{Stage: %s}", err, tc.stage)
+			}
+			if r == nil || len(r.Blocks) != 3 {
+				t.Fatalf("sequence fault must still schedule every block, got %v", r)
+			}
+			if r.Quality != tc.want {
+				t.Errorf("sequence quality = %v, want %v", r.Quality, tc.want)
+			}
+			for _, c := range r.Blocks {
+				checkLegal(t, c)
+				if c.Quality != tc.want || c.Assembly == "" {
+					t.Errorf("block quality=%v asm?=%v, want emitted %v", c.Quality, c.Assembly != "", tc.want)
+				}
+			}
+		})
 	}
 }
 
